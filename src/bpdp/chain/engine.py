@@ -7,24 +7,23 @@ ascending phi (and ranks in ascending order within a level) visits every
 state after all of its predecessors.  Level arrays are kept for a sliding
 window of max-jump-plus-one levels; memory is O(L), work is O(L^2).
 
-Reductions are elementwise over the width axis with a fixed canonical
-edge order (source phi ascending, source width ascending, source state
-order), so results are bit-identical for any thread count: threads only
-split the width axis into chunks, and every array operation involved is
-elementwise.
+One sweep fills each level on one thread: every edge contributes a vector
+over the width axis, and the vectors are folded with np.logaddexp in a
+fixed canonical edge order (source phi ascending, source width ascending,
+source state order).  The hit probabilities come from the same edge
+vectors, so the result is deterministic to the bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..numerics import NEG_INF, log_add
+from ..numerics import NEG_INF
 from ..special_functions import ModelParams, f
 from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK, TWO_NEIGHBOUR_STATES,
                     TWO_NEIGHBOUR_TABLE, TransitionRule)
@@ -76,7 +75,6 @@ class PiResult:
     log_hit_prob: float
     log_pi: float
     wall_time_seconds: float
-    threads: int
     model: str = "frobose"
 
 
@@ -84,16 +82,13 @@ class _Engine:
     """Single-use DP state for one rule table at one parameter."""
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str],
-                 params: ModelParams, threshold: int, threads: int = 1,
-                 prune_threshold: Optional[float] = None,
+                 params: ModelParams, threshold: int,
                  memory_cap_bytes: int = 8 << 30):
         self.table = list(table)
         self.states = list(states)
         self.sidx = {s: i for i, s in enumerate(states)}
         self.params = params
         self.L = threshold
-        self.threads = max(1, threads)
-        self.prune = prune_threshold
         self.max_dphi = max(r.dphi for r in self.table)
         self.window = self.max_dphi + 1
         self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
@@ -109,7 +104,6 @@ class _Engine:
     def _prepare_vectors(self):
         q = self.params.q
         n = np.arange(-_PAD, self.N - _PAD, dtype=float)
-        self._negcost = []
         self._negcost_rev = []
         for rule in self.table:
             const = rule.n_logp * math.log(1.0 / self.params.p)
@@ -137,7 +131,6 @@ class _Engine:
                     a_vec += q * coeff * np.maximum(n + shift, 0.0)
                 else:
                     b_vec += q * coeff * np.maximum(n + shift, 0.0)
-            self._negcost.append((-(a_vec + scalar), -b_vec))
             self._negcost_rev.append((-(a_vec + scalar), -b_vec[::-1]))
 
     def _prepare_edges(self):
@@ -179,12 +172,12 @@ class _Engine:
         out += neg_b_rev[r0:r0 + cnt]
         return out
 
-    def _fill_chunk(self, phi, levels, cur, lo, hi):
+    def _fill(self, phi, levels, cur):
         for stage in self.stages:
             for s in stage:
                 acc = None
                 for i in self.incoming[s]:
-                    contrib = self._edge_contrib(i, phi, levels, cur, lo, hi)
+                    contrib = self._edge_contrib(i, phi, levels, cur, 1, phi)
                     if contrib is None:
                         continue
                     if acc is None:
@@ -192,9 +185,7 @@ class _Engine:
                     else:
                         np.logaddexp(acc, contrib, out=acc)
                 if acc is not None:
-                    if self.prune is not None:
-                        acc[acc < self.prune] = NEG_INF
-                    cur[self.sidx[s], lo + _PAD:hi + _PAD] = acc
+                    cur[self.sidx[s], 1 + _PAD:phi + _PAD] = acc
 
     # -- main loop ------------------------------------------------------------
     def run(self):
@@ -204,107 +195,79 @@ class _Engine:
             return 0.0, 0.0
         nstates = len(self.states)
         levels = {}
-        pool = (ThreadPoolExecutor(max_workers=self.threads)
-                if self.threads > 1 else None)
-        try:
-            for phi in range(2, L):
-                cur = np.full((nstates, self.N), NEG_INF)
-                if phi == 2:
-                    # seed, then the creation chain of the seed level
-                    cur[self.sidx["0"], 1 + _PAD] = 0.0
-                    self._fill_chunk(phi, levels, cur, 1, 2)
-                else:
-                    lo, hi = 1, phi
-                    nchunks = self.threads if (hi - lo) >= 4 * self.threads else 1
-                    if nchunks == 1 or pool is None:
-                        self._fill_chunk(phi, levels, cur, lo, hi)
-                    else:
-                        bounds = np.linspace(lo, hi, nchunks + 1).astype(int)
-                        futs = [
-                            pool.submit(self._fill_chunk, phi, levels, cur,
-                                        int(bounds[j]), int(bounds[j + 1]))
-                            for j in range(nchunks)
-                            if bounds[j] < bounds[j + 1]
-                        ]
-                        for fut in futs:
-                            fut.result()
-                levels[phi] = cur
-                levels.pop(phi - self.window, None)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        return self._collect_hits(levels)
+        for phi in range(2, L):
+            cur = np.full((nstates, self.N), NEG_INF)
+            if phi == 2:
+                # seed; _fill then runs the seed level's creation chain
+                cur[self.sidx["0"], 1 + _PAD] = 0.0
+            self._fill(phi, levels, cur)
+            levels[phi] = cur
+            levels.pop(phi - self.window, None)
+        return self._hits(levels)
 
-    def _collect_hits(self, levels):
-        # Flows crossing the threshold, folded scalar-by-scalar in canonical
-        # order: source phi ascending, source w ascending, source state
-        # order, rule index.  Runs single-threaded regardless of the thread
-        # count used for the level sweep.
+    def _hits(self, levels):
+        # phi only increases, so every path leaves the levels below L exactly
+        # once, along a crossing edge into a level t in L .. L+max_dphi-1:
+        # the edge vectors out of the stored levels below L are the inflow
+        # into those levels, an exact hit when t = L.  Each vector is taken
+        # over source widths 1 .. sphi-1 (target lo = 1 + dw), so the fold
+        # keeps the canonical order: source phi, source width, source
+        # state, rule.
         L = self.L
-        hit_exact = NEG_INF
-        hit_atl = NEG_INF
+        exact = at_least = NEG_INF
         for sphi in range(max(2, L - self.max_dphi), L):
-            srclvl = levels.get(sphi)
-            if srclvl is None:
-                continue
-            rules_out = [
-                (self.sidx[self.table[i].src], i) for i in self.crossing
-                if sphi + self.table[i].dphi >= L
-            ]
-            rules_out.sort()
-            for w in range(1, sphi):
-                h = sphi - w
-                for si, i in rules_out:
-                    v = srclvl[si, w + _PAD]
-                    if v == NEG_INF:
-                        continue
-                    rule = self.table[i]
-                    neg_a, neg_b = self._negcost[i]
-                    c = v + neg_a[w + _PAD] + neg_b[h + _PAD]
-                    hit_atl = log_add(hit_atl, c)
-                    if sphi + rule.dphi == L:
-                        hit_exact = log_add(hit_exact, c)
-        return hit_exact, hit_atl
+            edges = sorted((self.sidx[self.table[i].src], i) for i in self.crossing
+                           if sphi + self.table[i].dphi >= L)
+            rows = np.empty((sphi - 1, len(edges)))   # (source width, edge)
+            for j, (_, i) in enumerate(edges):
+                rule = self.table[i]
+                rows[:, j] = self._edge_contrib(i, sphi + rule.dphi, levels, None,
+                                                1 + rule.dw, sphi + rule.dw)
+            lands_on_L = np.array([sphi + self.table[i].dphi == L
+                                   for _, i in edges], dtype=bool)
+            at_least = np.logaddexp.reduce(rows.ravel(), initial=at_least)
+            exact = np.logaddexp.reduce(rows[:, lands_on_L].ravel(),
+                                        initial=exact)
+        return float(exact), float(at_least)
 
 
-def _run(table, states, params: ChainParams, threads: int,
-         prune_threshold, memory_cap_bytes, model_name: str) -> PiResult:
+def _run(table, states, params: ChainParams, memory_cap_bytes,
+         model_name: str) -> PiResult:
     t0 = time.perf_counter()
     eng = _Engine(table, states, params.model, params.threshold,
-                  threads=threads, prune_threshold=prune_threshold,
                   memory_cap_bytes=memory_cap_bytes)
     hit_exact, hit_atl = eng.run()
-    hit = float(hit_exact if params.convention == "exact" else hit_atl)
+    hit = hit_exact if params.convention == "exact" else hit_atl
     wall = time.perf_counter() - t0
     return PiResult(
         p=params.model.p, q=params.model.q, threshold=params.threshold,
         convention=params.convention, log_hit_prob=hit,
         log_pi=0.0 if hit == 0.0 else -hit / 2.0,
-        wall_time_seconds=wall, threads=threads, model=model_name,
+        wall_time_seconds=wall, model=model_name,
     )
 
 
 def compute_pi(params: ChainParams, threads: int = 1,
-               prune_threshold: Optional[float] = None,
                memory_cap_bytes: int = 8 << 30) -> PiResult:
     """Growth scale of the local Frobose model.
 
     log_pi = -log P(chain from (1,1,state 0) hits semi-perimeter L) / 2,
-    where the hit is exact or at-least per the convention.  Deterministic:
-    the result is bit-identical for every thread count.
+    where the hit is exact or at-least per the convention.  The sweep runs
+    on one thread and is deterministic to the bit; ``threads`` is accepted
+    for callers that pass it and is ignored.
     """
-    return _run(FROBOSE_TABLE, FROBOSE_STATES, params, threads,
-                prune_threshold, memory_cap_bytes, "frobose")
+    return _run(FROBOSE_TABLE, FROBOSE_STATES, params, memory_cap_bytes,
+                "frobose")
 
 
 def compute_two_neighbour_lower_bound(params: ChainParams, threads: int = 1,
-                                      prune_threshold: Optional[float] = None,
                                       memory_cap_bytes: int = 8 << 30) -> PiResult:
     """Same computation over the published two-neighbour rows.
 
     The published table is sub-stochastic (it is an excerpt), so the hit
     probability is a lower bound and the returned log_pi an upper bound;
     this makes no claim to equal the true two-neighbour growth scale.
+    ``threads`` is ignored, as in compute_pi.
     """
-    return _run(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES, params, threads,
-                prune_threshold, memory_cap_bytes, "two-neighbour-lower-bound")
+    return _run(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES, params,
+                memory_cap_bytes, "two-neighbour-lower-bound")

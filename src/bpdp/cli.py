@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints one self-describing JSON record (or CSV where a
-table is the natural shape).  Numbers are serialized with 17 significant
-digits so binary64 values round-trip.  Configuration precedence is flags,
-then BPDP_-prefixed environment variables, then defaults.
+table is the natural shape).  JSON numbers use Python's shortest
+round-trip repr and CSV cells 17 significant digits, so binary64 values
+round-trip either way.  Configuration precedence is flags, then
+BPDP_-prefixed environment variables, then defaults.
 
 Exit status: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded.
@@ -40,22 +41,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _jsonify(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def _emit_record(command: str, parameters: dict, outputs: dict,
                  wall_time_seconds: float, seed: Optional[int] = None):
     record = {
         "command": command,
-        "parameters": _jsonify(parameters),
-        "outputs": _jsonify(outputs),
+        "parameters": parameters,
+        "outputs": outputs,
         "wall_time_seconds": wall_time_seconds,
         "tool_version": __version__,
     }
@@ -89,21 +80,16 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               help="Target semi-perimeter L (default ceil(2 log(1/p)/p)).")
 @click.option("--convention", type=click.Choice(["exact", "at-least"]),
               default="exact", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--prune-threshold", type=float, default=None,
-              help="Drop states with log probability below this (default off).")
 @click.option("--memory-cap-bytes", type=int, default=8 << 30,
               show_default=True, help="Abort before starting if the level "
               "storage estimate exceeds this.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Append a CSV row (log2_inv_p or p, log_pi) to this file.")
-def cmd_pi(p, log2_inv_p, threshold, convention, threads, prune_threshold,
-           memory_cap_bytes, csv_path):
+def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)
     params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
-    result = compute_pi(params, threads=threads, prune_threshold=prune_threshold,
-                        memory_cap_bytes=memory_cap_bytes)
+    result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
     outputs = {
         "p": result.p, "q": result.q, "L": result.threshold,
         "convention": result.convention,
@@ -111,16 +97,49 @@ def cmd_pi(p, log2_inv_p, threshold, convention, threads, prune_threshold,
     }
     _emit_record("pi", {
         "p": pv, "log2_inv_p": log2_inv_p, "threshold": params.threshold,
-        "convention": convention, "threads": threads,
-        "prune_threshold": prune_threshold,
+        "convention": convention,
     }, outputs, result.wall_time_seconds)
     if csv_path:
         new = not os.path.exists(csv_path)
-        with open(csv_path, "a", encoding="utf-8") as fh:
+        with _open_append(csv_path) as fh:
             if new:
                 fh.write("log2_inv_p,p,log_pi\n")
             k = "" if log2_inv_p is None else str(log2_inv_p)
             fh.write(f"{k},{_fmt(pv)},{_fmt(result.log_pi)}\n")
+
+
+def _open_append(path: str):
+    """Open a CSV for appending; a path that cannot be opened (a missing
+    directory, say) is a one-line usage error with exit status 1."""
+    try:
+        return open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(path, hint=exc.strerror)
+
+
+def _completed_rows(path: str):
+    """Exponents with a complete row in a scan CSV, and whether it is empty.
+
+    A row counts only as a whole line of two fields, an integer and a
+    float.  A last line without its newline was cut off mid-write, so it is
+    truncated away and the rows appended next start on a line of their own.
+    """
+    with open(path, "rb+") as fh:
+        kept = fh.read()
+        kept = kept[:kept.rfind(b"\n") + 1]
+        fh.truncate(len(kept))
+    done = set()
+    for line in kept.decode("utf-8", "replace").splitlines():
+        fields = line.split(",")
+        if len(fields) != 2:
+            continue
+        try:
+            k = int(fields[0])
+            float(fields[1])
+        except ValueError:
+            continue
+        done.add(k)
+    return done, not kept
 
 
 def _parse_range(text: str):
@@ -136,27 +155,22 @@ def _parse_range(text: str):
               help="Inclusive range a..b of exponents k, p = 2^-k.")
 @click.option("--convention", type=click.Choice(["exact", "at-least"]),
               default="exact", show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--output", type=click.Path(), default=None,
               help="CSV file (default stdout); enables --resume.")
 @click.option("--resume", is_flag=True,
-              help="Skip exponents already present in the output file.")
-def cmd_scan(krange, convention, threads, output, resume):
+              help="Skip exponents that have a complete row in the output "
+              "file; a cut-off last row is dropped and recomputed.")
+def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
     done = set()
     header_needed = True
     if output and os.path.exists(output):
         if resume:
-            with open(output, encoding="utf-8") as fh:
-                for line in fh:
-                    head = line.split(",", 1)[0]
-                    if head.isdigit():
-                        done.add(int(head))
-            header_needed = False
+            done, header_needed = _completed_rows(output)
         else:
             os.remove(output)
-    sink = open(output, "a", encoding="utf-8") if output else sys.stdout
+    sink = _open_append(output) if output else sys.stdout
     try:
         if header_needed:
             sink.write("log2_inv_p,log_pi\n")
@@ -166,7 +180,7 @@ def cmd_scan(krange, convention, threads, output, resume):
                 continue
             try:
                 params = ChainParams.from_p(2.0 ** -k, convention=convention)
-                result = compute_pi(params, threads=threads)
+                result = compute_pi(params)
             except Exception as exc:  # per-row failures recorded, scan continues
                 click.echo(f"# k={k} failed: {exc}", err=True)
                 continue

@@ -9,10 +9,11 @@ loosening the tolerance.  See README.md ("Known discrepancy") for the
 analysis; the chain itself is validated against the lattice and against
 exhaustive enumeration by criteria 2 and 8.
 
-Criterion 9's parallel-speedup half requires more than one CPU; on a
-single-CPU host it fails with a diagnostic for the same reason of
-honesty.  Set BPDP_ACCEPTANCE_FULL=1 to also run the slow extended table
-check (log2(1/p) in {9, 10}).
+Criterion 9's parallel-speedup half is also known to fail: the level
+sweep runs on one thread, so 8 "threads" take about as long as one, and
+the test reports the measured ratio against its bound of 0.5.
+Set BPDP_ACCEPTANCE_FULL=1 to also run the slow extended table check
+(log2(1/p) in {9, 10}).
 """
 
 import csv
@@ -440,7 +441,8 @@ class TestCriterion9DeterminismAndScaling:
         if not ok:
             pytest.fail(
                 f"8-thread wall time {parallel:.2f}s is not <= half the "
-                f"single-thread wall time {single:.2f}s.  This host exposes "
-                f"{os.cpu_count()} CPU(s); a wall-clock speedup of 2x is "
-                "unattainable without at least two cores.  The parallel path "
-                "itself is exercised and bit-identical (criterion 9a).")
+                f"single-thread wall time {single:.2f}s: measured ratio "
+                f"{parallel/single:.2f} on a host with {os.cpu_count()} "
+                "CPU(s).  The level sweep runs on one thread whatever "
+                "`threads` says, so no speedup is expected; the result is "
+                "bit-identical across thread counts (criterion 9a).")

@@ -161,16 +161,30 @@ class TestComputePi:
         with pytest.raises(ResourceCapError):
             compute_pi(ChainParams.from_p(0.01), memory_cap_bytes=1000)
 
-    def test_pruning_off_by_default_matches(self):
-        cp = ChainParams.from_p(0.3, threshold=10)
-        a = compute_pi(cp).log_hit_prob
-        b = compute_pi(cp, prune_threshold=-1e9).log_hit_prob
-        assert a == b
-
     def test_thread_counts_bit_identical(self):
         cp = ChainParams.from_p(2.0 ** -4)
         vals = {compute_pi(cp, threads=t).log_pi for t in (1, 2, 8)}
         assert len(vals) == 1
+
+
+# Regression values of log_pi at p = 2^-k, k = 2, 3, ...; a change to the
+# sweep or the hit fold must reproduce them to 1e-12 relative.
+PINNED_LOG_PI = {
+    "exact": [0.8511454810036815, 3.466189049537295, 10.836320446114039,
+              28.721376830200917, 69.12061898312882, 156.7171630791103,
+              341.83923822639156, 726.4936572091515],
+    "at-least": [0.732149173928087, 3.4055077644946463, 10.805610231895182,
+                 28.70596102862407, 69.11289739863818, 156.71329261118507,
+                 341.83729931672445],
+}
+
+
+@pytest.mark.parametrize("convention,k,want", [
+    (conv, k, want) for conv, vals in PINNED_LOG_PI.items()
+    for k, want in enumerate(vals, start=2)])
+def test_pinned_log_pi(convention, k, want):
+    r = compute_pi(ChainParams.from_p(2.0 ** -k, convention=convention))
+    assert r.log_pi == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestBruteForceOracle:

@@ -93,6 +93,24 @@ class TestScan:
         assert after.startswith(before)
         assert len(after.strip().splitlines()) == 4
 
+    def test_resume_drops_cut_off_row(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        out.write_text("log2_inv_p,log_pi\n2,3.4")
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume")
+        assert r.returncode == 0
+        fresh = run_cli("scan", "--log2-inv-p-range", "2..3").stdout
+        assert out.read_text() == fresh
+
+    def test_output_in_missing_directory_is_usage_error(self, tmp_path):
+        path = str(tmp_path / "nodir" / "t.csv")
+        for args in (("scan", "--log2-inv-p-range", "2..2", "--output", path),
+                     ("pi", "--log2-inv-p", "2", "--csv", path)):
+            r = run_cli(*args)
+            assert r.returncode == 1
+            assert len(r.stderr.strip().splitlines()) == 1
+            assert "Traceback" not in r.stderr
+
     def test_fit_roundtrip_matches_in_process(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli("scan", "--log2-inv-p-range", "2..6", "--output", str(out))
