@@ -19,13 +19,16 @@ import numpy as np
 
 from ..numerics import NEG_INF
 from .engine import ChainParams
-from .rules import FROBOSE_TABLE, TransitionRule
+from .rules import FROBOSE_STATES, frobose_transitions
 
 __all__ = ["brute_force_hit_prob", "sample_trajectory", "BRUTE_FORCE_MAX_L"]
 
 BRUTE_FORCE_MAX_L = 12
 
 ProjectedState = Tuple[int, int, str]
+
+# Rules out of each live frame state, in table row order; state 4 absorbs.
+_RULES_BY_SRC = {s: frobose_transitions(s) for s in FROBOSE_STATES if s != "4"}
 
 
 def brute_force_hit_prob(params: ChainParams,
@@ -42,17 +45,12 @@ def brute_force_hit_prob(params: ChainParams,
         return 0.0
     model = params.model
     at_least = params.convention == "at-least"
-    by_src = {}
-    for rule in FROBOSE_TABLE:
-        if rule.src == rule.dst and rule.dphi == 0:
-            continue
-        by_src.setdefault(rule.src, []).append(rule)
 
     def hit_from(w: int, h: int, s: str) -> float:
         if s == "4":
             return 0.0
         parts = []
-        for rule in by_src.get(s, ()):
+        for rule in _RULES_BY_SRC[s]:
             pi = rule.linear_prob(w, h, model)
             tphi = w + h + rule.dphi
             if tphi >= L:
@@ -68,9 +66,7 @@ def brute_force_hit_prob(params: ChainParams,
     return math.log(prob) if prob > 0.0 else NEG_INF
 
 
-def sample_trajectory(params: ChainParams, seed: int,
-                      table: Tuple[TransitionRule, ...] = FROBOSE_TABLE,
-                      ) -> List[ProjectedState]:
+def sample_trajectory(params: ChainParams, seed: int) -> List[ProjectedState]:
     """One trajectory of the projected chain, Philox-seeded.
 
     Starts at (1, 1, state 0) and stops at absorption (frame state 4) or
@@ -80,27 +76,21 @@ def sample_trajectory(params: ChainParams, seed: int,
     rng = np.random.Generator(np.random.Philox(seed))
     model = params.model
     L = params.threshold
-    by_src = {}
-    for rule in table:
-        if rule.src == rule.dst and rule.dphi == 0:
-            continue
-        by_src.setdefault(rule.src, []).append(rule)
     w, h, s = 1, 1, "0"
     out = [(w, h, s)]
     while s != "4" and w + h < L:
-        rules_out = by_src.get(s, ())
         u = rng.random()
         acc = 0.0
         chosen = None
-        for rule in rules_out:
+        for rule in _RULES_BY_SRC[s]:
             acc += rule.linear_prob(w, h, model)
             if u < acc:
                 chosen = rule
                 break
         if chosen is None:
-            # Sub-stochastic table (two-neighbour excerpt): the remaining
-            # mass is unpublished rows; treat as termination.  Unreachable
-            # for the stochastic Frobose table up to float dust.
+            # Float dust: the row sums to 1 only up to rounding, so a draw
+            # u within a few ulps of 1 can exceed the running sum; stop the
+            # trajectory there rather than pick a rule.
             break
         w, h, s = w + chosen.dw, h + chosen.dh, chosen.dst
         out.append((w, h, s))

@@ -30,7 +30,7 @@ from .fitting import (PiDataset, fit_first_order, fit_first_order_fixed_alpha,
 from .lattice_sim import (Rectangle, event_holds, mc_estimate)
 from .special_functions import (ModelParams, alpha, constants, f, g, h, h2,
                                 h_mod)
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 CONTEXT_SETTINGS = {"auto_envvar_prefix": "BPDP"}
 
@@ -117,29 +117,66 @@ def _open_append(path: str):
         raise click.FileError(path, hint=exc.strerror)
 
 
-def _completed_rows(path: str):
-    """Exponents with a complete row in a scan CSV, and whether it is empty.
+_TABLE_COLUMNS = ("log2_inv_p", "log_pi")
 
-    A row counts only as a whole line of two fields, an integer and a
-    float.  A last line without its newline was cut off mid-write, so it is
+
+def _parse_table(path: str, lines):
+    """Header and rows (log2_inv_p, log_pi) of a growth-scale CSV.
+
+    The two columns are found by name in the header, so `scan` tables and
+    `pi --csv` tables (log2_inv_p,p,log_pi) both read; blank lines and
+    `#` comments are skipped.  A header without both columns, or a row
+    that is not an integer exponent and a finite log Pi, is a one-line
+    error naming the file and line (exit status 1).
+    """
+    header = None
+    rows = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split(",")
+        if header is None:
+            if not set(_TABLE_COLUMNS) <= set(fields):
+                raise click.ClickException(
+                    f"{path}, line {lineno}: header {line!r} does not name "
+                    "the columns log2_inv_p and log_pi")
+            header = tuple(fields)
+            cols = [fields.index(name) for name in _TABLE_COLUMNS]
+            continue
+        try:
+            if len(fields) != len(header):
+                raise ValueError
+            k, v = int(fields[cols[0]]), float(fields[cols[1]])
+            if not math.isfinite(v):
+                raise ValueError
+        except ValueError:
+            raise click.ClickException(
+                f"{path}, line {lineno}: malformed row {line!r} (want "
+                "an integer log2_inv_p and a finite log_pi)") from None
+        rows.append((k, v))
+    return header, rows
+
+
+def _completed_rows(path: str):
+    """Exponents with a row in a scan CSV, and whether it lacks a header.
+
+    A last line without its newline was cut off mid-write, so it is
     truncated away and the rows appended next start on a line of their own.
+    Every other line must parse (see `_parse_table`) under the scan header;
+    otherwise the file is left untouched and the scan refuses to resume.
     """
     with open(path, "rb+") as fh:
         kept = fh.read()
         kept = kept[:kept.rfind(b"\n") + 1]
+        header, rows = _parse_table(
+            path, kept.decode("utf-8", "replace").splitlines())
+        if header not in (None, _TABLE_COLUMNS):
+            raise click.ClickException(
+                f"{path}: header {','.join(header)!r} is not a scan table's "
+                f"{','.join(_TABLE_COLUMNS)!r}; cannot resume")
         fh.truncate(len(kept))
-    done = set()
-    for line in kept.decode("utf-8", "replace").splitlines():
-        fields = line.split(",")
-        if len(fields) != 2:
-            continue
-        try:
-            k = int(fields[0])
-            float(fields[1])
-        except ValueError:
-            continue
-        done.add(k)
-    return done, not kept
+    return {k for k, _ in rows}, header is None
 
 
 def _parse_range(text: str):
@@ -159,7 +196,8 @@ def _parse_range(text: str):
               help="CSV file (default stdout); enables --resume.")
 @click.option("--resume", is_flag=True,
               help="Skip exponents that have a complete row in the output "
-              "file; a cut-off last row is dropped and recomputed.")
+              "file; a cut-off last row is dropped and recomputed, and a "
+              "malformed row is an error.")
 def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
@@ -173,7 +211,7 @@ def cmd_scan(krange, convention, output, resume):
     sink = _open_append(output) if output else sys.stdout
     try:
         if header_needed:
-            sink.write("log2_inv_p,log_pi\n")
+            sink.write(",".join(_TABLE_COLUMNS) + "\n")
             sink.flush()
         for k in range(k0, k1 + 1):
             if k in done:
@@ -192,9 +230,8 @@ def cmd_scan(krange, convention, output, resume):
 
 
 @cli.command("verify")
-@click.option("--suite", type=click.Choice(
-    ["stochasticity", "oracle", "lattice", "matrix", "variational", "all"]),
-    default="all", show_default=True)
+@click.option("--suite", type=click.Choice([*SUITES, "all"]),
+              default="all", show_default=True)
 def cmd_verify(suite):
     """Run the module property suites; nonzero exit on any failure."""
     checks = run_suite(suite)
@@ -245,24 +282,19 @@ def cmd_functions(grid, points):
 
 @cli.command("fit")
 @click.option("--input", "input_path", type=click.Path(exists=True),
-              required=True, help="CSV of (log2_inv_p, log_pi).")
+              required=True, help="CSV with columns log2_inv_p and log_pi "
+              "(a scan or pi --csv table).")
 def cmd_fit(input_path):
     """All asymptotic fits of a growth-scale table, as one JSON record."""
     t0 = time.perf_counter()
-    rows = []
-    with open(input_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            head = line.split(",")[0]
-            if not head.lstrip("-").isdigit():
-                continue  # header
-            k_s, v_s = line.split(",")[:2]
-            rows.append((int(k_s), float(v_s)))
+    with open(input_path, encoding="utf-8", errors="replace") as fh:
+        _, rows = _parse_table(input_path, fh)
     if len(rows) < 4:
         raise click.UsageError("need at least four data rows")
-    data = PiDataset(tuple(rows))
+    try:
+        data = PiDataset(tuple(rows))
+    except ValueError as exc:
+        raise click.ClickException(f"{input_path}: {exc}") from None
     from .fitting import FitError
 
     def attempt(fn):
@@ -343,19 +375,6 @@ def _expected_event_prob(event_id, rect, params):
     if event_id == "G|":
         return math.exp(-rect.width * float(f(rect.height * q)))
     return None
-
-
-@cli.command("matrix")
-def cmd_matrix():
-    """Cycle-matrix checks as a pass/fail report."""
-    checks = run_suite("matrix")
-    failed = False
-    for name, passed, details in checks:
-        status = "pass" if passed else "FAIL"
-        click.echo(f"[{status}] {name}" + (f"  ({details})" if details else ""))
-        failed = failed or not passed
-    if failed:
-        raise VerificationFailure()
 
 
 def main():

@@ -6,7 +6,8 @@ Two closure routes are implemented for each model -- direct fixpoint
 iteration and the rectangles process -- so they can be checked against
 each other.  The framed-rectangle exploration reveals a configuration cell
 by cell and must reproduce the chain's transition probabilities; that is
-the bridge between the lattice and the dynamic program.
+the bridge between the lattice and the dynamic program.  Its candidate
+transitions are the rows of ``FROBOSE_TABLE``, the chain's own table.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tup
 
 import numpy as np
 
+from .chain.rules import FROBOSE_STATES, frobose_transitions
 from .special_functions import ModelParams
 
 __all__ = [
@@ -24,7 +26,7 @@ __all__ = [
     "closure_two_neighbour", "closure_frobose",
     "rectangles_process_closure",
     "local_closure_two_neighbour", "local_closure_frobose",
-    "infection_time", "event_holds", "occupied", "internally_filled",
+    "event_holds", "occupied", "internally_filled",
     "locally_internally_filled", "crossing", "no_horizontal_gaps",
     "no_vertical_gaps", "traversable",
     "explore", "mc_estimate", "exact_event_prob",
@@ -350,41 +352,6 @@ def local_closure_frobose(infected: Iterable[Site], germ: Site,
     return _local_closure(inf, {germ}, [germ], box, "frobose")
 
 
-def infection_time(infected: Iterable[Site], site: Site, model: str,
-                   box: Optional[Rectangle] = None) -> float:
-    """First step at which site is infected; math.inf if never."""
-    cur = set(infected)
-    if site in cur:
-        return 0
-    inside = (lambda s: True) if box is None else (lambda s: s in box)
-    t = 0
-    while True:
-        t += 1
-        candidates = set()
-        for (x, y) in cur:
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    s = (x + dx, y + dy)
-                    if s not in cur and inside(s):
-                        candidates.add(s)
-        new = set()
-        for (x, y) in candidates:
-            if model == "two-neighbour":
-                if sum((x + dx, y + dy) in cur for dx, dy in _NEIGHBOURS) >= 2:
-                    new.add((x, y))
-            else:
-                for dx, dy in _DIAGONALS:
-                    if ((x + dx, y + dy) in cur and (x + dx, y) in cur
-                            and (x, y + dy) in cur):
-                        new.add((x, y))
-                        break
-        if not new:
-            return math.inf
-        cur |= new
-        if site in cur:
-            return t
-
-
 # ---------------------------------------------------------------------------
 # Rectangle events
 # ---------------------------------------------------------------------------
@@ -508,20 +475,8 @@ def event_holds(event_id: str, rect: Rectangle, infected: Set[Site],
 # Framed-rectangle exploration
 # ---------------------------------------------------------------------------
 
-# Candidate transitions in table row order: (src, dst, alpha, beta, gamma, delta)
-_EXPLORE_CANDIDATES = [
-    ("0", "1", 0, 0, 0, 0), ("1", "2", 0, 0, 0, 0), ("2", "3", 0, 0, 0, 0),
-    ("3", "4", 0, 0, 0, 0), ("2'", "3", 0, 0, 0, 0), ("1'", "2'", 0, 0, 0, 0),
-    ("1''", "2", 0, 0, 0, 0),
-    ("0", "0", 0, 0, 1, 0), ("1", "1", 0, 0, 0, 1), ("2", "2", 1, 0, 0, 0),
-    ("3", "3", 0, 1, 0, 0), ("2'", "2'", 0, 0, 1, 0), ("1'", "1'", 0, 0, 0, 1),
-    ("1''", "1''", 0, 0, 1, 0),
-    ("1", "0", 0, 0, 1, 1), ("2", "1", 1, 0, 0, 1), ("3", "2", 1, 1, 0, 0),
-    ("3", "2'", 0, 1, 1, 0), ("2'", "1'", 0, 0, 1, 1), ("1'", "0", 1, 0, 0, 1),
-    ("1''", "0", 0, 0, 1, 1),
-    ("2", "0", 1, 0, 1, 1), ("2'", "0", 1, 0, 1, 1), ("3", "1", 1, 1, 0, 1),
-    ("3", "1'", 0, 1, 1, 1), ("3", "1''", 1, 1, 1, 0), ("3", "0", 1, 1, 1, 1),
-]
+# Candidate transitions out of each live frame state, in table row order.
+_EXPLORE_RULES = {s: frobose_transitions(s) for s in FROBOSE_STATES if s != "4"}
 
 
 def _transition_event(current: FramedRectangle, new: FramedRectangle,
@@ -557,10 +512,10 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
         if not box.contains_rect(cur.rect.expand(2)):
             break  # censored at the box boundary
         chosen = None
-        for (src, dst, al, be, ga, de) in _EXPLORE_CANDIDATES:
-            if src != cur.state:
-                continue
-            new = FramedRectangle(cur.rect.grow(al, be, ga, de), dst)
+        for rule in _EXPLORE_RULES[cur.state]:
+            new = FramedRectangle(cur.rect.grow(rule.alpha, rule.beta,
+                                                rule.gamma, rule.delta),
+                                  rule.dst)
             if _transition_event(cur, new, infected, revealed):
                 if chosen is not None:
                     raise AssertionError(

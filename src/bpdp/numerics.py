@@ -1,61 +1,11 @@
-"""Log-domain arithmetic for non-negative reals.
+"""The log-domain zero.
 
 Probabilities in the dynamic program get as small as exp(-1e5), far below
-the smallest positive binary64.  Every probability is therefore stored as
-its natural logarithm, with -inf as the exact-zero sentinel.  Sums use the
-standard identity
-
-    log(r + s) = max(a, b) + log1p(exp(-|a - b|)),   a = log r, b = log s,
-
-which never underflows and is exact when one operand is zero.
+the smallest positive binary64, so every probability is stored as its
+natural logarithm.  ``NEG_INF`` is log 0, the exact-zero sentinel; sums of
+logs are folded with ``numpy.logaddexp``, for which it is the identity.
 """
-
-from __future__ import annotations
-
-import math
-from typing import Iterable
 
 NEG_INF = float("-inf")
 
-__all__ = ["NEG_INF", "LogProb", "log_add", "log_mul", "log_sum", "from_prob"]
-
-
-# A LogProb is a plain float holding log(x), with -inf encoding x == 0.
-# NaN is never a valid LogProb.
-LogProb = float
-
-
-def from_prob(x: float) -> LogProb:
-    """Log of a plain probability; exact zero maps to -inf."""
-    if x < 0.0:
-        raise ValueError(f"probability must be non-negative, got {x}")
-    return math.log(x) if x > 0.0 else NEG_INF
-
-
-def log_add(a: LogProb, b: LogProb) -> LogProb:
-    """log(e^a + e^b) via the max/log1p form; -inf is the identity."""
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    m = a if a >= b else b
-    return m + math.log1p(math.exp(-abs(a - b)))
-
-
-def log_mul(a: LogProb, b: LogProb) -> LogProb:
-    """log(e^a * e^b); -inf absorbs."""
-    if a == NEG_INF or b == NEG_INF:
-        return NEG_INF
-    return a + b
-
-
-def log_sum(values: Iterable[LogProb]) -> LogProb:
-    """Left-to-right fold of log_add.
-
-    The fold order is part of the contract: callers that need bit-for-bit
-    reproducible results must pass values in a canonical order.
-    """
-    acc = NEG_INF
-    for v in values:
-        acc = log_add(acc, v)
-    return acc
+__all__ = ["NEG_INF"]

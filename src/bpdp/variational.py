@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
-from .numerics import LogProb
 from .special_functions import ModelParams, f, g, integrate
 
 __all__ = [
@@ -158,7 +157,7 @@ def optimal_path(small: Tuple[float, float],
 
 
 def holroyd_lower(dims: Tuple[int, int], params: ModelParams,
-                  model: str = "frobose") -> LogProb:
+                  model: str = "frobose") -> float:
     """Lower bound on the locally-internally-filled probability:
     p exp(-W^F_p(gamma)) for Frobose, p^3 exp(-W_p(gamma)) two-neighbour."""
     a, b = dims
@@ -175,7 +174,7 @@ def holroyd_lower(dims: Tuple[int, int], params: ModelParams,
 
 
 def holroyd_upper(dims: Tuple[int, int], params: ModelParams, C3: float,
-                  model: str = "frobose") -> LogProb:
+                  model: str = "frobose") -> float:
     """Upper bound exp(1/(C3 p) - W_p(gamma)) with the proof constant C3
     exposed as an argument."""
     if C3 <= 0.0:

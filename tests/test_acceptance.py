@@ -1,4 +1,9 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion (criteria 8 and 9 have one per
+part), each printing a pass/fail line.
+
+Criteria 2, 3, 7 and 8a are the `bpdp verify` suites (``bpdp.verify``),
+which hold their seeds, sizes and bounds; the tests here call them and
+assert every check, so the CLI and the gate run one implementation.
 
 Criterion 1 (reproduction of the published growth-scale table) is known to
 fail: the printed definition of the growth scale does not reproduce the
@@ -26,24 +31,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bpdp.chain import (ChainParams, FROBOSE_STATES, brute_force_hit_prob,
-                        compute_pi, frobose_transitions, sample_trajectory,
-                        two_neighbour_transitions, TWO_NEIGHBOUR_STATES)
+from bpdp.chain import ChainParams, compute_pi, sample_trajectory
 from bpdp.fitting import (PiDataset, fit_first_order,
                           fit_first_order_fixed_alpha, fit_four_param,
                           fit_second_order, fit_second_order_fixed_beta,
                           fit_third_order)
-from bpdp.lattice_sim import (FramedRectangle, Rectangle, closure_frobose,
-                              closure_two_neighbour, crossing,
-                              exact_event_prob, explore, internally_filled,
-                              rectangles_process_closure, traversable)
-from bpdp.matrix_analysis import (char_poly_coeffs, closed_form_entry,
-                                  expected_char_poly_coeffs,
-                                  lagrange_norm_bound, matrix_power_entry,
-                                  operator_norm, perturbed_matrix)
+from bpdp.lattice_sim import (FramedRectangle, Rectangle, crossing,
+                              exact_event_prob, explore, traversable)
 from bpdp.special_functions import (ModelParams, beta, beta_bar, constants,
                                     f, g, integral_f, integral_g, integral_h,
                                     traversability_x)
+from bpdp.verify import (suite_lattice, suite_matrix, suite_oracle,
+                         suite_stochasticity)
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
 FULL = os.environ.get("BPDP_ACCEPTANCE_FULL") == "1"
@@ -58,6 +57,16 @@ def report(criterion, passed, details=""):
     status = "PASS" if passed else "FAIL"
     print(f"[criterion {criterion}] {status}  {details}")
     return passed
+
+
+def report_suite(criterion, checks):
+    """One report line for a `bpdp verify` suite; fails naming each failed
+    check with its measured figure."""
+    report(criterion, all(passed for _, passed, _ in checks),
+           "; ".join(f"{name}: {details}" for name, _, details in checks))
+    failed = [f"{name} ({details})" for name, passed, details in checks
+              if not passed]
+    assert not failed, "failed: " + "; ".join(failed)
 
 
 class TestCriterion1TableReproduction:
@@ -120,47 +129,12 @@ class TestCriterion1TableReproduction:
 
 class TestCriterion2OracleEquivalence:
     def test_dp_equals_brute_force(self):
-        worst = 0.0
-        for p in (0.1, 0.3, 0.5, 0.7):
-            for L in range(2, 9):
-                for conv in ("exact", "at-least"):
-                    cp = ChainParams.from_p(p, threshold=L, convention=conv)
-                    d = compute_pi(cp).log_hit_prob
-                    b = brute_force_hit_prob(cp)
-                    worst = max(worst, abs(d - b))
-        ok = worst <= 1e-12
-        report(2, ok, f"max |log DP - log brute force| = {worst:.3e} "
-                      f"over L in 2..8, p in {{0.1,0.3,0.5,0.7}}")
-        assert ok
+        report_suite(2, suite_oracle())
+
 
 class TestCriterion3Stochasticity:
     def test_row_sums(self):
-        rng = np.random.default_rng(np.random.Philox(321))
-        worst = 0.0
-        for _ in range(100):
-            w = int(rng.integers(1, 60))
-            h = int(rng.integers(1, 60))
-            params = ModelParams(float(rng.uniform(0.005, 0.995)))
-            for s in FROBOSE_STATES:
-                total = math.fsum(r.linear_prob(w, h, params)
-                                  for r in frobose_transitions(s))
-                worst = max(worst, abs(total - 1.0))
-        ok_frobose = worst <= 1e-12
-        ok_2n = True
-        for _ in range(100):
-            w = int(rng.integers(1, 60))
-            h = int(rng.integers(1, 60))
-            params = ModelParams(float(rng.uniform(0.005, 0.5)))
-            for s in TWO_NEIGHBOUR_STATES:
-                rules = two_neighbour_transitions(s)
-                if not rules:
-                    continue
-                total = math.fsum(r.linear_prob(w, h, params) for r in rules)
-                ok_2n = ok_2n and 0.0 < total <= 1.0 + 1e-12
-        ok = ok_frobose and ok_2n
-        report(3, ok, f"max |frobose row sum - 1| = {worst:.3e}; "
-                      f"two-neighbour sums in (0,1]: {ok_2n}")
-        assert ok
+        report_suite(3, suite_stochasticity())
 
 
 class TestCriterion4Constants:
@@ -278,76 +252,12 @@ class TestCriterion6RefinedTraversability:
 
 class TestCriterion7MatrixSuite:
     def test_matrix_checks(self):
-        worst_pow = 0.0
-        for K in range(26):
-            a = matrix_power_entry(K)
-            c = closed_form_entry(K)
-            worst_pow = max(worst_pow, abs(a - c) / max(c, 1.0))
-        ok_pow = worst_pow <= 1e-6
-        worst_cp = 0.0
-        for P in (1e-2, 1e-4):
-            got = char_poly_coeffs(perturbed_matrix(P) / math.sqrt(P))
-            worst_cp = max(worst_cp, float(np.max(np.abs(
-                got - expected_char_poly_coeffs(P)))))
-        ok_cp = worst_cp <= 1e-10
-        rng = np.random.default_rng(np.random.Philox(987))
-        ok_bound = True
-        tested = 0
-        while tested < 100:
-            M = rng.normal(size=(6, 6))
-            try:
-                bound = lagrange_norm_bound(M, 12)
-            except ValueError:
-                continue
-            tested += 1
-            direct = operator_norm(np.linalg.matrix_power(M, 12))
-            ok_bound = ok_bound and bound >= direct * (1 - 1e-12)
-        ok = ok_pow and ok_cp and ok_bound
-        report(7, ok, f"power vs closed form rel {worst_pow:.2e}; char poly "
-                      f"coeff diff {worst_cp:.2e}; bound dominates on 100 "
-                      f"matrices: {ok_bound}")
-        assert ok
+        report_suite(7, suite_matrix())
 
 
 class TestCriterion8LatticeConsistency:
     def test_closures_and_bounds(self):
-        rng = np.random.default_rng(np.random.Philox(555))
-        ok_closures = True
-        for _ in range(1000):
-            n = int(rng.integers(0, 16))
-            A = {(int(x), int(y)) for x, y in
-                 zip(rng.integers(0, 10, n), rng.integers(0, 10, n))}
-            big = Rectangle(-2, -2, 12, 12)
-            ok_closures = ok_closures and (
-                rectangles_process_closure(A, "two-neighbour")
-                == closure_two_neighbour(A, big))
-            ok_closures = ok_closures and (
-                rectangles_process_closure(A, "frobose")
-                == closure_frobose(A, big))
-
-        ok_extremal = True
-        ok_stacking = True
-        S = Rectangle(0, 0, 2, 2)
-        for _ in range(600):
-            w, h = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-            rect = Rectangle(0, 0, w, h)
-            k = int(rng.integers(1, w * h + 1))
-            A = {(int(x), int(y)) for x, y in
-                 zip(rng.integers(0, w, k), rng.integers(0, h, k))}
-            if internally_filled(rect, A, "two-neighbour"):
-                ok_extremal = ok_extremal and len(A) >= math.ceil((w + h) / 2)
-            if internally_filled(rect, A, "frobose"):
-                ok_extremal = ok_extremal and len(A) >= w + h - 1
-            for model in ("two-neighbour", "frobose"):
-                if (rect.contains_rect(S)
-                        and internally_filled(S, A, model)
-                        and crossing(S, rect, A, model)):
-                    ok_stacking = ok_stacking and internally_filled(
-                        rect, A | S.cells(), model)
-        report("8a", ok_closures and ok_extremal and ok_stacking,
-               f"closures {ok_closures}, extremal {ok_extremal}, "
-               f"stacking {ok_stacking}")
-        assert ok_closures and ok_extremal and ok_stacking
+        report_suite("8a", suite_lattice())
 
     def test_markov_corollary_identity(self):
         # P(exploration from corner cell ends exactly at R)
@@ -426,7 +336,7 @@ class TestCriterion9DeterminismAndScaling:
 
     def test_parallel_speedup(self):
         params = ChainParams.from_p(2.0 ** -8)
-        compute_pi(ChainParams.from_p(2.0 ** -6), threads=8)  # warm up pool path
+        compute_pi(ChainParams.from_p(2.0 ** -6), threads=8)  # warm up
         t0 = time.perf_counter()
         r1 = compute_pi(params, threads=1)
         single = time.perf_counter() - t0

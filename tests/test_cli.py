@@ -126,6 +126,62 @@ class TestScan:
             want["alpha"], rel=1e-12)
 
 
+def assert_one_line_error(r, *needles):
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    for needle in needles:
+        assert needle in r.stderr
+
+
+class TestTableInput:
+    """`fit` and `scan --resume` read tables by column name, and a row
+    that does not parse is a one-line error naming the file and line."""
+
+    def test_fit_reads_pi_csv_table(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        for k in range(2, 6):
+            assert run_cli("pi", "--log2-inv-p", str(k), "--csv",
+                           str(table)).returncode == 0
+        assert table.read_text().startswith("log2_inv_p,p,log_pi\n")
+        scan = tmp_path / "scan.csv"
+        run_cli("scan", "--log2-inv-p-range", "2..5", "--output", str(scan))
+        r = run_cli("fit", "--input", str(table))
+        assert r.returncode == 0, r.stderr
+        want = json.loads(run_cli("fit", "--input", str(scan)).stdout)
+        assert json.loads(r.stdout)["outputs"] == want["outputs"]
+
+    def test_fit_malformed_row_names_line(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("log2_inv_p,log_pi\n2,1.82\n3,abc\n4,12.4\n5,30.5\n")
+        assert_one_line_error(run_cli("fit", "--input", str(table)),
+                              "t.csv, line 3", "3,abc")
+
+    def test_fit_dataset_error_is_one_line(self, tmp_path):
+        table = tmp_path / "t.csv"
+        text = DATA.read_text()
+        table.write_text(text + text.splitlines()[1] + "\n")
+        assert_one_line_error(run_cli("fit", "--input", str(table)),
+                              "t.csv", "duplicate")
+
+    def test_resume_refuses_malformed_row(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        out.write_text("log2_inv_p,log_pi\n2,abc\n")
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume")
+        assert_one_line_error(r, "scan.csv, line 2", "2,abc")
+        assert out.read_text() == "log2_inv_p,log_pi\n2,abc\n"
+
+    def test_resume_refuses_other_table(self, tmp_path):
+        out = tmp_path / "pi.csv"
+        run_cli("pi", "--log2-inv-p", "2", "--csv", str(out))
+        before = out.read_text()
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume")
+        assert_one_line_error(r, "pi.csv", "cannot resume")
+        assert out.read_text() == before
+
+
 class TestOtherCommands:
     def test_constants(self):
         rec = json.loads(run_cli("constants").stdout)
@@ -167,10 +223,13 @@ class TestOtherCommands:
         b = json.loads(run_cli(*args).stdout)
         assert a["outputs"]["p_hat"] == b["outputs"]["p_hat"]
 
-    def test_matrix_report(self):
-        r = run_cli("matrix")
+    def test_verify_all(self):
+        r = run_cli("verify", "--suite", "all")
         assert r.returncode == 0
-        assert "[pass]" in r.stdout and "FAIL" not in r.stdout
+        lines = r.stdout.strip().splitlines()
+        assert len(lines) == 13
+        assert all(line.startswith("[pass] ") for line in lines)
+        assert "FAIL" not in r.stdout
 
     def test_verify_stochasticity(self):
         r = run_cli("verify", "--suite", "stochasticity")

@@ -7,8 +7,8 @@ from bpdp.chain import ChainParams, sample_trajectory
 from bpdp.lattice_sim import (EXACT_ENUMERATION_MAX_CELLS, FramedRectangle,
                               LatticeConfiguration, Rectangle, closure_frobose,
                               closure_two_neighbour, crossing, event_holds,
-                              exact_event_prob, explore, infection_time,
-                              internally_filled, local_closure_frobose,
+                              exact_event_prob, explore, internally_filled,
+                              local_closure_frobose,
                               local_closure_two_neighbour,
                               locally_internally_filled, mc_estimate,
                               no_horizontal_gaps, no_vertical_gaps, occupied,
@@ -87,18 +87,6 @@ class TestLocalClosures:
             germ = min(A)
             assert local_closure_frobose(A, germ) <= closure_frobose(A)
             assert local_closure_two_neighbour(A, germ) <= closure_two_neighbour(A)
-
-
-class TestInfectionTime:
-    def test_already_infected(self):
-        assert infection_time({(0, 0)}, (0, 0), "two-neighbour") == 0
-
-    def test_one_step(self):
-        assert infection_time({(0, 0), (1, 1)}, (1, 0), "two-neighbour") == 1
-
-    def test_never(self):
-        assert infection_time(set(), (0, 0), "frobose",
-                              Rectangle(0, 0, 2, 2)) == math.inf
 
 
 class TestEvents:
