@@ -1,4 +1,4 @@
-"""bpdp: exact log-domain growth-scale computations for bootstrap
+"""bpdp: exact growth-scale computations for bootstrap
 percolation, with lattice simulators, path functionals, matrix analysis
 and asymptotic fitting."""
 

@@ -6,8 +6,15 @@ round-trip repr and CSV cells 17 significant digits, so binary64 values
 round-trip either way.  Configuration precedence is flags, then
 BPDP_-prefixed environment variables, then defaults.
 
+JSON is written with allow_nan=False, so a record never carries NaN or
+Infinity: a `pi` result whose log Pi is not finite (the hit probability
+underflowed to 0) is an error instead, and `scan` counts such a row as
+failed and does not write it.
+
 Exit status: 0 success, 1 usage error, 2 verification failure,
-3 resource cap exceeded.
+3 resource cap exceeded, 4 a computation failed (a non-finite `pi`
+result, or at least one failed `scan` row; `scan` then ends with
+`# n of m rows failed` on stderr).
 """
 
 from __future__ import annotations
@@ -52,7 +59,16 @@ def _emit_record(command: str, parameters: dict, outputs: dict,
     }
     if seed is not None:
         record["seed"] = seed
-    click.echo(json.dumps(record, sort_keys=True))
+    try:
+        text = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ComputationFailure(f"{command}: an output is not a finite "
+                                 "number; no record written") from None
+    click.echo(text)
+
+
+class ComputationFailure(click.ClickException):
+    exit_code = 4
 
 
 @click.group(context_settings=CONTEXT_SETTINGS)
@@ -88,8 +104,17 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
 def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)
+    csv_k = log2_inv_p if log2_inv_p is not None else _exact_log2_inv(pv)
+    if csv_path and csv_k is None:
+        raise click.ClickException(
+            f"--csv needs p = 2^-k so the row names its log2_inv_p; "
+            f"p={pv!r} is not a power of two (use --log2-inv-p)")
     params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
     result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
+    if not math.isfinite(result.log_pi):
+        raise ComputationFailure(
+            f"log_pi is not finite (log_hit_prob={result.log_hit_prob!r}): "
+            "the hit probability underflowed to 0")
     outputs = {
         "p": result.p, "q": result.q, "L": result.threshold,
         "convention": result.convention,
@@ -104,8 +129,13 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         with _open_append(csv_path) as fh:
             if new:
                 fh.write("log2_inv_p,p,log_pi\n")
-            k = "" if log2_inv_p is None else str(log2_inv_p)
-            fh.write(f"{k},{_fmt(pv)},{_fmt(result.log_pi)}\n")
+            fh.write(f"{csv_k},{_fmt(pv)},{_fmt(result.log_pi)}\n")
+
+
+def _exact_log2_inv(p: float) -> Optional[int]:
+    """k with p == 2^-k exactly, or None."""
+    mantissa, exponent = math.frexp(p)
+    return 1 - exponent if mantissa == 0.5 else None
 
 
 def _open_append(path: str):
@@ -213,20 +243,27 @@ def cmd_scan(krange, convention, output, resume):
         if header_needed:
             sink.write(",".join(_TABLE_COLUMNS) + "\n")
             sink.flush()
-        for k in range(k0, k1 + 1):
-            if k in done:
-                continue
+        todo = [k for k in range(k0, k1 + 1) if k not in done]
+        failed = 0
+        for k in todo:
             try:
                 params = ChainParams.from_p(2.0 ** -k, convention=convention)
                 result = compute_pi(params)
+                if not math.isfinite(result.log_pi):
+                    raise ArithmeticError(
+                        f"log_pi is not finite ({result.log_pi!r})")
             except Exception as exc:  # per-row failures recorded, scan continues
                 click.echo(f"# k={k} failed: {exc}", err=True)
+                failed += 1
                 continue
             sink.write(f"{k},{_fmt(result.log_pi)}\n")
             sink.flush()
     finally:
         if output:
             sink.close()
+    if failed:
+        click.echo(f"# {failed} of {len(todo)} rows failed", err=True)
+        raise click.exceptions.Exit(ComputationFailure.exit_code)
 
 
 @cli.command("verify")
@@ -326,15 +363,22 @@ def _figure_coordinates(data: PiDataset) -> dict:
     res1 = LAMBDA1_F / p - y
     res2 = y - LAMBDA1_F / p + LAMBDA2_F / _np.sqrt(p)
     return {
-        "leading": {"x_log_inv_p": list(x), "y_p_log_pi": list(p * y)},
-        "loglog": {"x_log_inv_p": list(x), "y_log_log_pi": list(_np.log(y))},
-        "second_order": {"x_log_inv_p": list(x),
-                         "y_log_residual": list(_np.log(res1))},
-        "second_order_sqrt": {"x_inv_sqrt_p": list(1.0 / _np.sqrt(p)),
-                              "y_residual": list(res1)},
-        "third_order": {"x_log_inv_p": list(x),
-                        "y_log_residual": list(_np.log(res2))},
+        "leading": {"x_log_inv_p": _points(x), "y_p_log_pi": _points(p * y)},
+        "loglog": {"x_log_inv_p": _points(x),
+                   "y_log_log_pi": _points(_np.log(y))},
+        "second_order": {"x_log_inv_p": _points(x),
+                         "y_log_residual": _points(_np.log(res1))},
+        "second_order_sqrt": {"x_inv_sqrt_p": _points(1.0 / _np.sqrt(p)),
+                              "y_residual": _points(res1)},
+        "third_order": {"x_log_inv_p": _points(x),
+                        "y_log_residual": _points(_np.log(res2))},
     }
+
+
+def _points(values) -> list:
+    """Plot coordinates as JSON values: null where a coordinate is
+    undefined (the log of a residual that is not positive)."""
+    return [float(v) if math.isfinite(v) else None for v in values]
 
 
 @cli.command("simulate")
@@ -379,24 +423,23 @@ def _expected_event_prob(event_id, rect, params):
 
 def main():
     try:
-        cli(standalone_mode=False)
+        # Outside standalone mode click returns the code of a raised
+        # click.exceptions.Exit (`scan` with failed rows) instead of raising.
+        status = cli(standalone_mode=False)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.UsageError as exc:
         exc.show()
         sys.exit(1)
-    except VerificationFailure as exc:
-        exc.show()
-        sys.exit(2)
     except click.ClickException as exc:
         exc.show()
-        sys.exit(1)
+        sys.exit(exc.exit_code)
     except ResourceCapError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(3)
     except click.Abort:
         sys.exit(1)
-    sys.exit(0)
+    sys.exit(status if isinstance(status, int) else 0)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""The log-domain zero.
+"""The logarithm of zero.
 
-Probabilities in the dynamic program get as small as exp(-1e5), far below
-the smallest positive binary64, so every probability is stored as its
-natural logarithm.  ``NEG_INF`` is log 0, the exact-zero sentinel; sums of
-logs are folded with ``numpy.logaddexp``, for which it is the identity.
+Results are reported as natural logarithms: probabilities in the dynamic
+program get as small as exp(-1e5), far below the smallest positive
+binary64.  The sweep itself runs in linear arithmetic on levels scaled by
+their largest entry, with one log scale per level (see
+``bpdp.chain.engine``); ``NEG_INF`` is log 0, what a log hit probability
+is when the probability is exactly 0 (``numpy.logaddexp`` treats it as
+the identity).
 """
 
 NEG_INF = float("-inf")

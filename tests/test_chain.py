@@ -187,6 +187,25 @@ def test_pinned_log_pi(convention, k, want):
     assert r.log_pi == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+# Regression values of log_hit_prob at thresholds far above the default,
+# where most level entries are flushed to zero (67% at p = 0.5, L = 2000,
+# 77% at p = 0.9, L = 800).  The values are those of the log-domain sweep,
+# which flushes nothing.  They are near 0, so the bound is 1e-12 absolute.
+PINNED_LONG_LOG_HIT = [
+    (compute_pi, 0.5, 2000, "exact", -0.12517933060712483),
+    (compute_pi, 0.5, 2000, "at-least", -0.12481643474071319),
+    (compute_pi, 0.9, 800, "exact", -0.0006061508378487409),
+    (compute_two_neighbour_lower_bound, 0.5, 2000, "exact",
+     -0.1811127038421229),
+]
+
+
+@pytest.mark.parametrize("fn,p,L,convention,want", PINNED_LONG_LOG_HIT)
+def test_pinned_long_threshold(fn, p, L, convention, want):
+    r = fn(ChainParams.from_p(p, threshold=L, convention=convention))
+    assert r.log_hit_prob == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7])
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])

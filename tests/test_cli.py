@@ -4,6 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+import bpdp.cli
+from bpdp.chain import PiResult
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
 
@@ -68,6 +72,90 @@ class TestPi:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "log2_inv_p,p,log_pi"
         assert len(lines) == 3
+
+
+    def test_csv_with_p_names_its_exponent(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        for k in range(2, 6):
+            r = run_cli("pi", "--p", repr(2.0 ** -k), "--csv", str(table))
+            assert r.returncode == 0, r.stderr
+        rows = table.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "3", "4", "5"]
+        assert rows[0].startswith("2,0.25,")
+        assert run_cli("fit", "--input", str(table)).returncode == 0
+
+    def test_csv_with_other_p_is_refused(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        r = run_cli("pi", "--p", "0.3", "--csv", str(table))
+        assert_one_line_error(r, "--csv", "0.3")
+        assert r.stdout == ""
+        assert not table.exists()
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def non_finite_pi(params, **kwargs):
+    return PiResult(p=params.model.p, q=params.model.q,
+                    threshold=params.threshold, convention=params.convention,
+                    log_hit_prob=float("-inf"), log_pi=float("inf"),
+                    wall_time_seconds=0.0)
+
+
+class TestNonFiniteResults:
+    """A hit probability that underflows to 0 gives log_pi = inf; it is
+    reported as a failure, never printed as Infinity."""
+
+    def test_pi_non_finite_is_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(bpdp.cli, "compute_pi", non_finite_pi)
+        table = tmp_path / "pi.csv"
+        r = CliRunner().invoke(bpdp.cli.cli, ["pi", "--log2-inv-p", "3",
+                                              "--csv", str(table)])
+        assert r.exit_code == 4
+        assert r.stdout == ""
+        assert "Infinity" not in r.output
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "not finite" in r.stderr
+        assert not table.exists()
+
+    def test_scan_reports_failed_rows(self, monkeypatch):
+        real = bpdp.cli.compute_pi
+
+        def flaky(params, **kwargs):
+            if params.threshold == 34:         # k = 3
+                return non_finite_pi(params)
+            if params.threshold == 89:         # k = 4
+                raise RuntimeError("no memory")
+            return real(params, **kwargs)
+
+        monkeypatch.setattr(bpdp.cli, "compute_pi", flaky)
+        r = CliRunner().invoke(bpdp.cli.cli,
+                               ["scan", "--log2-inv-p-range", "2..5"])
+        assert r.exit_code == 4
+        assert [line.split(",")[0] for line in r.stdout.splitlines()] == [
+            "log2_inv_p", "2", "5"]
+        err = r.stderr.strip().splitlines()
+        assert err[0].startswith("# k=3 failed") and "not finite" in err[0]
+        assert err[1] == "# k=4 failed: no memory"
+        assert err[-1] == "# 2 of 4 rows failed"
+
+    def test_scan_exit_status_from_shell(self):
+        # a row that fails for real: k = 0 gives p = 1, outside (0, 1)
+        r = run_cli("scan", "--log2-inv-p-range", "0..0")
+        assert r.returncode == 4
+        assert r.stderr.strip().splitlines()[-1] == "# 1 of 1 rows failed"
+
+    def test_fit_undefined_coordinates_are_null(self, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("log2_inv_p,log_pi\n2,100\n3,200\n4,300\n5,400\n")
+        r = run_cli("fit", "--input", str(table))
+        assert r.returncode == 0, r.stderr
+        coords = strict_json(r.stdout)["outputs"]["coordinates"]
+        assert coords["second_order"]["y_log_residual"][0] is None
 
 
 class TestScan:
