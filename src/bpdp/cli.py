@@ -11,6 +11,15 @@ Infinity: a `pi` result whose log Pi is not finite (the hit probability
 underflowed to 0) is an error instead, and `scan` counts such a row as
 failed and does not write it.
 
+Table files created by `scan --output` and `pi --csv` start with a
+provenance line `# bpdp <version> convention=<c>`, which readers skip as a
+comment.  Appending to a table (`scan --resume`, `pi --csv` on an existing
+file) under another --convention is an error and leaves the file as it
+was; a table without the line predates it and counts as `exact`.  A
+`pi --csv` row is a default-threshold log Pi, so `--csv` with another
+--threshold is refused before the DP runs.  Tables streamed to stdout
+carry no provenance line.
+
 Exit status: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded, 4 a computation failed (a non-finite `pi`
 result, or at least one failed `scan` row; `scan` then ends with
@@ -30,7 +39,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, ResourceCapError, compute_pi
+from .chain import (ChainParams, ResourceCapError, compute_pi,
+                    default_threshold)
 from .fitting import (PiDataset, fit_first_order, fit_first_order_fixed_alpha,
                       fit_four_param, fit_second_order,
                       fit_second_order_fixed_beta, fit_third_order)
@@ -100,7 +110,9 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               show_default=True, help="Abort before starting if the level "
               "storage estimate exceeds this.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Append a CSV row (log2_inv_p or p, log_pi) to this file.")
+              help="Append a CSV row (log2_inv_p, p, log_pi) to this file; "
+              "needs p = 2^-k, the default threshold and the file's "
+              "convention.")
 def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)
@@ -109,6 +121,13 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         raise click.ClickException(
             f"--csv needs p = 2^-k so the row names its log2_inv_p; "
             f"p={pv!r} is not a power of two (use --log2-inv-p)")
+    if csv_path and threshold not in (None, default_threshold(pv)):
+        raise click.ClickException(
+            f"--csv rows are read as log Pi at the default threshold "
+            f"({default_threshold(pv)} for p={pv!r}); refusing --threshold "
+            f"{threshold}")
+    if csv_path:
+        _check_pi_table(csv_path, convention)
     params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
     result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
     if not math.isfinite(result.log_pi):
@@ -128,8 +147,24 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         new = not os.path.exists(csv_path)
         with _open_append(csv_path) as fh:
             if new:
-                fh.write("log2_inv_p,p,log_pi\n")
+                fh.write(_provenance(convention) + ",".join(_PI_COLUMNS)
+                         + "\n")
             fh.write(f"{csv_k},{_fmt(pv)},{_fmt(result.log_pi)}\n")
+
+
+def _check_pi_table(path: str, convention: str) -> None:
+    """Refuse, before the DP runs, to append a `pi` row to an existing
+    file that is not a `pi --csv` table of the same convention."""
+    if not os.path.isfile(path):
+        return
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    _check_convention(path, lines, convention)
+    header, _ = _parse_table(path, lines)
+    if header not in (None, _PI_COLUMNS):
+        raise click.ClickException(
+            f"{path}: header {','.join(header)!r} is not a pi --csv "
+            f"table's {','.join(_PI_COLUMNS)!r}; cannot append")
 
 
 def _exact_log2_inv(p: float) -> Optional[int]:
@@ -148,6 +183,36 @@ def _open_append(path: str):
 
 
 _TABLE_COLUMNS = ("log2_inv_p", "log_pi")
+_PI_COLUMNS = ("log2_inv_p", "p", "log_pi")
+_PROVENANCE_PREFIX = "# bpdp "
+
+
+def _provenance(convention: str) -> str:
+    """First line of every table file `scan` and `pi --csv` create."""
+    return f"{_PROVENANCE_PREFIX}{__version__} convention={convention}\n"
+
+
+def _check_convention(path: str, lines, convention: str) -> None:
+    """Refuse to add rows of one convention to a table of another.
+
+    A table names its convention on its provenance line, which precedes
+    its header.  A table whose header comes first was written before the
+    line existed, when `exact` was the default, and counts as `exact`; a
+    file with neither holds no table yet and takes any convention.
+    """
+    found = None
+    for line in lines:
+        line = line.strip()
+        if line.startswith(_PROVENANCE_PREFIX) and "convention=" in line:
+            found = line.rsplit("convention=", 1)[1]
+            break
+        if line and not line.startswith("#"):
+            found = "exact"
+            break
+    if found not in (None, convention):
+        raise click.ClickException(
+            f"{path}: table holds convention={found} rows; refusing to "
+            f"add convention={convention} rows")
 
 
 def _parse_table(path: str, lines):
@@ -188,19 +253,21 @@ def _parse_table(path: str, lines):
     return header, rows
 
 
-def _completed_rows(path: str):
+def _completed_rows(path: str, convention: str):
     """Exponents with a row in a scan CSV, and whether it lacks a header.
 
     A last line without its newline was cut off mid-write, so it is
     truncated away and the rows appended next start on a line of their own.
-    Every other line must parse (see `_parse_table`) under the scan header;
+    Every other line must parse (see `_parse_table`) under the scan header,
+    and the table must hold `convention` rows (see `_check_convention`);
     otherwise the file is left untouched and the scan refuses to resume.
     """
     with open(path, "rb+") as fh:
         kept = fh.read()
         kept = kept[:kept.rfind(b"\n") + 1]
-        header, rows = _parse_table(
-            path, kept.decode("utf-8", "replace").splitlines())
+        lines = kept.decode("utf-8", "replace").splitlines()
+        _check_convention(path, lines, convention)
+        header, rows = _parse_table(path, lines)
         if header not in (None, _TABLE_COLUMNS):
             raise click.ClickException(
                 f"{path}: header {','.join(header)!r} is not a scan table's "
@@ -227,7 +294,7 @@ def _parse_range(text: str):
 @click.option("--resume", is_flag=True,
               help="Skip exponents that have a complete row in the output "
               "file; a cut-off last row is dropped and recomputed, and a "
-              "malformed row is an error.")
+              "malformed row or another convention is an error.")
 def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
@@ -235,12 +302,14 @@ def cmd_scan(krange, convention, output, resume):
     header_needed = True
     if output and os.path.exists(output):
         if resume:
-            done, header_needed = _completed_rows(output)
+            done, header_needed = _completed_rows(output, convention)
         else:
             os.remove(output)
     sink = _open_append(output) if output else sys.stdout
     try:
         if header_needed:
+            if output:
+                sink.write(_provenance(convention))
             sink.write(",".join(_TABLE_COLUMNS) + "\n")
             sink.flush()
         todo = [k for k in range(k0, k1 + 1) if k not in done]

@@ -8,6 +8,16 @@ each other.  The framed-rectangle exploration reveals a configuration cell
 by cell and must reproduce the chain's transition probabilities; that is
 the bridge between the lattice and the dynamic program.  Its candidate
 transitions are the rows of ``FROBOSE_TABLE``, the chain's own table.
+
+``explore`` runs on a bitboard: the box is one Python int, cell (x, y) at
+bit (y - box.b) * stride + (x - box.a) with stride box.width + 1, so an
+always-empty guard column keeps x-shifts from wrapping between rows.  The
+board is loaded lazily, cell by cell from the caller's set, over
+rect.expand(2) of each step's rectangle, the only cells a step reads.
+Frame and buffer tests are masks ANDed with the unrevealed infections,
+and the crossing test is a shift-based local Frobose fixpoint.  The
+closures, ``crossing`` and the worklist ``_local_closure`` stay set-based:
+they are the independent oracle the bitboard is tested against.
 """
 
 from __future__ import annotations
@@ -475,21 +485,47 @@ def event_holds(event_id: str, rect: Rectangle, infected: Set[Site],
 # Framed-rectangle exploration
 # ---------------------------------------------------------------------------
 
-# Candidate transitions out of each live frame state, in table row order.
-_EXPLORE_RULES = {s: frobose_transitions(s) for s in FROBOSE_STATES if s != "4"}
+# Candidate transitions out of each live frame state, in table row order:
+# the side offsets, the destination state and its side buffers.
+_EXPLORE_RULES = {s: tuple((r.alpha, r.beta, r.gamma, r.delta, r.dst,
+                            _FRAME_BUFFERS[r.dst])
+                           for r in frobose_transitions(s))
+                  for s in FROBOSE_STATES if s != "4"}
 
 
-def _transition_event(current: FramedRectangle, new: FramedRectangle,
-                      infected: Set[Site], revealed: Set[Site]) -> bool:
-    for cell in new.frame_cells():
-        if cell in infected and cell not in revealed:
-            return False
-    if new.rect == current.rect:
-        return True
-    available = {s for s in new.rect.cells()
-                 if s in infected and s not in revealed}
-    return _crossing_from_available(current.rect, new.rect, available,
-                                    "frobose")
+def _frobose_crossing(small: int, big: int, available: int,
+                      stride: int) -> bool:
+    """`crossing(small, big, ..., "frobose")` on bitboard masks, for big
+    strictly containing small and the available infections inside big.
+
+    Germs start as the small rectangle and spread to infected
+    4-neighbours; a healthy cell of big is infected (and is a germ) when,
+    for one diagonal direction, its diagonal, horizontal and vertical
+    neighbours are infected and the horizontal or vertical one is a germ.
+    Every step is a whole-board shift; the least fixpoint is the germ set
+    of the worklist in `_local_closure`.
+    """
+    if not available:
+        return False
+    inf = small | available
+    germ = small
+    sm, sp = stride - 1, stride + 1
+    while True:
+        spread = germ | (inf & ((germ << 1) | (germ >> 1)
+                                | (germ << stride) | (germ >> stride)))
+        # east, west, north, south neighbour infected; g*: a germ there
+        e, w = inf >> 1, inf << 1
+        n, s = inf >> stride, inf << stride
+        ge, gw = spread >> 1, spread << 1
+        gn, gs = spread >> stride, spread << stride
+        new = big & ~inf & ((e & n & (inf >> sp) & (ge | gn))
+                            | (e & s & (inf << sm) & (ge | gs))
+                            | (w & n & (inf >> sm) & (gw | gn))
+                            | (w & s & (inf << sp) & (gw | gs)))
+        if not new and spread == germ:
+            return germ == big
+        germ = spread | new
+        inf |= new
 
 
 def explore(infected: Set[Site], seed_rect: Rectangle,
@@ -502,30 +538,82 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
     one that holds is taken.  Stops at frame state 4, when the next reveal
     could leave the box, or (when max_phi is given) as soon as the
     semi-perimeter reaches max_phi.
+
+    Runs on the bitboard described in the module docstring.  Before each
+    step the cells of rect.expand(2) not loaded yet are looked up in
+    ``infected`` with Python-int coordinates, so its sites may be tuples
+    of numpy integers, and sites outside that region are never read.
     """
-    cur = FramedRectangle(seed_rect, "0")
-    out = [cur]
-    revealed = cur.explored_cells()
-    while cur.state != "4":
-        if max_phi is not None and cur.rect.phi >= max_phi:
+    out = [FramedRectangle(seed_rect, "0")]
+    x0, y0 = box.a, box.b
+    stride = box.width + 1
+    column = [0]   # column[h]: bits 0, stride, ..., (h-1)*stride
+    for h in range(box.height):
+        column.append(column[-1] | 1 << (h * stride))
+
+    def rect(a, b, c, d):
+        return (((1 << (c - a)) - 1) * column[d - b]) << (b * stride + a)
+
+    def frame(a, b, c, d, sides):
+        mask = 0
+        for side in sides:
+            if side == "r":
+                mask |= column[d - b] << (b * stride + c)
+            elif side == "l":
+                mask |= column[d - b] << (b * stride + a - 1)
+            elif side == "u":
+                mask |= ((1 << (c - a)) - 1) << (d * stride + a)
+            else:
+                mask |= ((1 << (c - a)) - 1) << ((b - 1) * stride + a)
+        return mask
+
+    # board coordinates of the current rectangle, and the box size
+    a, b = seed_rect.a - x0, seed_rect.b - y0
+    c, d = seed_rect.c - x0, seed_rect.d - y0
+    width, height = box.width, box.height
+    board = 0                      # infections among the loaded cells
+    la, lb, lc, ld = a, b, a, b    # loaded region, empty so far
+    revealed = 0
+    state = "0"
+    while state != "4":
+        if max_phi is not None and c - a + d - b >= max_phi:
             break
-        if not box.contains_rect(cur.rect.expand(2)):
+        if a < 2 or b < 2 or c + 2 > width or d + 2 > height:
             break  # censored at the box boundary
+        for y in range(b - 2, d + 2):
+            if lb <= y < ld:
+                xs = (*range(a - 2, la), *range(lc, c + 2))
+            else:
+                xs = range(a - 2, c + 2)
+            row, yy = y * stride, y + y0
+            for x in xs:
+                if (x + x0, yy) in infected:
+                    board |= 1 << (row + x)
+        la, lb, lc, ld = a - 2, b - 2, c + 2, d + 2
+        small = rect(a, b, c, d)
+        revealed |= small
+        hidden = board & ~revealed
         chosen = None
-        for rule in _EXPLORE_RULES[cur.state]:
-            new = FramedRectangle(cur.rect.grow(rule.alpha, rule.beta,
-                                                rule.gamma, rule.delta),
-                                  rule.dst)
-            if _transition_event(cur, new, infected, revealed):
-                if chosen is not None:
-                    raise AssertionError(
-                        f"transition events not disjoint at {cur}")
-                chosen = new
+        for alpha, beta, gamma, delta, dst, sides in _EXPLORE_RULES[state]:
+            na, nb, nc, nd = a - alpha, b - beta, c + gamma, d + delta
+            buffers = frame(na, nb, nc, nd, sides)
+            if buffers & hidden:
+                continue
+            big = small
+            if alpha or beta or gamma or delta:
+                big = rect(na, nb, nc, nd)
+                if not _frobose_crossing(small, big, hidden & big, stride):
+                    continue
+            if chosen is not None:
+                raise AssertionError(
+                    f"transition events not disjoint at {out[-1]}")
+            chosen = na, nb, nc, nd, dst, buffers
         if chosen is None:
-            raise AssertionError(f"no transition event holds at {cur}")
-        cur = chosen
-        revealed |= cur.explored_cells()
-        out.append(cur)
+            raise AssertionError(f"no transition event holds at {out[-1]}")
+        a, b, c, d, state, buffers = chosen
+        revealed |= buffers
+        out.append(FramedRectangle(
+            Rectangle(a + x0, b + y0, c + x0, d + y0), state))
     return out
 
 

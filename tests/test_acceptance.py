@@ -22,6 +22,7 @@ Set BPDP_ACCEPTANCE_FULL=1 to also run the slow extended table check
 """
 
 import csv
+import itertools
 import math
 import os
 import pathlib
@@ -293,13 +294,12 @@ class TestCriterion8LatticeConsistency:
         params = ChainParams.from_p(p, threshold=cap)
         box = Rectangle(-12, -12, 13, 13)
         cells = sorted(box.cells() - {(0, 0)})
-        arr = np.array(cells)
         rng = np.random.default_rng(np.random.Philox(777))
 
         explore_counts = Counter()
         for _ in range(n):
             mask = rng.random(len(cells)) < p
-            A = set(map(tuple, arr[mask]))
+            A = set(itertools.compress(cells, mask.tolist()))
             A.add((0, 0))
             traj = explore(A, Rectangle(0, 0, 1, 1), box, max_phi=cap)
             for fr in traj:

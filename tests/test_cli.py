@@ -7,9 +7,15 @@ import pytest
 from click.testing import CliRunner
 
 import bpdp.cli
+from bpdp import __version__
 from bpdp.chain import PiResult
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
+
+
+def provenance(convention):
+    """First line of a table file written under a convention."""
+    return f"# bpdp {__version__} convention={convention}"
 
 
 def run_cli(*args, env=None):
@@ -70,16 +76,15 @@ class TestPi:
         run_cli("pi", "--log2-inv-p", "2", "--csv", str(out))
         run_cli("pi", "--log2-inv-p", "3", "--csv", str(out))
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "log2_inv_p,p,log_pi"
-        assert len(lines) == 3
-
+        assert lines[:2] == [provenance("exact"), "log2_inv_p,p,log_pi"]
+        assert len(lines) == 4
 
     def test_csv_with_p_names_its_exponent(self, tmp_path):
         table = tmp_path / "pi.csv"
         for k in range(2, 6):
             r = run_cli("pi", "--p", repr(2.0 ** -k), "--csv", str(table))
             assert r.returncode == 0, r.stderr
-        rows = table.read_text().splitlines()[1:]
+        rows = table.read_text().splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["2", "3", "4", "5"]
         assert rows[0].startswith("2,0.25,")
         assert run_cli("fit", "--input", str(table)).returncode == 0
@@ -90,6 +95,39 @@ class TestPi:
         assert_one_line_error(r, "--csv", "0.3")
         assert r.stdout == ""
         assert not table.exists()
+
+    def test_csv_with_other_threshold_is_refused(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        r = run_cli("pi", "--log2-inv-p", "3", "--threshold", "30",
+                    "--csv", str(table))
+        assert_one_line_error(r, "--csv", "--threshold 30", "34")
+        assert r.stdout == ""
+        assert not table.exists()
+        # the default threshold, given explicitly, is the same row
+        r = run_cli("pi", "--log2-inv-p", "3", "--threshold", "34",
+                    "--csv", str(table))
+        assert r.returncode == 0, r.stderr
+
+    def test_csv_refuses_other_convention(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        run_cli("pi", "--log2-inv-p", "2", "--convention", "at-least",
+                "--csv", str(table))
+        before = table.read_text()
+        assert before.startswith(provenance("at-least") + "\n")
+        r = run_cli("pi", "--log2-inv-p", "3", "--csv", str(table))
+        assert_one_line_error(r, "pi.csv", "convention=at-least",
+                              "convention=exact")
+        assert r.stdout == ""
+        assert table.read_text() == before
+
+    def test_csv_refuses_other_table(self, tmp_path):
+        table = tmp_path / "scan.csv"
+        run_cli("scan", "--log2-inv-p-range", "2..2", "--output", str(table))
+        before = table.read_text()
+        r = run_cli("pi", "--log2-inv-p", "3", "--csv", str(table))
+        assert_one_line_error(r, "scan.csv", "cannot append")
+        assert r.stdout == ""
+        assert table.read_text() == before
 
 
 def strict_json(text):
@@ -179,7 +217,41 @@ class TestScan:
         assert r.returncode == 0
         after = out.read_text()
         assert after.startswith(before)
-        assert len(after.strip().splitlines()) == 4
+        assert len(after.strip().splitlines()) == 5
+
+    def test_output_starts_with_provenance_line(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--convention",
+                    "at-least", "--output", str(out))
+        assert r.returncode == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [provenance("at-least"), "log2_inv_p,log_pi"]
+        assert len(lines) == 4
+
+    def test_resume_refuses_other_convention(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        run_cli("scan", "--log2-inv-p-range", "2..2", "--output", str(out))
+        before = out.read_text()
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume", "--convention", "at-least")
+        assert_one_line_error(r, "scan.csv", "convention=exact",
+                              "convention=at-least")
+        assert out.read_text() == before
+
+    def test_resume_table_without_provenance_is_exact(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        out.write_text(run_cli("scan", "--log2-inv-p-range", "2..2").stdout)
+        before = out.read_text()
+        assert not before.startswith("#")
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume", "--convention", "at-least")
+        assert_one_line_error(r, "scan.csv", "convention=exact")
+        assert out.read_text() == before
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume")
+        assert r.returncode == 0
+        assert out.read_text() == run_cli("scan", "--log2-inv-p-range",
+                                          "2..3").stdout
 
     def test_resume_drops_cut_off_row(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -207,7 +279,7 @@ class TestScan:
         from bpdp.fitting import PiDataset, fit_first_order
         rows = []
         with open(out, newline="") as fh:
-            for line in csv.DictReader(fh):
+            for line in csv.DictReader(l for l in fh if not l.startswith("#")):
                 rows.append((int(line["log2_inv_p"]), float(line["log_pi"])))
         want = fit_first_order(PiDataset(tuple(rows)))
         assert rec["outputs"]["first_order"]["alpha"] == pytest.approx(
@@ -231,7 +303,8 @@ class TestTableInput:
         for k in range(2, 6):
             assert run_cli("pi", "--log2-inv-p", str(k), "--csv",
                            str(table)).returncode == 0
-        assert table.read_text().startswith("log2_inv_p,p,log_pi\n")
+        assert table.read_text().startswith(
+            provenance("exact") + "\nlog2_inv_p,p,log_pi\n")
         scan = tmp_path / "scan.csv"
         run_cli("scan", "--log2-inv-p-range", "2..5", "--output", str(scan))
         r = run_cli("fit", "--input", str(table))

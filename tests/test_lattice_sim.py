@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bpdp.chain import ChainParams, sample_trajectory
+from bpdp.chain import ChainParams, frobose_transitions, sample_trajectory
 from bpdp.lattice_sim import (EXACT_ENUMERATION_MAX_CELLS, FramedRectangle,
                               LatticeConfiguration, Rectangle, closure_frobose,
                               closure_two_neighbour, crossing, event_holds,
@@ -249,6 +249,86 @@ class TestExplore:
         want = math.exp(-3 * q)
         se = math.sqrt(want * (1 - want) / n)
         assert abs(creations / n - want) <= 3.5 * se
+
+
+def replay_with_sets(infected, traj, box, max_phi):
+    """Check every step of an explore trajectory with the set-based API.
+
+    The row taken must be the only one out of the current state whose new
+    frame holds no unrevealed infection and whose crossing holds on the
+    unrevealed infections; the trajectory must stop exactly where a
+    stopping rule first applies.
+    """
+    def stops(fr):
+        return (fr.state == "4"
+                or (max_phi is not None and fr.rect.phi >= max_phi)
+                or not box.contains_rect(fr.rect.expand(2)))
+
+    revealed = set()
+    for cur, nxt in zip(traj, traj[1:]):
+        assert not stops(cur)
+        revealed |= cur.explored_cells()
+        hidden = infected - revealed
+        holds = []
+        for rule in frobose_transitions(cur.state):
+            new = FramedRectangle(cur.rect.grow(rule.alpha, rule.beta,
+                                                rule.gamma, rule.delta),
+                                  rule.dst)
+            if (not new.frame_cells() & hidden
+                    and crossing(cur.rect, new.rect, hidden, "frobose")):
+                holds.append(new)
+        assert holds == [nxt], (cur, holds, nxt)
+    assert stops(traj[-1])
+
+
+class TestExploreAgainstSets:
+    """The bitboard explore against the set-based crossing and frames."""
+
+    def test_capped_bernoulli_boxes(self):
+        # the lattice-bridge inputs: Bernoulli(0.3) on a 25 x 25 box, cap 10
+        rng = np.random.default_rng(np.random.Philox(31))
+        box = Rectangle(-12, -12, 13, 13)
+        cells = sorted(box.cells() - {(0, 0)})
+        for _ in range(1000):
+            A = {c for c, m in zip(cells, rng.random(len(cells)) < 0.3) if m}
+            A.add((0, 0))
+            replay_with_sets(A, explore(A, Rectangle(0, 0, 1, 1), box, 10),
+                             box, 10)
+
+    def test_uncapped_sparse_configurations(self):
+        # the configurations of TestExplore, run to state 4 or the box
+        rng = np.random.default_rng(np.random.Philox(32))
+        box = Rectangle(-14, -14, 15, 15)
+        finished = 0
+        for _ in range(1000):
+            A = random_config(rng, Rectangle(-10, -10, 11, 11),
+                              int(rng.integers(0, 45)))
+            A.add((0, 0))
+            traj = explore(A, Rectangle(0, 0, 1, 1), box)
+            replay_with_sets(A, traj, box, None)
+            finished += traj[-1].state == "4"
+        assert finished > 800
+
+    def test_numpy_coordinates_and_sites_outside_box(self):
+        # membership is tested with Python-int coordinates, so numpy-int
+        # sites give the same trajectory, and sites beyond the box (where
+        # a numpy shift would overflow) are never read
+        rng = np.random.default_rng(np.random.Philox(33))
+        box = Rectangle(-12, -12, 13, 13)
+        cells = sorted(box.cells() - {(0, 0)})
+        arr = np.array(cells)
+        outside = np.array([(600, 0), (0, 600), (-600, -3), (13, 0),
+                            (-13, 5), (2, 13), (40, 40)])
+        assert not any(tuple(s) in box for s in outside.tolist())
+        for cap in (10, None):
+            for _ in range(200):
+                mask = rng.random(len(cells)) < 0.3
+                plain = {c for c, m in zip(cells, mask) if m} | {(0, 0)}
+                wide = set(map(tuple, arr[mask])) | set(map(tuple, outside))
+                wide.add((np.int64(0), np.int64(0)))
+                assert isinstance(next(iter(wide))[0], np.integer)
+                want = explore(plain, Rectangle(0, 0, 1, 1), box, cap)
+                assert explore(wide, Rectangle(0, 0, 1, 1), box, cap) == want
 
 
 class TestEstimators:
