@@ -6,8 +6,7 @@ from .engine import (ChainParams, PiResult, ResourceCapError,
 from .oracle import BRUTE_FORCE_MAX_L, brute_force_hit_prob, sample_trajectory
 from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK,
                     TWO_NEIGHBOUR_STATES, TWO_NEIGHBOUR_TABLE,
-                    TransitionRule, frobose_transitions, state_rank,
-                    transition_linear_prob, transition_log_prob,
+                    TransitionRule, frobose_transitions,
                     two_neighbour_transitions)
 
 __all__ = [
@@ -16,6 +15,5 @@ __all__ = [
     "BRUTE_FORCE_MAX_L", "brute_force_hit_prob", "sample_trajectory",
     "FROBOSE_STATES", "FROBOSE_TABLE", "RANK", "TWO_NEIGHBOUR_STATES",
     "TWO_NEIGHBOUR_TABLE", "TransitionRule", "frobose_transitions",
-    "state_rank", "transition_linear_prob", "transition_log_prob",
     "two_neighbour_transitions",
 ]

@@ -42,7 +42,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..numerics import NEG_INF
 from ..special_functions import ModelParams
 from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK, TWO_NEIGHBOUR_STATES,
                     TWO_NEIGHBOUR_TABLE, TransitionRule)
@@ -267,7 +266,7 @@ class _Engine:
         # level; the per-level sums are then combined in log space in
         # ascending source phi.
         L = self.L
-        exact = at_least = NEG_INF
+        exact = at_least = -math.inf
         for sphi in range(max(2, L - self.max_dphi), L):
             src = self._levels[sphi % self.window]
             scale = self._scales[sphi % self.window]
@@ -289,7 +288,7 @@ def _log_add(acc: float, total: float, scale: float) -> float:
         return acc
     x = math.log(total) + scale
     hi, lo = max(acc, x), min(acc, x)
-    return hi if lo == NEG_INF else hi + math.log1p(math.exp(lo - hi))
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
 
 
 def _run(table, states, params: ChainParams, memory_cap_bytes,

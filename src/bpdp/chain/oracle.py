@@ -17,7 +17,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..numerics import NEG_INF
 from .engine import ChainParams
 from .rules import FROBOSE_STATES, frobose_transitions
 
@@ -63,7 +62,7 @@ def brute_force_hit_prob(params: ChainParams,
         return math.fsum(parts)
 
     prob = hit_from(1, 1, "0")
-    return math.log(prob) if prob > 0.0 else NEG_INF
+    return math.log(prob) if prob > 0.0 else -math.inf
 
 
 def sample_trajectory(params: ChainParams, seed: int) -> List[ProjectedState]:

@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..special_functions import ModelParams, f
+from ..special_functions import ModelParams
 
 __all__ = [
     "FrameState", "TransitionRule", "FROBOSE_STATES", "TWO_NEIGHBOUR_STATES",
     "RANK", "frobose_transitions", "two_neighbour_transitions",
-    "FROBOSE_TABLE", "TWO_NEIGHBOUR_TABLE", "transition_log_prob",
-    "transition_linear_prob", "state_rank",
+    "FROBOSE_TABLE", "TWO_NEIGHBOUR_TABLE",
 ]
 
 FrameState = str
@@ -45,19 +44,15 @@ RANK = {
 }
 
 
-def state_rank(s: FrameState) -> int:
-    return RANK[s]
-
-
 @dataclass(frozen=True)
 class TransitionRule:
     """One table row.
 
     Offsets (alpha, beta, gamma, delta) extend the rectangle left, bottom,
-    right, top.  The cost (-log probability) is structured as
+    right, top.  The probability is structured as
 
-        n_logp * log(1/p) + sum f(q*(dim+shift)) + q * sum coeff*(dim+shift)
-        + (extra constant depending on p)
+        p^n_logp * prod_f_terms e^{-f(q*(dim+shift))}
+        * e^{-q * sum_q_terms coeff*(dim+shift)} * (extra constant in p)
 
     where each dim is 'a' (width) or 'b' (height) of the *source*
     rectangle, or None for a fixed integer argument.
@@ -72,7 +67,7 @@ class TransitionRule:
     n_logp: int = 0
     f_terms: tuple = ()       # ((dim, shift), ...)
     q_terms: tuple = ()       # ((dim, shift, coeff), ...); dim None -> shift only
-    log4m3p: bool = False     # subtract log(4-3p) (triple deletion row)
+    log4m3p: bool = False     # times (4-3p) (triple deletion row)
 
     @property
     def dw(self) -> int:
@@ -86,24 +81,10 @@ class TransitionRule:
     def dphi(self) -> int:
         return self.dw + self.dh
 
-    def cost(self, w: int, h: int, params: ModelParams) -> float:
-        """-log transition probability at source dimensions (w, h)."""
-        p, q = params.p, params.q
-        dims = {"a": w, "b": h, None: 0}
-        c = self.n_logp * math.log(1.0 / p)
-        for dim, shift in self.f_terms:
-            c += float(f(q * (dims[dim] + shift)))
-        for dim, shift, coeff in self.q_terms:
-            c += q * coeff * (dims[dim] + shift)
-        if self.log4m3p:
-            c -= math.log(4.0 - 3.0 * p)
-        return c
-
     def linear_prob(self, w: int, h: int, params: ModelParams) -> float:
-        """Transition probability in plain linear arithmetic.
-
-        Kept free of the log-domain path so it can serve as one side of the
-        dual-route checks (stochasticity, brute-force oracle).
+        """Transition probability at source dimensions (w, h), in plain
+        linear arithmetic: the one statement of the rule, which the
+        stochasticity check and the brute-force oracle evaluate directly.
         """
         p, q = params.p, params.q
         dims = {"a": w, "b": h, None: 0}
@@ -234,17 +215,3 @@ def two_neighbour_transitions(s: FrameState) -> Tuple[TransitionRule, ...]:
         raise ValueError(f"unknown two-neighbour frame state {s!r}")
     return tuple(r for r in TWO_NEIGHBOUR_TABLE if r.src == s)
 
-
-def transition_log_prob(rule: TransitionRule, w: int, h: int,
-                        params: ModelParams) -> float:
-    """Log probability of a rule at source dimensions (w, h)."""
-    if w < 1 or h < 1:
-        raise ValueError("dimensions must be >= 1")
-    return -rule.cost(w, h, params)
-
-
-def transition_linear_prob(rule: TransitionRule, w: int, h: int,
-                           params: ModelParams) -> float:
-    if w < 1 or h < 1:
-        raise ValueError("dimensions must be >= 1")
-    return rule.linear_prob(w, h, params)

@@ -11,14 +11,18 @@ Infinity: a `pi` result whose log Pi is not finite (the hit probability
 underflowed to 0) is an error instead, and `scan` counts such a row as
 failed and does not write it.
 
-Table files created by `scan --output` and `pi --csv` start with a
-provenance line `# bpdp <version> convention=<c>`, which readers skip as a
-comment.  Appending to a table (`scan --resume`, `pi --csv` on an existing
-file) under another --convention is an error and leaves the file as it
-was; a table without the line predates it and counts as `exact`.  A
-`pi --csv` row is a default-threshold log Pi, so `--csv` with another
---threshold is refused before the DP runs.  Tables streamed to stdout
-carry no provenance line.
+`scan --output` and `pi --csv` write one table format: a provenance line
+`# bpdp <version> convention=<c>` (readers skip it as a comment), the
+header `log2_inv_p,log_pi`, then one row per exponent k.  Both check an
+existing table before any DP runs and append through one path, which
+first drops a cut-off last line.  A table of another --convention or
+another header, a malformed row, or (for `pi --csv`) a k the table already
+holds is an error that leaves the file as it was; `scan --resume` skips
+the k a table holds.  A table without the provenance line predates it and
+counts as `exact`; the log2_inv_p,p,log_pi tables `pi --csv` once wrote
+still read with `fit` but take no more rows.  A `pi --csv` row is a
+default-threshold log Pi, so `--csv` with another --threshold is refused
+before the DP runs.  Tables streamed to stdout carry no provenance line.
 
 Exit status: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded, 4 a computation failed (a non-finite `pi`
@@ -44,7 +48,7 @@ from .chain import (ChainParams, ResourceCapError, compute_pi,
 from .fitting import (PiDataset, fit_first_order, fit_first_order_fixed_alpha,
                       fit_four_param, fit_second_order,
                       fit_second_order_fixed_beta, fit_third_order)
-from .lattice_sim import (Rectangle, event_holds, mc_estimate)
+from .lattice_sim import EVENTS, Rectangle, event_holds, mc_estimate
 from .special_functions import (ModelParams, alpha, constants, f, g, h, h2,
                                 h_mod)
 from .verify import SUITES, run_suite
@@ -102,7 +106,7 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
 @click.option("--p", type=float, default=None, help="Infection probability.")
 @click.option("--log2-inv-p", type=int, default=None,
               help="Exponent k for p = 2^-k.")
-@click.option("--threshold", type=int, default=None,
+@click.option("--threshold", type=click.IntRange(min=2), default=None,
               help="Target semi-perimeter L (default ceil(2 log(1/p)/p)).")
 @click.option("--convention", type=click.Choice(["exact", "at-least"]),
               default="exact", show_default=True)
@@ -110,9 +114,9 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               show_default=True, help="Abort before starting if the level "
               "storage estimate exceeds this.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Append a CSV row (log2_inv_p, p, log_pi) to this file; "
-              "needs p = 2^-k, the default threshold and the file's "
-              "convention.")
+              help="Append a row (log2_inv_p, log_pi) to this table; needs "
+              "p = 2^-k, the default threshold, the table's convention and "
+              "a k the table does not hold yet.")
 def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)
@@ -126,8 +130,10 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
             f"--csv rows are read as log Pi at the default threshold "
             f"({default_threshold(pv)} for p={pv!r}); refusing --threshold "
             f"{threshold}")
-    if csv_path:
-        _check_pi_table(csv_path, convention)
+    if csv_path and csv_k in _table_exponents(csv_path, convention):
+        raise click.ClickException(
+            f"{csv_path}: already holds a row for log2_inv_p={csv_k}; "
+            "refusing to append another")
     params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
     result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
     if not math.isfinite(result.log_pi):
@@ -144,27 +150,8 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         "convention": convention,
     }, outputs, result.wall_time_seconds)
     if csv_path:
-        new = not os.path.exists(csv_path)
-        with _open_append(csv_path) as fh:
-            if new:
-                fh.write(_provenance(convention) + ",".join(_PI_COLUMNS)
-                         + "\n")
-            fh.write(f"{csv_k},{_fmt(pv)},{_fmt(result.log_pi)}\n")
-
-
-def _check_pi_table(path: str, convention: str) -> None:
-    """Refuse, before the DP runs, to append a `pi` row to an existing
-    file that is not a `pi --csv` table of the same convention."""
-    if not os.path.isfile(path):
-        return
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    _check_convention(path, lines, convention)
-    header, _ = _parse_table(path, lines)
-    if header not in (None, _PI_COLUMNS):
-        raise click.ClickException(
-            f"{path}: header {','.join(header)!r} is not a pi --csv "
-            f"table's {','.join(_PI_COLUMNS)!r}; cannot append")
+        with _open_table(csv_path, convention) as fh:
+            fh.write(_table_row(csv_k, result.log_pi))
 
 
 def _exact_log2_inv(p: float) -> Optional[int]:
@@ -173,17 +160,7 @@ def _exact_log2_inv(p: float) -> Optional[int]:
     return 1 - exponent if mantissa == 0.5 else None
 
 
-def _open_append(path: str):
-    """Open a CSV for appending; a path that cannot be opened (a missing
-    directory, say) is a one-line usage error with exit status 1."""
-    try:
-        return open(path, "a", encoding="utf-8")
-    except OSError as exc:
-        raise click.FileError(path, hint=exc.strerror)
-
-
 _TABLE_COLUMNS = ("log2_inv_p", "log_pi")
-_PI_COLUMNS = ("log2_inv_p", "p", "log_pi")
 _PROVENANCE_PREFIX = "# bpdp "
 
 
@@ -192,14 +169,32 @@ def _provenance(convention: str) -> str:
     return f"{_PROVENANCE_PREFIX}{__version__} convention={convention}\n"
 
 
-def _check_convention(path: str, lines, convention: str) -> None:
-    """Refuse to add rows of one convention to a table of another.
+def _table_row(k: int, log_pi: float) -> str:
+    return f"{k},{_fmt(log_pi)}\n"
 
-    A table names its convention on its provenance line, which precedes
-    its header.  A table whose header comes first was written before the
-    line existed, when `exact` was the default, and counts as `exact`; a
-    file with neither holds no table yet and takes any convention.
+
+def _complete_lines(data: bytes) -> bytes:
+    """Everything up to the last newline: a last line without its newline
+    was cut off mid-write."""
+    return data[:data.rfind(b"\n") + 1]
+
+
+def _table_exponents(path: str, convention: str) -> set:
+    """Exponents k that already have a row in the table at path (none if
+    there is no file); reads the file and never changes it.
+
+    A cut-off last line is ignored.  Every complete line must parse (see
+    `_parse_table`) under the header log2_inv_p,log_pi, and the table must
+    hold `convention` rows, as its provenance line names them; a table
+    whose header comes first was written before the line existed, when
+    `exact` was the default, and counts as `exact`.  Otherwise appending
+    is a one-line error (exit status 1).
     """
+    if not os.path.isfile(path):
+        return set()
+    with open(path, "rb") as fh:
+        lines = _complete_lines(fh.read()).decode(
+            "utf-8", "replace").splitlines()
     found = None
     for line in lines:
         line = line.strip()
@@ -213,16 +208,46 @@ def _check_convention(path: str, lines, convention: str) -> None:
         raise click.ClickException(
             f"{path}: table holds convention={found} rows; refusing to "
             f"add convention={convention} rows")
+    header, rows = _parse_table(path, lines)
+    if header not in (None, _TABLE_COLUMNS):
+        raise click.ClickException(
+            f"{path}: header {','.join(header)!r} is not "
+            f"{','.join(_TABLE_COLUMNS)!r}; cannot append")
+    return {k for k, _ in rows}
+
+
+def _open_table(path: str, convention: str):
+    """Open a table accepted by `_table_exponents` for appending rows.
+
+    A cut-off last line is truncated away, so the next row starts on a
+    line of its own; a file that holds no header yet starts afresh with
+    the provenance line and the header.  A path that cannot be opened (a
+    missing directory, say) is a one-line error with exit status 1.
+    """
+    try:
+        with open(path, "ab+") as fh:
+            fh.seek(0)
+            kept = _complete_lines(fh.read())
+            lines = kept.decode("utf-8", "replace").splitlines()
+            if _parse_table(path, lines)[0] is None:
+                kept = b""
+            fh.truncate(len(kept))
+        sink = open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        raise click.FileError(path, hint=exc.strerror)
+    if not kept:
+        sink.write(_provenance(convention) + ",".join(_TABLE_COLUMNS) + "\n")
+    return sink
 
 
 def _parse_table(path: str, lines):
     """Header and rows (log2_inv_p, log_pi) of a growth-scale CSV.
 
-    The two columns are found by name in the header, so `scan` tables and
-    `pi --csv` tables (log2_inv_p,p,log_pi) both read; blank lines and
-    `#` comments are skipped.  A header without both columns, or a row
-    that is not an integer exponent and a finite log Pi, is a one-line
-    error naming the file and line (exit status 1).
+    The two columns are found by name in the header, so tables with more
+    columns (the log2_inv_p,p,log_pi tables `pi --csv` used to write) read
+    too; blank lines and `#` comments are skipped.  A header without both
+    columns, or a row that is not an integer exponent and a finite log Pi,
+    is a one-line error naming the file and line (exit status 1).
     """
     header = None
     rows = []
@@ -253,29 +278,6 @@ def _parse_table(path: str, lines):
     return header, rows
 
 
-def _completed_rows(path: str, convention: str):
-    """Exponents with a row in a scan CSV, and whether it lacks a header.
-
-    A last line without its newline was cut off mid-write, so it is
-    truncated away and the rows appended next start on a line of their own.
-    Every other line must parse (see `_parse_table`) under the scan header,
-    and the table must hold `convention` rows (see `_check_convention`);
-    otherwise the file is left untouched and the scan refuses to resume.
-    """
-    with open(path, "rb+") as fh:
-        kept = fh.read()
-        kept = kept[:kept.rfind(b"\n") + 1]
-        lines = kept.decode("utf-8", "replace").splitlines()
-        _check_convention(path, lines, convention)
-        header, rows = _parse_table(path, lines)
-        if header not in (None, _TABLE_COLUMNS):
-            raise click.ClickException(
-                f"{path}: header {','.join(header)!r} is not a scan table's "
-                f"{','.join(_TABLE_COLUMNS)!r}; cannot resume")
-        fh.truncate(len(kept))
-    return {k for k, _ in rows}, header is None
-
-
 def _parse_range(text: str):
     try:
         a, b = text.split("..")
@@ -298,20 +300,16 @@ def _parse_range(text: str):
 def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
-    done = set()
-    header_needed = True
-    if output and os.path.exists(output):
-        if resume:
-            done, header_needed = _completed_rows(output, convention)
-        else:
+    if output:
+        if not resume and os.path.exists(output):
             os.remove(output)
-    sink = _open_append(output) if output else sys.stdout
+        done = _table_exponents(output, convention)
+        sink = _open_table(output, convention)
+    else:
+        done = set()
+        sink = sys.stdout
+        sink.write(",".join(_TABLE_COLUMNS) + "\n")
     try:
-        if header_needed:
-            if output:
-                sink.write(_provenance(convention))
-            sink.write(",".join(_TABLE_COLUMNS) + "\n")
-            sink.flush()
         todo = [k for k in range(k0, k1 + 1) if k not in done]
         failed = 0
         for k in todo:
@@ -325,7 +323,7 @@ def cmd_scan(krange, convention, output, resume):
                 click.echo(f"# k={k} failed: {exc}", err=True)
                 failed += 1
                 continue
-            sink.write(f"{k},{_fmt(result.log_pi)}\n")
+            sink.write(_table_row(k, result.log_pi))
             sink.flush()
     finally:
         if output:
@@ -451,12 +449,14 @@ def _points(values) -> list:
 
 
 @cli.command("simulate")
-@click.option("--event", "event_id", required=True,
-              help="Event id: I, IF, I_loc, IF_loc, O, G-, G|, T_east, ...")
-@click.option("--width", type=int, required=True)
-@click.option("--height", type=int, required=True)
-@click.option("--p", type=float, required=True)
-@click.option("--n", type=int, default=10000, show_default=True)
+@click.option("--event", "event_id", type=click.Choice(EVENTS),
+              required=True, help="Rectangle event.")
+@click.option("--width", type=click.IntRange(min=1), required=True)
+@click.option("--height", type=click.IntRange(min=1), required=True)
+@click.option("--p", type=click.FloatRange(0, 1, min_open=True,
+                                           max_open=True), required=True)
+@click.option("--n", type=click.IntRange(min=1), default=10000,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def cmd_simulate(event_id, width, height, p, n, seed):
     """Monte Carlo estimate of a rectangle event on a Bernoulli field."""

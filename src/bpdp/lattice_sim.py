@@ -36,7 +36,7 @@ __all__ = [
     "closure_two_neighbour", "closure_frobose",
     "rectangles_process_closure",
     "local_closure_two_neighbour", "local_closure_frobose",
-    "event_holds", "occupied", "internally_filled",
+    "EVENTS", "event_holds", "occupied", "internally_filled",
     "locally_internally_filled", "crossing", "no_horizontal_gaps",
     "no_vertical_gaps", "traversable",
     "explore", "mc_estimate", "exact_event_prob",
@@ -454,7 +454,7 @@ def traversable(rect: Rectangle, infected: Set[Site], direction: str) -> bool:
     return all((i in present) or (i - 1 in present) for i in range(1, n))
 
 
-_EVENTS = {
+EVENTS = {
     "I": lambda rect, A, **kw: internally_filled(rect, A, "two-neighbour"),
     "IF": lambda rect, A, **kw: internally_filled(rect, A, "frobose"),
     "I_loc": lambda rect, A, **kw: locally_internally_filled(rect, A, "two-neighbour"),
@@ -475,7 +475,7 @@ def event_holds(event_id: str, rect: Rectangle, infected: Set[Site],
                 **kwargs) -> bool:
     """Evaluate a named rectangle event on a configuration."""
     try:
-        fn = _EVENTS[event_id]
+        fn = EVENTS[event_id]
     except KeyError:
         raise ValueError(f"unknown event {event_id!r}") from None
     return fn(rect, infected, **kwargs)

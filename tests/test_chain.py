@@ -8,7 +8,6 @@ from bpdp.chain import (BRUTE_FORCE_MAX_L, ChainParams, FROBOSE_STATES,
                         TWO_NEIGHBOUR_TABLE, brute_force_hit_prob, compute_pi,
                         compute_two_neighbour_lower_bound, default_threshold,
                         frobose_transitions, sample_trajectory,
-                        transition_linear_prob, transition_log_prob,
                         two_neighbour_transitions)
 from bpdp.special_functions import ModelParams, f
 
@@ -26,8 +25,10 @@ class TestFroboseTable:
         loop = next(r for r in rules if r.dst == "0")
         mp = ModelParams(0.3)
         # creation costs q*b, loop costs f(q*b)
-        assert creation.cost(4, 7, mp) == pytest.approx(7 * mp.q, rel=1e-14)
-        assert loop.cost(4, 7, mp) == pytest.approx(float(f(7 * mp.q)), rel=1e-14)
+        assert creation.linear_prob(4, 7, mp) == pytest.approx(
+            math.exp(-7 * mp.q), rel=1e-14)
+        assert loop.linear_prob(4, 7, mp) == pytest.approx(
+            math.exp(-float(f(7 * mp.q))), rel=1e-14)
         assert (loop.gamma, loop.delta) == (1, 0)
 
     def test_state_three_targets(self):
@@ -38,7 +39,7 @@ class TestFroboseTable:
         rules = frobose_transitions("4")
         assert len(rules) == 1
         assert rules[0].dst == "4" and rules[0].dphi == 0
-        assert rules[0].cost(3, 3, ModelParams(0.2)) == 0.0
+        assert rules[0].linear_prob(3, 3, ModelParams(0.2)) == 1.0
 
     def test_each_pair_appears_once(self):
         pairs = [(r.src, r.dst) for r in FROBOSE_TABLE]
@@ -54,7 +55,7 @@ class TestFroboseTable:
             mp = ModelParams(float(rng.uniform(0.01, 0.99)))
             w, h = int(rng.integers(1, 40)), int(rng.integers(1, 40))
             for r in FROBOSE_TABLE:
-                assert r.cost(w, h, mp) >= -1e-12
+                assert r.linear_prob(w, h, mp) <= 1.0 + 1e-12
 
     def test_dag_property(self):
         # every non-absorbing transition raises phi or, at fixed phi, rank
@@ -69,18 +70,11 @@ class TestTransitionProbabilities:
         mp = ModelParams(0.3)
         w, h = 5, 7
         creation = next(r for r in frobose_transitions("0") if r.dst == "1")
-        assert transition_log_prob(creation, w, h, mp) == pytest.approx(
-            -mp.q * h, rel=1e-14)
+        assert creation.linear_prob(w, h, mp) == pytest.approx(
+            math.exp(-mp.q * h), rel=1e-14)
         deletion = next(r for r in frobose_transitions("1") if r.dst == "0")
-        assert transition_log_prob(deletion, w, h, mp) == pytest.approx(
-            math.log(mp.p) - float(f(mp.q * w)), rel=1e-14)
-
-    def test_log_and_linear_agree(self):
-        mp = ModelParams(0.37)
-        for r in FROBOSE_TABLE + TWO_NEIGHBOUR_TABLE:
-            lin = transition_linear_prob(r, 4, 9, mp)
-            logp = transition_log_prob(r, 4, 9, mp)
-            assert math.exp(logp) == pytest.approx(lin, rel=1e-12)
+        assert deletion.linear_prob(w, h, mp) == pytest.approx(
+            mp.p * math.exp(-float(f(mp.q * w))), rel=1e-14)
 
     def test_stochasticity_at_3_5(self):
         mp = ModelParams(0.2)
@@ -101,16 +95,13 @@ class TestTransitionProbabilities:
         rules = two_neighbour_transitions("0")
         assert len(rules) == 3
         creation = next(r for r in rules if r.dst == "1")
-        assert creation.cost(4, 6, mp) == pytest.approx(2 * mp.q * 6, rel=1e-14)
+        assert creation.linear_prob(4, 6, mp) == pytest.approx(
+            math.exp(-2 * mp.q * 6), rel=1e-14)
 
     def test_two_neighbour_absorbing(self):
         rules = two_neighbour_transitions("4")
-        assert len(rules) == 1 and rules[0].cost(2, 2, ModelParams(0.2)) == 0.0
-
-    def test_rejects_bad_dimensions(self):
-        r = FROBOSE_TABLE[0]
-        with pytest.raises(ValueError):
-            transition_log_prob(r, 0, 3, ModelParams(0.2))
+        assert len(rules) == 1
+        assert rules[0].linear_prob(2, 2, ModelParams(0.2)) == 1.0
 
 
 class TestDefaultThreshold:

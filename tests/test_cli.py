@@ -1,10 +1,14 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import bpdp.cli
 from bpdp import __version__
@@ -76,8 +80,54 @@ class TestPi:
         run_cli("pi", "--log2-inv-p", "2", "--csv", str(out))
         run_cli("pi", "--log2-inv-p", "3", "--csv", str(out))
         lines = out.read_text().strip().splitlines()
-        assert lines[:2] == [provenance("exact"), "log2_inv_p,p,log_pi"]
+        assert lines[:2] == [provenance("exact"), "log2_inv_p,log_pi"]
         assert len(lines) == 4
+
+    def test_csv_refuses_repeated_exponent(self, tmp_path, monkeypatch):
+        table = tmp_path / "pi.csv"
+        args = ["pi", "--log2-inv-p", "2", "--csv", str(table)]
+        assert CliRunner().invoke(bpdp.cli.cli, args).exit_code == 0
+        before = table.read_text()
+
+        def no_dp(params, **kwargs):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(bpdp.cli, "compute_pi", no_dp)
+        r = CliRunner().invoke(bpdp.cli.cli, args)
+        assert r.exit_code == 1
+        assert r.stdout == ""
+        assert r.stderr.strip().splitlines() == [
+            f"Error: {table}: already holds a row for log2_inv_p=2; "
+            "refusing to append another"]
+        assert table.read_text() == before
+
+    def test_csv_drops_cut_off_row(self, tmp_path):
+        table = tmp_path / "pi.csv"
+        for k in (2, 3):
+            r = CliRunner().invoke(bpdp.cli.cli, ["pi", "--log2-inv-p", str(k),
+                                                  "--csv", str(table)])
+            assert r.exit_code == 0, r.output
+            if k == 2:
+                head = table.read_text().splitlines(keepends=True)[:2]
+                table.write_bytes(table.read_bytes()[:-5])  # cut the k=2 row
+        lines = table.read_text().splitlines(keepends=True)
+        assert lines[:2] == head
+        assert len(lines) == 3
+        assert lines[2].startswith("3,") and lines[2].endswith("\n")
+
+    @pytest.mark.parametrize("convention", ["exact", "at-least"])
+    def test_csv_table_equals_scan_table(self, tmp_path, convention):
+        table, scan = tmp_path / "pi.csv", tmp_path / "scan.csv"
+        for k in range(2, 6):
+            r = CliRunner().invoke(bpdp.cli.cli, [
+                "pi", "--log2-inv-p", str(k), "--convention", convention,
+                "--csv", str(table)])
+            assert r.exit_code == 0, r.output
+        r = CliRunner().invoke(bpdp.cli.cli, [
+            "scan", "--log2-inv-p-range", "2..5", "--convention", convention,
+            "--output", str(scan)])
+        assert r.exit_code == 0, r.output
+        assert table.read_bytes() == scan.read_bytes()
 
     def test_csv_with_p_names_its_exponent(self, tmp_path):
         table = tmp_path / "pi.csv"
@@ -86,7 +136,7 @@ class TestPi:
             assert r.returncode == 0, r.stderr
         rows = table.read_text().splitlines()[2:]
         assert [row.split(",")[0] for row in rows] == ["2", "3", "4", "5"]
-        assert rows[0].startswith("2,0.25,")
+        assert all(row.count(",") == 1 for row in rows)
         assert run_cli("fit", "--input", str(table)).returncode == 0
 
     def test_csv_with_other_p_is_refused(self, tmp_path):
@@ -121,13 +171,19 @@ class TestPi:
         assert table.read_text() == before
 
     def test_csv_refuses_other_table(self, tmp_path):
-        table = tmp_path / "scan.csv"
-        run_cli("scan", "--log2-inv-p-range", "2..2", "--output", str(table))
+        table = tmp_path / "old.csv"
+        table.write_text(OLD_PI_TABLE)
         before = table.read_text()
         r = run_cli("pi", "--log2-inv-p", "3", "--csv", str(table))
-        assert_one_line_error(r, "scan.csv", "cannot append")
+        assert_one_line_error(r, "old.csv", "cannot append")
         assert r.stdout == ""
         assert table.read_text() == before
+
+
+# A table in the older three-column layout of `pi --csv`: `fit` reads it,
+# and appending to it is refused.
+OLD_PI_TABLE = (provenance("exact") + "\nlog2_inv_p,p,log_pi\n"
+                "2,0.25,0.85\n")
 
 
 def strict_json(text):
@@ -299,14 +355,15 @@ class TestTableInput:
     that does not parse is a one-line error naming the file and line."""
 
     def test_fit_reads_pi_csv_table(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        for k in range(2, 6):
-            assert run_cli("pi", "--log2-inv-p", str(k), "--csv",
-                           str(table)).returncode == 0
-        assert table.read_text().startswith(
-            provenance("exact") + "\nlog2_inv_p,p,log_pi\n")
+        # the old three-column layout of `pi --csv` tables
         scan = tmp_path / "scan.csv"
         run_cli("scan", "--log2-inv-p-range", "2..5", "--output", str(scan))
+        lines = scan.read_text().splitlines()
+        old = [lines[0], "log2_inv_p,p,log_pi"] + [
+            f"{k},{2.0 ** -int(k)!r},{v}"
+            for k, v in (line.split(",") for line in lines[2:])]
+        table = tmp_path / "pi.csv"
+        table.write_text("\n".join(old) + "\n")
         r = run_cli("fit", "--input", str(table))
         assert r.returncode == 0, r.stderr
         want = json.loads(run_cli("fit", "--input", str(scan)).stdout)
@@ -335,11 +392,11 @@ class TestTableInput:
 
     def test_resume_refuses_other_table(self, tmp_path):
         out = tmp_path / "pi.csv"
-        run_cli("pi", "--log2-inv-p", "2", "--csv", str(out))
+        out.write_text(OLD_PI_TABLE)
         before = out.read_text()
         r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
                     "--resume")
-        assert_one_line_error(r, "pi.csv", "cannot resume")
+        assert_one_line_error(r, "pi.csv", "cannot append")
         assert out.read_text() == before
 
 
@@ -396,3 +453,96 @@ class TestOtherCommands:
         r = run_cli("verify", "--suite", "stochasticity")
         assert r.returncode == 0
         assert "[pass]" in r.stdout
+
+
+class TestBadInput:
+    def test_out_of_range_options_are_usage_errors(self):
+        simulate = ("simulate", "--event", "O", "--width", "2", "--height",
+                    "2", "--p", "0.5", "--n", "10")
+        for args, option in [
+                (("--event", "nope"), "--event"), (("--p", "1.5"), "--p"),
+                (("--n", "0"), "--n"), (("--width", "0"), "--width")]:
+            r = run_cli(*simulate, *args)
+            assert r.returncode == 1, args
+            assert "Traceback" not in r.stderr
+            assert f"Invalid value for '{option}'" in r.stderr
+        r = run_cli("pi", "--p", "0.5", "--threshold", "1")
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "Invalid value for '--threshold'" in r.stderr
+
+
+CONVENTIONS = ("exact", "at-least")
+
+
+def fake_pi(params, **kwargs):
+    """Instant stand-in for compute_pi whose log_pi names p and the
+    convention, so a row shows which convention wrote it."""
+    log_pi = 1.0 / params.model.p + CONVENTIONS.index(params.convention) / 4
+    return PiResult(p=params.model.p, q=params.model.q,
+                    threshold=params.threshold, convention=params.convention,
+                    log_hit_prob=-log_pi, log_pi=log_pi,
+                    wall_time_seconds=0.0)
+
+
+EXPONENTS = st.integers(2, 6)
+TABLE_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("pi"), EXPONENTS, st.sampled_from(CONVENTIONS)),
+    st.tuples(st.just("scan"), EXPONENTS, EXPONENTS,
+              st.sampled_from(CONVENTIONS)),
+    st.tuples(st.just("cut"), st.integers(1, 40))), max_size=12)
+
+
+class TestTableProperties:
+    """Random sequences of `pi --csv`, `scan --resume` and cut-off last
+    lines on one file never leave a table that is corrupt or mixed."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLE_OPERATIONS)
+    def test_table_stays_valid(self, operations):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(bpdp.cli, "compute_pi", fake_pi):
+            path = os.path.join(tmp, "t.csv")
+            for op in operations:
+                before = read_bytes(path)
+                if op[0] == "cut":
+                    with open(path, "wb") as fh:
+                        fh.write(before[:-op[1]])
+                else:
+                    if op[0] == "pi":
+                        args = ["pi", "--log2-inv-p", str(op[1]),
+                                "--convention", op[2], "--csv", path]
+                    else:
+                        args = ["scan", "--log2-inv-p-range",
+                                f"{op[1]}..{op[2]}", "--convention", op[3],
+                                "--output", path, "--resume"]
+                    r = runner.invoke(bpdp.cli.cli, args)
+                    if r.exit_code == 0:
+                        assert read_bytes(path).endswith(b"\n")
+                    else:
+                        assert r.exit_code == 1, r.output
+                        assert len(r.stderr.strip().splitlines()) == 1
+                        assert read_bytes(path) == before
+                check_table(path)
+
+
+def read_bytes(path):
+    return pathlib.Path(path).read_bytes() if os.path.exists(path) else b""
+
+
+def check_table(path):
+    """The complete lines parse as one table of one convention with
+    distinct exponents."""
+    data = read_bytes(path)
+    lines = data[:data.rfind(b"\n") + 1].decode().splitlines()
+    header, rows = bpdp.cli._parse_table(path, lines)
+    assert header in (None, ("log2_inv_p", "log_pi"))
+    conventions = {line.rsplit("=", 1)[1] for line in lines
+                   if line.startswith("# bpdp ")}
+    assert len(conventions) <= 1
+    exponents = [k for k, _ in rows]
+    assert len(exponents) == len(set(exponents))
+    if rows:
+        shift = CONVENTIONS.index(conventions.pop()) / 4
+        assert all(v == 2.0 ** k + shift for k, v in rows)

@@ -387,27 +387,6 @@ class TestEstimators:
 
 
 class TestChainLatticeBridge:
-    def test_markov_factorisation(self):
-        # P(exploration from filled S ends exactly at R) equals
-        # P(crossing(S,R)) * P(state-4 frame of R empty), by independence
-        params = ModelParams(0.2)
-        S = Rectangle(0, 0, 1, 1)
-        for R in (Rectangle(0, 0, 2, 2), Rectangle(0, 0, 3, 2)):
-            box = R.expand(2)
-            frame4 = FramedRectangle(R, "4").frame_cells()
-            region = (R.cells() | frame4) - S.cells()
-
-            def ends_at_R(A):
-                traj = explore(A | S.cells(), S, box)
-                return traj[-1].state == "4" and traj[-1].rect == R
-
-            lhs = exact_event_prob(ends_at_R, region, params)
-            cross = exact_event_prob(
-                lambda A: crossing(S, R, A, "frobose"),
-                R.cells() - S.cells(), params)
-            frame_prob = (1 - params.p) ** len(frame4)
-            assert lhs == pytest.approx(cross * frame_prob, abs=1e-12)
-
     def test_exploration_matches_chain_product(self):
         # the same quantity from the transition table, summing over all
         # position-resolved trajectories ending at (R, state 4)
