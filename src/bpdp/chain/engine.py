@@ -8,23 +8,33 @@ state after all of its predecessors.  Level arrays are kept in a ring of
 max-jump-plus-one slots; memory is O(L), work is O(L^2).
 
 Probabilities fall as low as exp(-1e5), far below the smallest double, so
-each level is stored the way the scaled HMM forward algorithm stores its
-columns (Rabiner, Proc. IEEE 1989): the level's probabilities divided by
-its largest entry, with the logarithm of that divisor kept beside it.  A
-rule's probability factors into a width part and a height part, so every
-edge adds source * width factor * reversed height factor, times
-exp(source scale - target scale), into a whole target row with a few
-ufunc calls on contiguous slices.
+levels are stored scaled, as the scaled HMM forward algorithm stores its
+columns (Rabiner, Proc. IEEE 1989), with the logarithm of each level's
+scale kept beside it; but a level is filled relative to the scale of its
+newest source, and divided by its largest entry only when that entry
+leaves the band [e^-16, 1] (88 of the 6389 levels at p = 2^-9).  A rule's
+probability factors into a width part and a height part, so every edge
+adds source * width factor * reversed height factor into a whole target
+row with a few ufunc calls on contiguous slices; only an edge out of a
+level of an earlier scale also multiplies by exp(source scale - scale).
 
-Entries more than about e^-708 below their level's largest entry (below
-the smallest normal double after the division) are flushed to zero; this
-also keeps subnormal numbers, which are slow, out of the sweep.  At the
-default threshold the flushed entries are 20% of all level entries at
-p = 2^-8 and 30% at p = 2^-9; log_pi there stayed within 1.1e-13
-relative of a log-domain sweep that flushes nothing (k = 2..9).  At long
-thresholds most entries flush (67% at p = 0.5, L = 2000; 77% at p = 0.9,
-L = 800), and log_hit_prob stayed within 1e-13 absolute of that sweep.
-The flushed mass is measured, not bounded.
+Each ring slot records the contiguous width range [lo, hi) that survived
+its flush, and a level is filled only over the union of its sources'
+ranges shifted by 0 .. max dw, clipped to [1, phi); what the slot's
+previous level left outside that range is cleared first.  The column
+maxima after the fill give both the level's largest entry and its range.
+The sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
+(PiResult.cells_swept); a skipped cell would only sum zeros.
+
+Entries below the smallest normal double are flushed to zero every level,
+which also keeps slow subnormal numbers out of the sweep; as a level's
+largest entry lies in [e^-16, 1], a flushed entry is at most about e^-692
+below it.  At the default threshold the flushed entries are 20% of all
+level entries at p = 2^-8 and 30% at p = 2^-9, and log_pi stayed within
+1.1e-13 relative of a log-domain sweep that flushes nothing (k = 2..9).
+At long thresholds most entries flush (67% at p = 0.5, L = 2000; 77% at
+p = 0.9, L = 800), and log_hit_prob stayed within 4e-14 absolute of that
+sweep.  The flushed mass is measured, not bounded.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
@@ -51,6 +61,8 @@ __all__ = ["ChainParams", "PiResult", "ResourceCapError", "default_threshold",
 
 _PAD = 6
 _TINY = np.finfo(float).tiny
+# A level is rescaled when its largest entry leaves [_BAND_LOW, 1]
+_BAND_LOW = math.exp(-16.0)
 
 
 class ResourceCapError(RuntimeError):
@@ -95,6 +107,7 @@ class PiResult:
     log_pi: float
     wall_time_seconds: float
     model: str = "frobose"
+    cells_swept: int = 0    # (w, h) cells the sweep filled, over all levels
 
 
 class _Engine:
@@ -109,6 +122,7 @@ class _Engine:
         self.params = params
         self.L = threshold
         self.max_dphi = max(r.dphi for r in self.table)
+        self.max_dw = max(r.dw for r in self.table)
         self.window = self.max_dphi + 1
         self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
         est = self.window * len(states) * self.N * 8
@@ -198,21 +212,22 @@ class _Engine:
             np.multiply(out, b_rev[r0:r0 + cnt], out=out)
         return out
 
-    def _fill(self, phi: int, scale: float):
-        """Flow into target widths [1, phi) of level phi, relative to
-        exp(scale).  The first edge into a row overwrites it, so nothing
-        is cleared: a slot is fresh (zeros, plus the seed at phi = 2) until
-        phi = 2 + window, and from phi = 1 + window on every edge has a
-        source, so every row with an incoming edge is overwritten."""
+    def _fill(self, phi: int, scale: float, lo: int, hi: int):
+        """Flow into target widths [lo, hi) of level phi, relative to
+        exp(scale).  The first edge into a row overwrites [lo, hi), so
+        those entries are not cleared: a slot is fresh (zeros, plus the
+        seed at phi = 2) until phi = 2 + window, and from phi = 1 + window
+        on every edge has a source, so every row with an incoming edge is
+        overwritten.  run() clears the slot outside [lo, hi)."""
         levels, window = self._levels, self.window
         cur = levels[phi % window]
         # factor[dphi]: exp(source scale - scale), None below the seed level
         factor = [1.0] + [math.exp(self._scales[(phi - d) % window] - scale)
                           if phi - d >= 2 else None
                           for d in range(1, self.max_dphi + 1)]
-        tmp = self._tmp[:phi - 1]
+        tmp = self._tmp[:hi - lo]
         for t, edges in self._into:
-            row = cur[t, 1 + _PAD:phi + _PAD]
+            row = cur[t, lo + _PAD:hi + _PAD]
             out = row           # the first edge writes the row directly
             for edge in edges:
                 dphi = edge[0]
@@ -220,7 +235,7 @@ class _Engine:
                 if fac is None:
                     continue
                 self._edge_into(edge, levels[(phi - dphi) % window],
-                                phi - dphi, 1, out)
+                                phi - dphi, lo, out)
                 if fac != 1.0:
                     np.multiply(out, fac, out=out)
                 if out is tmp:
@@ -230,29 +245,52 @@ class _Engine:
     # -- main loop ------------------------------------------------------------
     def run(self):
         """Returns (log hit prob exact, log hit prob at-least)."""
-        L = self.L
+        L, window = self.L, self.window
+        self.cells = 0
         if L == 2:
             return 0.0, 0.0
-        self._levels = np.zeros((self.window, len(self.states), self.N))
-        self._scales = [0.0] * self.window
+        self._levels = np.zeros((window, len(self.states), self.N))
+        self._scales = [0.0] * window
+        los, his = [1] * window, [1] * window   # live widths [lo, hi) per slot
         self._tmp = np.empty(self.N)
         for phi in range(2, L):
-            slot = phi % self.window
-            live = self._levels[slot, :, 1 + _PAD:phi + _PAD]
+            slot = phi % window
+            cur = self._levels[slot]
+            # fill the union of the source levels' ranges shifted by
+            # 0 .. max dw (the other slots hold the sources, or are fresh
+            # with an empty range; this slot's previous level is marked
+            # empty), and clear what that level left outside it
+            old_lo, old_hi = los[slot], his[slot]
+            los[slot], his[slot] = L, 0
+            lo, hi = min(los), min(phi, max(his) + self.max_dw)
+            if old_lo < lo:
+                cur[:, old_lo + _PAD:lo + _PAD] = 0.0
+            if hi < old_hi:
+                cur[:, hi + _PAD:old_hi + _PAD] = 0.0
+            scale = self._scales[(phi - 1) % window]
             if phi == 2:
                 # seed; _fill then runs the seed level's creation chain
-                live[self.sidx["0"], 0] = 1.0
-                scale = 0.0
-            else:
-                scale = max(self._scales[(phi - d) % self.window]
-                            for d in range(1, self.max_dphi + 1) if phi - d >= 2)
-            self._fill(phi, scale)
-            top = live.max()
-            if top > 0.0:
+                cur[self.sidx["0"], 1 + _PAD] = 1.0
+            self._fill(phi, scale, lo, hi)
+            self.cells += hi - lo
+            live = cur[:, lo + _PAD:hi + _PAD]
+            colmax = live.max(axis=0)
+            top = colmax.max()
+            if top > 1.0 or 0.0 < top < _BAND_LOW:
                 inv = 1.0 / top
                 live *= inv
+                colmax *= inv
                 scale -= math.log(inv)      # the divisor actually applied
-                np.copyto(live, 0.0, where=live < _TINY)
+            np.copyto(live, 0.0, where=live < _TINY)
+            # the surviving columns, found by a scan from both ends: the
+            # flushed tails are a few columns, and a boolean temporary of a
+            # new length every level would grow numpy's small-buffer cache
+            a, b = 0, hi - lo
+            while a < b and colmax[a] < _TINY:
+                a += 1
+            while b > a and colmax[b - 1] < _TINY:
+                b -= 1
+            los[slot], his[slot] = lo + a, lo + b
             self._scales[slot] = scale
         return self._hits()
 
@@ -303,7 +341,7 @@ def _run(table, states, params: ChainParams, memory_cap_bytes,
         p=params.model.p, q=params.model.q, threshold=params.threshold,
         convention=params.convention, log_hit_prob=hit,
         log_pi=0.0 if hit == 0.0 else -hit / 2.0,
-        wall_time_seconds=wall, model=model_name,
+        wall_time_seconds=wall, model=model_name, cells_swept=eng.cells,
     )
 
 

@@ -17,10 +17,12 @@ header `log2_inv_p,log_pi`, then one row per exponent k.  Both check an
 existing table before any DP runs and append through one path, which
 first drops a cut-off last line.  A table of another --convention or
 another header, a malformed row, or (for `pi --csv`) a k the table already
-holds is an error that leaves the file as it was; `scan --resume` skips
-the k a table holds.  A table without the provenance line predates it and
-counts as `exact`; the log2_inv_p,p,log_pi tables `pi --csv` once wrote
-still read with `fit` but take no more rows.  A `pi --csv` row is a
+holds is an error that leaves the file as it was, and so is a path that
+cannot be opened for appending (a missing directory, or a directory);
+`scan --resume` skips the k a table holds.  A table without the
+provenance line predates it and counts as `exact`; the
+log2_inv_p,p,log_pi tables `pi --csv` once wrote still read with `fit`
+but take no more rows.  A `pi --csv` row is a
 default-threshold log Pi, so `--csv` with another --threshold is refused
 before the DP runs.  Tables streamed to stdout carry no provenance line.
 
@@ -130,10 +132,12 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
             f"--csv rows are read as log Pi at the default threshold "
             f"({default_threshold(pv)} for p={pv!r}); refusing --threshold "
             f"{threshold}")
-    if csv_path and csv_k in _table_exponents(csv_path, convention):
-        raise click.ClickException(
-            f"{csv_path}: already holds a row for log2_inv_p={csv_k}; "
-            "refusing to append another")
+    if csv_path:
+        _check_appendable(csv_path)
+        if csv_k in _table_exponents(csv_path, convention):
+            raise click.ClickException(
+                f"{csv_path}: already holds a row for log2_inv_p={csv_k}; "
+                "refusing to append another")
     params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
     result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
     if not math.isfinite(result.log_pi):
@@ -214,6 +218,18 @@ def _table_exponents(path: str, convention: str) -> set:
             f"{path}: header {','.join(header)!r} is not "
             f"{','.join(_TABLE_COLUMNS)!r}; cannot append")
     return {k for k, _ in rows}
+
+
+def _check_appendable(path: str) -> None:
+    """One-line error (exit status 1) unless path can be opened for
+    appending; run before any DP, and leaves no file behind."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "ab").close()
+    except OSError as exc:
+        raise click.FileError(path, hint=exc.strerror)
+    if not existed:
+        os.remove(path)
 
 
 def _open_table(path: str, convention: str):
@@ -301,6 +317,7 @@ def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
     if output:
+        _check_appendable(output)
         if not resume and os.path.exists(output):
             os.remove(output)
         done = _table_exponents(output, convention)
@@ -448,8 +465,13 @@ def _points(values) -> list:
     return [float(v) if math.isfinite(v) else None for v in values]
 
 
+# The crossing events C and CF need a smaller rectangle inside the region,
+# which simulate has no option for.
+_SIMULATE_EVENTS = [e for e in EVENTS if e not in ("C", "CF")]
+
+
 @cli.command("simulate")
-@click.option("--event", "event_id", type=click.Choice(EVENTS),
+@click.option("--event", "event_id", type=click.Choice(_SIMULATE_EVENTS),
               required=True, help="Rectangle event.")
 @click.option("--width", type=click.IntRange(min=1), required=True)
 @click.option("--height", type=click.IntRange(min=1), required=True)

@@ -197,6 +197,19 @@ def test_pinned_long_threshold(fn, p, L, convention, want):
     assert r.log_hit_prob == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
+def test_cells_swept():
+    # Up to L = 12 nothing is flushed, so every level is filled over all its
+    # widths; at p = 0.9, L = 800 the flushed tails leave 63% of the cells.
+    for fn in (compute_pi, compute_two_neighbour_lower_bound):
+        for L in (2, 3, 7, 12):
+            r = fn(ChainParams.from_p(0.3, threshold=L))
+            assert r.cells_swept == (L - 1) * (L - 2) // 2
+    fn, p, L, convention, want = PINNED_LONG_LOG_HIT[2]
+    r = fn(ChainParams.from_p(p, threshold=L, convention=convention))
+    assert r.cells_swept < 0.7 * (L - 1) * (L - 2) // 2
+    assert r.log_hit_prob == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 class TestBruteForceOracle:
     @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7])
     @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])

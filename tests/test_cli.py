@@ -324,8 +324,21 @@ class TestScan:
                      ("pi", "--log2-inv-p", "2", "--csv", path)):
             r = run_cli(*args)
             assert r.returncode == 1
+            assert r.stdout == ""
             assert len(r.stderr.strip().splitlines()) == 1
             assert "Traceback" not in r.stderr
+
+    def test_output_that_is_a_directory_is_one_line_error(self, tmp_path):
+        (tmp_path / "keep.csv").write_text("x\n")
+        for args in (("scan", "--log2-inv-p-range", "2..2", "--output"),
+                     ("scan", "--log2-inv-p-range", "2..2", "--resume",
+                      "--output"),
+                     ("pi", "--log2-inv-p", "2", "--csv")):
+            r = run_cli(*args, str(tmp_path))
+            assert r.stdout == ""
+            assert_one_line_error(r, str(tmp_path))
+            assert os.listdir(tmp_path) == ["keep.csv"]
+            assert (tmp_path / "keep.csv").read_text() == "x\n"
 
     def test_fit_roundtrip_matches_in_process(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -461,7 +474,8 @@ class TestBadInput:
                     "2", "--p", "0.5", "--n", "10")
         for args, option in [
                 (("--event", "nope"), "--event"), (("--p", "1.5"), "--p"),
-                (("--n", "0"), "--n"), (("--width", "0"), "--width")]:
+                (("--n", "0"), "--n"), (("--width", "0"), "--width"),
+                (("--event", "C"), "--event"), (("--event", "CF"), "--event")]:
             r = run_cli(*simulate, *args)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr
