@@ -7,16 +7,34 @@ ascending phi (and ranks in ascending order within a level) visits every
 state after all of its predecessors.  Level arrays are kept in a ring of
 max-jump-plus-one slots; memory is O(L), work is O(L^2).
 
+Everything about a table that does not depend on p is derived once, at
+import, into a _Plan: the rows a level stores, the edges into each target
+row in canonical order, the crossing edges and the distinct
+width-dependent terms.  A row that no moving rule leaves (Frobose 4;
+two-neighbour 1'', 2'' and 4) is never read, so it is not stored, filled,
+searched for the column maxima or flushed; the level storage and the
+ResourceCapError estimate count only the stored rows.
+
+A rule's probability at source (w, h) is const * a[w] * b[h], where a and
+b are products of a few terms in one integer argument n: Frobose uses
+two, 1 - e^{-qn} and e^{-qn}, and the two-neighbour excerpt about ten.  A
+call computes each distinct term once, over all n, and each rule's factor
+vector as its constant times one or two of them; rules with the same
+constant and terms share one vector.  The constant is folded into the
+width factor, or into the height factor when the rule does not depend on
+the width, and height factors are stored reversed, so every edge adds
+source * width factor * reversed height factor into a whole target row
+with a few ufunc calls on contiguous slices.
+
 Probabilities fall as low as exp(-1e5), far below the smallest double, so
 levels are stored scaled, as the scaled HMM forward algorithm stores its
 columns (Rabiner, Proc. IEEE 1989), with the logarithm of each level's
 scale kept beside it; but a level is filled relative to the scale of its
 newest source, and divided by its largest entry only when that entry
-leaves the band [e^-16, 1] (88 of the 6389 levels at p = 2^-9).  A rule's
-probability factors into a width part and a height part, so every edge
-adds source * width factor * reversed height factor into a whole target
-row with a few ufunc calls on contiguous slices; only an edge out of a
-level of an earlier scale also multiplies by exp(source scale - scale).
+leaves the band [e^-16, 1] (88 of the 6389 levels at p = 2^-9).  Only an
+edge out of a level of an earlier scale also multiplies by
+exp(source scale - scale), and those factors are recomputed only for the
+few levels after a rescale that still read a source of the earlier scale.
 
 Each ring slot records the contiguous width range [lo, hi) that survived
 its flush, and a level is filled only over the union of its sources'
@@ -39,8 +57,9 @@ sweep.  The flushed mass is measured, not bounded.
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
 source state order), so the result is bit-identical from run to run.  The
-hit probabilities come from the same edge vectors: summed per source
-level, then combined across levels in log space.
+hit probabilities come from the crossing edges out of the last max-jump
+levels: one dot product per edge over its source row's live widths,
+summed per source level, then combined across levels in log space.
 """
 
 from __future__ import annotations
@@ -108,170 +127,224 @@ class PiResult:
     wall_time_seconds: float
     model: str = "frobose"
     cells_swept: int = 0    # (w, h) cells the sweep filled, over all levels
+    prepare_seconds: float = 0.0   # factor vectors and level storage
+    sweep_seconds: float = 0.0     # the level sweep
+    hits_seconds: float = 0.0      # the hit fold out of the last levels
+    levels: int = 0                # levels swept, L - 2
+
+
+def _factor_key(rule: TransitionRule):
+    """(constant recipe, width terms, height terms) of a rule.  A term is
+    ("f", shift) for 1 - e^{-q(n+shift)} or ("q", shift, coeff) for
+    e^{-q coeff (n+shift)}, listed f-terms first, each in rule order."""
+    recipe = (rule.n_logp, rule.log4m3p,
+              tuple(shift for dim, shift in rule.f_terms if dim is None),
+              tuple((shift, coeff) for dim, shift, coeff in rule.q_terms
+                    if dim is None))
+
+    def terms(d):
+        return (tuple(("f", shift) for dim, shift in rule.f_terms if dim == d)
+                + tuple(("q", shift, coeff)
+                        for dim, shift, coeff in rule.q_terms if dim == d))
+    return recipe, terms("a"), terms("b")
+
+
+class _Plan:
+    """The p-independent part of one table's sweep.
+
+    rows: the stored frame states, those some moving rule leaves, in state
+    order.  rules, rule_factors: the moving rules (all but the absorbing
+    self-loop) and the index of each one's factor in factors, the distinct
+    (constant recipe, width terms, height terms); terms: the distinct
+    terms.  An edge is (dphi, source row, dw, dh, factor index).  into:
+    (target row, edges) per stored row in stage (rank) order, the edges in
+    canonical order: source phi ascending (dphi descending), source w
+    ascending (dw descending), source state order.  crossing: the edges
+    that raise phi, in hit-summation order (source state, table row),
+    whether or not their target row is stored.
+    """
+
+    def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
+        order = {s: i for i, s in enumerate(states)}
+        self.rules = tuple(r for r in table
+                           if not (r.src == r.dst and r.dphi == 0))
+        sources = {r.src for r in self.rules}
+        self.rows = tuple(s for s in states if s in sources)
+        row = {s: i for i, s in enumerate(self.rows)}
+        self.seed_row = row["0"]
+        self.max_dphi = max(r.dphi for r in self.rules)
+        self.max_dw = max(r.dw for r in self.rules)
+        keys = [_factor_key(r) for r in self.rules]
+        self.factors = tuple(dict.fromkeys(keys))
+        index = {key: i for i, key in enumerate(self.factors)}
+        self.rule_factors = tuple(index[key] for key in keys)
+        self.terms = tuple(dict.fromkeys(
+            term for _, a_terms, b_terms in self.factors
+            for term in a_terms + b_terms))
+        edges = [(r.dphi, row[r.src], r.dw, r.dh, fi)
+                 for r, fi in zip(self.rules, self.rule_factors)]
+        canonical = sorted(range(len(edges)), key=lambda i: (
+            -edges[i][0], -edges[i][2], order[self.rules[i].src]))
+        self.into = tuple(
+            (row[t], tuple(edges[i] for i in canonical
+                           if self.rules[i].dst == t))
+            for t in sorted(self.rows, key=RANK.__getitem__))
+        self.crossing = tuple(edges[i] for i in sorted(
+            (i for i, r in enumerate(self.rules) if r.dphi > 0),
+            key=lambda i: order[self.rules[i].src]))
+
+
+_FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
+_TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
+
+
+def _factor_vectors(plan: _Plan, params: ModelParams, N: int):
+    """(a, b_rev) per factor of the plan over n = -_PAD .. N - _PAD - 1:
+    a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the rule's probability at
+    source (w, h), and a factor the rule does not depend on is None.
+    Dummies (1) at non-positive arguments are harmless because those
+    positions only ever meet zero source entries."""
+    p, q = params.p, params.q
+    n = np.arange(-_PAD, N - _PAD, dtype=float)
+    terms = {}
+    for term in plan.terms:
+        if term[0] == "f":
+            arg = (n + term[1]) * q
+            terms[term] = np.where(arg > 0.0, -np.expm1(-np.maximum(arg, q)),
+                                   1.0)
+        else:
+            terms[term] = np.exp(-q * term[2] * np.maximum(n + term[1], 0.0))
+
+    def product(keys):
+        if not keys:
+            return None
+        out = terms[keys[0]]
+        for key in keys[1:]:
+            out = out * terms[key]
+        return out
+
+    factors = []
+    for (n_logp, log4m3p, f_shifts, q_pairs), a_keys, b_keys in plan.factors:
+        const = p ** n_logp
+        if log4m3p:
+            const *= 4.0 - 3.0 * p
+        for shift in f_shifts:
+            const *= -math.expm1(-q * shift)
+        for shift, coeff in q_pairs:
+            const *= math.exp(-q * coeff * shift)
+        a, b = product(a_keys), product(b_keys)
+        if a is None and b is not None:
+            factors.append((None, b[::-1] * const))
+            continue
+        if a is None:
+            a = np.full(N, const)
+        elif const != 1.0:
+            a = a * const
+        factors.append((a, None if b is None else b[::-1].copy()))
+    return factors
 
 
 class _Engine:
-    """Single-use DP state for one rule table at one parameter."""
+    """Single-use DP state for one plan at one parameter."""
 
-    def __init__(self, table: Sequence[TransitionRule], states: Sequence[str],
-                 params: ModelParams, threshold: int,
+    def __init__(self, plan: _Plan, params: ModelParams, threshold: int,
                  memory_cap_bytes: int = 8 << 30):
-        self.table = list(table)
-        self.states = list(states)
-        self.sidx = {s: i for i, s in enumerate(states)}
-        self.params = params
+        self.plan = plan
         self.L = threshold
-        self.max_dphi = max(r.dphi for r in self.table)
-        self.max_dw = max(r.dw for r in self.table)
-        self.window = self.max_dphi + 1
+        self.window = plan.max_dphi + 1
         self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
-        est = self.window * len(states) * self.N * 8
+        est = self.window * len(plan.rows) * self.N * 8
         if est > memory_cap_bytes:
             raise ResourceCapError(
                 f"estimated {est} bytes of level storage exceeds cap "
                 f"{memory_cap_bytes}")
-        self._prepare_vectors()
-        self._prepare_edges()
+        factors = _factor_vectors(plan, params, self.N)
+        self._into = [(t, [e[:4] + factors[e[4]] for e in edges])
+                      for t, edges in plan.into]
+        self._crossing = [e[:4] + factors[e[4]] for e in plan.crossing]
+        self._levels = np.zeros((self.window, len(plan.rows), self.N))
+        self._rows = [list(level) for level in self._levels]  # 1-D row views
+        self._tmp = np.empty(self.N)
+        self._scales = [0.0] * self.window
+        self._los, self._his = [1] * self.window, [1] * self.window
+        self.cells = 0
 
-    # -- factor precomputation ------------------------------------------------
-    def _prepare_vectors(self):
-        # A rule's probability at source (w, h) is const * a[w] * b[h].  The
-        # constant is folded into the width factor, or into the height factor
-        # when the rule does not depend on the width; a factor the rule does
-        # not depend on is None.  Height factors are stored reversed.
-        # Dummies (1) at non-positive arguments are harmless because those
-        # positions only ever meet zero source entries.
-        p, q = self.params.p, self.params.q
-        n = np.arange(-_PAD, self.N - _PAD, dtype=float)
-        self._factors = []
-        for rule in self.table:
-            const = p ** rule.n_logp
-            if rule.log4m3p:
-                const *= 4.0 - 3.0 * p
-            parts = {"a": np.ones(self.N), "b": np.ones(self.N)}
-            used = set()
-            for dim, shift in rule.f_terms:
-                if dim is None:
-                    const *= -math.expm1(-q * shift)
-                else:
-                    arg = (n + shift) * q
-                    parts[dim] *= np.where(arg > 0.0,
-                                           -np.expm1(-np.maximum(arg, q)), 1.0)
-                    used.add(dim)
-            for dim, shift, coeff in rule.q_terms:
-                if dim is None:
-                    const *= math.exp(-q * coeff * shift)
-                else:
-                    parts[dim] *= np.exp(-q * coeff * np.maximum(n + shift, 0.0))
-                    used.add(dim)
-            a = b_rev = None
-            if "b" in used:
-                b_rev = parts["b"][::-1].copy()
-            if "a" in used or b_rev is None:
-                a = parts["a"] * const
-            else:
-                b_rev *= const
-            self._factors.append((a, b_rev))
-
-    def _prepare_edges(self):
-        # _into: (target row, incoming edges) in stage order, each edge as
-        # (dphi, source row, dw, a, b_rev) and in canonical order: source phi
-        # ascending (dphi descending), source w ascending (dw descending),
-        # source state order ascending.
-        incoming = {s: [] for s in self.states}
-        for i, rule in enumerate(self.table):
-            if rule.src == rule.dst and rule.dphi == 0:
-                continue  # absorbing self-loop: excluded from reach recursion
-            incoming[rule.dst].append(i)
-        self._into = []
-        for s in sorted(self.states, key=RANK.__getitem__):
-            order = sorted(incoming[s], key=lambda i: (
-                -self.table[i].dphi, -self.table[i].dw,
-                self.sidx[self.table[i].src]))
-            self._into.append((self.sidx[s], [self._edge(i) for i in order]))
-        self.crossing = [i for i, r in enumerate(self.table) if r.dphi > 0]
-
-    def _edge(self, i: int):
-        rule = self.table[i]
-        return (rule.dphi, self.sidx[rule.src], rule.dw) + self._factors[i]
-
-    # -- per-level kernels ----------------------------------------------------
-    def _edge_into(self, edge, src, sphi: int, lo: int, out):
-        """out = flow along an edge from level sphi (stored array src, in its
-        own scale) into target widths lo .. lo + len(out) - 1."""
-        _, s, dw, a, b_rev = edge
-        cnt = len(out)
-        s0 = lo - dw + _PAD
-        vals = src[s, s0:s0 + cnt]
-        # b-indexed part: source height = sphi - (w - dw), a reversed slice
-        r0 = self.N - 1 - (sphi - lo + dw + _PAD)
-        if a is None:
-            return np.multiply(vals, b_rev[r0:r0 + cnt], out=out)
-        np.multiply(vals, a[s0:s0 + cnt], out=out)
-        if b_rev is not None:
-            np.multiply(out, b_rev[r0:r0 + cnt], out=out)
-        return out
-
-    def _fill(self, phi: int, scale: float, lo: int, hi: int):
-        """Flow into target widths [lo, hi) of level phi, relative to
-        exp(scale).  The first edge into a row overwrites [lo, hi), so
-        those entries are not cleared: a slot is fresh (zeros, plus the
-        seed at phi = 2) until phi = 2 + window, and from phi = 1 + window
-        on every edge has a source, so every row with an incoming edge is
-        overwritten.  run() clears the slot outside [lo, hi)."""
-        levels, window = self._levels, self.window
-        cur = levels[phi % window]
-        # factor[dphi]: exp(source scale - scale), None below the seed level
-        factor = [1.0] + [math.exp(self._scales[(phi - d) % window] - scale)
-                          if phi - d >= 2 else None
-                          for d in range(1, self.max_dphi + 1)]
-        tmp = self._tmp[:hi - lo]
+    # -- per-level kernel -----------------------------------------------------
+    def _fill(self, phi: int, lo: int, hi: int, factor):
+        """Flow into target widths [lo, hi) of level phi; factor[dphi] is
+        exp(source scale - scale), or None below the seed level.  The first
+        edge into a row overwrites [lo, hi), so those entries are not
+        cleared: a slot is fresh (zeros, plus the seed at phi = 2) until
+        phi = 2 + window, and from phi = 1 + window on every edge has a
+        source, so every stored row with an incoming edge is overwritten.
+        sweep() clears the slot outside [lo, hi)."""
+        rows, window = self._rows, self.window
+        mul, add = np.multiply, np.add     # positional out: cheaper calls
+        cur = rows[phi % window]
+        src = [rows[(phi - d) % window] for d in range(window)]
+        cnt = hi - lo
+        tmp = self._tmp[:cnt]
+        # an edge reads source widths from la - dw and its reversed height
+        # factor from lb + dh, where the source height is phi - dphi - w + dw
+        la = lo + _PAD
+        lb = self.N - 1 - _PAD - phi + lo
         for t, edges in self._into:
-            row = cur[t, lo + _PAD:hi + _PAD]
+            row = cur[t][la:la + cnt]
             out = row           # the first edge writes the row directly
-            for edge in edges:
-                dphi = edge[0]
+            for dphi, s, dw, dh, a, b_rev in edges:
                 fac = factor[dphi]
                 if fac is None:
                     continue
-                self._edge_into(edge, levels[(phi - dphi) % window],
-                                phi - dphi, lo, out)
+                s0 = la - dw
+                vals = src[dphi][s][s0:s0 + cnt]
+                if a is None:
+                    r0 = lb + dh
+                    mul(vals, b_rev[r0:r0 + cnt], out)
+                else:
+                    mul(vals, a[s0:s0 + cnt], out)
+                    if b_rev is not None:
+                        r0 = lb + dh
+                        mul(out, b_rev[r0:r0 + cnt], out)
                 if fac != 1.0:
-                    np.multiply(out, fac, out=out)
+                    mul(out, fac, out)
                 if out is tmp:
-                    np.add(row, tmp, out=row)
+                    add(row, tmp, row)
                 out = tmp
 
     # -- main loop ------------------------------------------------------------
-    def run(self):
-        """Returns (log hit prob exact, log hit prob at-least)."""
+    def sweep(self):
+        """Fill levels 2 .. L - 1 into the ring."""
         L, window = self.L, self.window
-        self.cells = 0
-        if L == 2:
-            return 0.0, 0.0
-        self._levels = np.zeros((window, len(self.states), self.N))
-        self._scales = [0.0] * window
-        los, his = [1] * window, [1] * window   # live widths [lo, hi) per slot
-        self._tmp = np.empty(self.N)
+        levels, scales = self._levels, self._scales
+        los, his = self._los, self._his
+        max_dw = self.plan.max_dw
+        ones = [1.0] * window
+        refresh = 1 + window    # factors are recomputed while phi < refresh
         for phi in range(2, L):
             slot = phi % window
-            cur = self._levels[slot]
+            cur = levels[slot]
             # fill the union of the source levels' ranges shifted by
             # 0 .. max dw (the other slots hold the sources, or are fresh
             # with an empty range; this slot's previous level is marked
             # empty), and clear what that level left outside it
             old_lo, old_hi = los[slot], his[slot]
             los[slot], his[slot] = L, 0
-            lo, hi = min(los), min(phi, max(his) + self.max_dw)
+            lo, hi = min(los), min(phi, max(his) + max_dw)
             if old_lo < lo:
                 cur[:, old_lo + _PAD:lo + _PAD] = 0.0
             if hi < old_hi:
                 cur[:, hi + _PAD:old_hi + _PAD] = 0.0
-            scale = self._scales[(phi - 1) % window]
+            scale = scales[(phi - 1) % window]
             if phi == 2:
                 # seed; _fill then runs the seed level's creation chain
-                cur[self.sidx["0"], 1 + _PAD] = 1.0
-            self._fill(phi, scale, lo, hi)
+                cur[self.plan.seed_row, 1 + _PAD] = 1.0
+            if phi < refresh:
+                factor = [1.0] + [math.exp(scales[(phi - d) % window] - scale)
+                                  if phi - d >= 2 else None
+                                  for d in range(1, window)]
+            else:
+                factor = ones
+            self._fill(phi, lo, hi, factor)
             self.cells += hi - lo
             live = cur[:, lo + _PAD:hi + _PAD]
             colmax = live.max(axis=0)
@@ -281,6 +354,7 @@ class _Engine:
                 live *= inv
                 colmax *= inv
                 scale -= math.log(inv)      # the divisor actually applied
+                refresh = phi + window      # its successors read both scales
             np.copyto(live, 0.0, where=live < _TINY)
             # the surviving columns, found by a scan from both ends: the
             # flushed tails are a few columns, and a boolean temporary of a
@@ -291,32 +365,42 @@ class _Engine:
             while b > a and colmax[b - 1] < _TINY:
                 b -= 1
             los[slot], his[slot] = lo + a, lo + b
-            self._scales[slot] = scale
-        return self._hits()
+            scales[slot] = scale
 
-    def _hits(self):
-        # phi only increases, so every path leaves the levels below L exactly
-        # once, along a crossing edge into a level t in L .. L+max_dphi-1:
-        # the edge vectors out of the stored levels below L are the inflow
-        # into those levels, an exact hit when t = L.  Each vector is taken
-        # over source widths 1 .. sphi-1 (target lo = 1 + dw) and summed in
-        # the canonical order (source width, source state, rule) within a
-        # level; the per-level sums are then combined in log space in
-        # ascending source phi.
-        L = self.L
+    def hits(self):
+        """Returns (log hit prob exact, log hit prob at-least).
+
+        phi only increases, so every path leaves the levels below L
+        exactly once, along a crossing edge into a level t in
+        L .. L+max_dphi-1, an exact hit when t = L.  The flow along an edge
+        out of a stored level is one dot product over the live widths of
+        its source row; within a level the edges' flows are summed in the
+        plan's crossing order, and the per-level sums are then combined in
+        log space in ascending source phi."""
+        L, N, window = self.L, self.N, self.window
+        if L == 2:
+            return 0.0, 0.0
         exact = at_least = -math.inf
-        for sphi in range(max(2, L - self.max_dphi), L):
-            src = self._levels[sphi % self.window]
-            scale = self._scales[sphi % self.window]
-            edges = [self._edge(i) for _, i in sorted(
-                (self.sidx[self.table[i].src], i) for i in self.crossing
-                if sphi + self.table[i].dphi >= L)]
-            rows = np.empty((sphi - 1, len(edges)))   # (source width, edge)
-            for j, edge in enumerate(edges):
-                self._edge_into(edge, src, sphi, 1 + edge[2], rows[:, j])
-            lands_on_L = np.array([sphi + edge[0] == L for edge in edges])
-            at_least = _log_add(at_least, rows.sum(), scale)
-            exact = _log_add(exact, rows[:, lands_on_L].sum(), scale)
+        for sphi in range(max(2, L - self.plan.max_dphi), L):
+            slot = sphi % window
+            rows, lo = self._rows[slot], self._los[slot]
+            cnt = self._his[slot] - lo
+            la, lb = lo + _PAD, N - 1 - _PAD - sphi + lo
+            on_L, past_L = [], []
+            for dphi, s, _, _, a, b_rev in self._crossing:
+                if sphi + dphi < L:
+                    continue
+                vals = rows[s][la:la + cnt]
+                if a is None:
+                    flow = vals.dot(b_rev[lb:lb + cnt])
+                elif b_rev is None:
+                    flow = vals.dot(a[la:la + cnt])
+                else:
+                    flow = (vals * a[la:la + cnt]).dot(b_rev[lb:lb + cnt])
+                (on_L if sphi + dphi == L else past_L).append(flow)
+            scale = self._scales[slot]
+            at_least = _log_add(at_least, math.fsum(on_L + past_L), scale)
+            exact = _log_add(exact, math.fsum(on_L), scale)
         return exact, at_least
 
 
@@ -329,19 +413,25 @@ def _log_add(acc: float, total: float, scale: float) -> float:
     return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
 
 
-def _run(table, states, params: ChainParams, memory_cap_bytes,
+def _run(plan: _Plan, params: ChainParams, memory_cap_bytes,
          model_name: str) -> PiResult:
     t0 = time.perf_counter()
-    eng = _Engine(table, states, params.model, params.threshold,
+    eng = _Engine(plan, params.model, params.threshold,
                   memory_cap_bytes=memory_cap_bytes)
-    hit_exact, hit_atl = eng.run()
+    t1 = time.perf_counter()
+    eng.sweep()
+    t2 = time.perf_counter()
+    hit_exact, hit_atl = eng.hits()
+    t3 = time.perf_counter()
     hit = hit_exact if params.convention == "exact" else hit_atl
-    wall = time.perf_counter() - t0
     return PiResult(
         p=params.model.p, q=params.model.q, threshold=params.threshold,
         convention=params.convention, log_hit_prob=hit,
         log_pi=0.0 if hit == 0.0 else -hit / 2.0,
-        wall_time_seconds=wall, model=model_name, cells_swept=eng.cells,
+        wall_time_seconds=time.perf_counter() - t0, model=model_name,
+        cells_swept=eng.cells, prepare_seconds=t1 - t0,
+        sweep_seconds=t2 - t1, hits_seconds=t3 - t2,
+        levels=params.threshold - 2,
     )
 
 
@@ -354,8 +444,7 @@ def compute_pi(params: ChainParams, threads: int = 1,
     on one thread and is deterministic to the bit; ``threads`` is accepted
     for callers that pass it and is ignored.
     """
-    return _run(FROBOSE_TABLE, FROBOSE_STATES, params, memory_cap_bytes,
-                "frobose")
+    return _run(_FROBOSE_PLAN, params, memory_cap_bytes, "frobose")
 
 
 def compute_two_neighbour_lower_bound(params: ChainParams, threads: int = 1,
@@ -367,5 +456,5 @@ def compute_two_neighbour_lower_bound(params: ChainParams, threads: int = 1,
     this makes no claim to equal the true two-neighbour growth scale.
     ``threads`` is ignored, as in compute_pi.
     """
-    return _run(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES, params,
-                memory_cap_bytes, "two-neighbour-lower-bound")
+    return _run(_TWO_NEIGHBOUR_PLAN, params, memory_cap_bytes,
+                "two-neighbour-lower-bound")

@@ -112,8 +112,9 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               help="Target semi-perimeter L (default ceil(2 log(1/p)/p)).")
 @click.option("--convention", type=click.Choice(["exact", "at-least"]),
               default="exact", show_default=True)
-@click.option("--memory-cap-bytes", type=int, default=8 << 30,
-              show_default=True, help="Abort before starting if the level "
+@click.option("--memory-cap-bytes", type=click.IntRange(min=1),
+              default=8 << 30, show_default=True,
+              help="Abort before starting if the level "
               "storage estimate exceeds this.")
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Append a row (log2_inv_p, log_pi) to this table; needs "

@@ -9,6 +9,7 @@ from bpdp.chain import (BRUTE_FORCE_MAX_L, ChainParams, FROBOSE_STATES,
                         compute_two_neighbour_lower_bound, default_threshold,
                         frobose_transitions, sample_trajectory,
                         two_neighbour_transitions)
+from bpdp.chain import engine
 from bpdp.special_functions import ModelParams, f
 
 
@@ -266,3 +267,54 @@ class TestTwoNeighbourLowerBound:
         r = compute_two_neighbour_lower_bound(ChainParams.from_p(0.2, threshold=20))
         assert r.model == "two-neighbour-lower-bound"
         assert r.log_hit_prob < 0.0
+
+
+class TestEnginePlan:
+    @pytest.mark.parametrize("p", [0.1, 0.5, 2.0 ** -9])
+    @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
+                                      engine._TWO_NEIGHBOUR_PLAN])
+    def test_shared_factors_equal_linear_prob(self, plan, p):
+        # The constant is folded into one of the two factor vectors, so
+        # a[w] * b[h] is the whole probability of the rule at (w, h).
+        L = 40
+        mp = ModelParams(p)
+        N = L + 2 * engine._PAD + 4
+        factors = engine._factor_vectors(plan, mp, N)
+        ws = np.arange(1, L)
+        ones = np.ones(len(ws))
+        for rule, fi in zip(plan.rules, plan.rule_factors):
+            a, b_rev = factors[fi]
+            av = ones if a is None else a[ws + engine._PAD]
+            bv = ones if b_rev is None else b_rev[N - 1 - (ws + engine._PAD)]
+            want = np.array([[rule.linear_prob(w, h, mp) for h in ws]
+                             for w in ws])
+            np.testing.assert_allclose(np.outer(av, bv), want, rtol=1e-14,
+                                       atol=0.0, err_msg=repr(rule))
+
+    def test_calls_share_no_state(self):
+        # The plans are built once, at import; a call must leave nothing
+        # behind that changes a later call, in whatever order they come.
+        keys = [(fn, p, L, conv)
+                for p in (0.1, 0.5, 0.9) for L in (2, 3, 7, 12, 400)
+                for conv in ("exact", "at-least")
+                for fn in (compute_pi, compute_two_neighbour_lower_bound)]
+
+        def run(order):
+            return {key: key[0](ChainParams.from_p(
+                key[1], threshold=key[2], convention=key[3])).log_hit_prob
+                for key in order}
+
+        shuffled = [keys[i] for i in np.random.default_rng(5).permutation(
+            len(keys))]
+        first, second = run(keys), run(shuffled)
+        assert all(first[key] == second[key] for key in keys)
+
+    @pytest.mark.parametrize("fn", [compute_pi,
+                                    compute_two_neighbour_lower_bound])
+    def test_phase_timings(self, fn):
+        for L in (2, 3, 12, 300):
+            r = fn(ChainParams.from_p(0.3, threshold=L))
+            phases = (r.prepare_seconds, r.sweep_seconds, r.hits_seconds)
+            assert min(phases) >= 0.0
+            assert sum(phases) <= r.wall_time_seconds
+            assert r.levels == L - 2

@@ -480,10 +480,14 @@ class TestBadInput:
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr
             assert f"Invalid value for '{option}'" in r.stderr
-        r = run_cli("pi", "--p", "0.5", "--threshold", "1")
-        assert r.returncode == 1
-        assert "Traceback" not in r.stderr
-        assert "Invalid value for '--threshold'" in r.stderr
+        for args, option in [
+                (("--threshold", "1"), "--threshold"),
+                (("--memory-cap-bytes", "0"), "--memory-cap-bytes"),
+                (("--memory-cap-bytes", "-1"), "--memory-cap-bytes")]:
+            r = run_cli("pi", "--p", "0.5", *args)
+            assert r.returncode == 1, args
+            assert "Traceback" not in r.stderr
+            assert f"Invalid value for '{option}'" in r.stderr
 
 
 CONVENTIONS = ("exact", "at-least")
