@@ -7,13 +7,32 @@ ascending phi (and ranks in ascending order within a level) visits every
 state after all of its predecessors.  Level arrays are kept in a ring of
 max-jump-plus-one slots; memory is O(L), work is O(L^2).
 
+The sweep runs on the quotient of the chain by the coarsest strong
+lumping of its table (Kemeny & Snell, Finite Markov Chains, 1960, 6.3),
+found at import by partition refinement (Paige & Tarjan, SIAM J. Comput.
+1987) from the rank classes: a block splits while its states differ in
+the multiset of (block of target, dw, dh, factor key) over their rules.
+Within a block every state then moves into each block, at each (dw, dh),
+with the same probability at every (w, h) and p, so the mass of
+(w, h, block) evolves as one state of it would and the hit probabilities
+are exact, not approximated.  Frobose lumps 1 with 1' and 2 with 2'; a
+block is stored as its first state, whose rules, with targets mapped to
+blocks, are the block's, and rules with the same target block, steps and
+factor key merge into one edge whose constant carries their number (3 to
+2 and 2', 3 to 1 and 1').  The two-neighbour excerpt has no lumping (1 and
+1' loop with e^{-2q} and e^{-4q}), so its plan is the table itself.  The
+brute-force oracle, the trajectory sampler and the lattice bridge keep
+the full table.
+
 Everything about a table that does not depend on p is derived once, at
-import, into a _Plan: the rows a level stores, the edges into each target
-row in canonical order, the crossing edges and the distinct
-width-dependent terms.  A row that no moving rule leaves (Frobose 4;
-two-neighbour 1'', 2'' and 4) is never read, so it is not stored, filled,
-searched for the column maxima or flushed; the level storage and the
-ResourceCapError estimate count only the stored rows.
+import, into a _Plan: the lumping, the rows a level stores, the edges
+into each target row in canonical order, the crossing edges and the
+distinct width-dependent terms.  A row that no moving rule leaves
+(Frobose 4; two-neighbour 1'', 2'' and 4) is never read, so it is not
+stored, filled, searched for the column maxima or flushed; the level
+storage and the ResourceCapError estimate count only the stored rows.
+Frobose stores 5 rows with 17 edges into them (13 crossing), against 7,
+26 and 20 unlumped; the two-neighbour plan stores 6 rows with 41 edges.
 
 A rule's probability at source (w, h) is const * a[w] * b[h], where a and
 b are products of a few terms in one integer argument n: Frobose uses
@@ -28,13 +47,12 @@ with a few ufunc calls on contiguous slices.
 
 Probabilities fall as low as exp(-1e5), far below the smallest double, so
 levels are stored scaled, as the scaled HMM forward algorithm stores its
-columns (Rabiner, Proc. IEEE 1989), with the logarithm of each level's
-scale kept beside it; but a level is filled relative to the scale of its
-newest source, and divided by its largest entry only when that entry
-leaves the band [e^-16, 1] (88 of the 6389 levels at p = 2^-9).  Only an
-edge out of a level of an earlier scale also multiplies by
-exp(source scale - scale), and those factors are recomputed only for the
-few levels after a rescale that still read a source of the earlier scale.
+columns (Rabiner, Proc. IEEE 1989), but every level in the ring shares
+one scale, whose logarithm is kept beside the ring.  A level is divided
+by its largest entry only when that entry leaves the band [e^-16, 1] (88
+of the 6389 levels at p = 2^-9), and the levels that later levels still
+read are divided (and flushed) with it, so an edge never multiplies by a
+ratio of scales.
 
 Each ring slot records the contiguous width range [lo, hi) that survived
 its flush, and a level is filled only over the union of its sources'
@@ -59,7 +77,7 @@ in a fixed canonical order (source phi ascending, source width ascending,
 source state order), so the result is bit-identical from run to run.  The
 hit probabilities come from the crossing edges out of the last max-jump
 levels: one dot product per edge over its source row's live widths,
-summed per source level, then combined across levels in log space.
+all summed at once, as those levels share the ring's scale.
 """
 
 from __future__ import annotations
@@ -133,65 +151,115 @@ class PiResult:
     levels: int = 0                # levels swept, L - 2
 
 
-def _factor_key(rule: TransitionRule):
+def _factor_key(rule: TransitionRule) -> tuple:
     """(constant recipe, width terms, height terms) of a rule.  A term is
     ("f", shift) for 1 - e^{-q(n+shift)} or ("q", shift, coeff) for
     e^{-q coeff (n+shift)}, listed f-terms first, each in rule order."""
-    recipe = (rule.n_logp, rule.log4m3p,
-              tuple(shift for dim, shift in rule.f_terms if dim is None),
-              tuple((shift, coeff) for dim, shift, coeff in rule.q_terms
-                    if dim is None))
+    f_shifts, q_pairs = [], []
+    terms = {"a": [], "b": []}
+    for dim, shift in rule.f_terms:
+        if dim is None:
+            f_shifts.append(shift)
+        else:
+            terms[dim].append(("f", shift))
+    for dim, shift, coeff in rule.q_terms:
+        if dim is None:
+            q_pairs.append((shift, coeff))
+        else:
+            terms[dim].append(("q", shift, coeff))
+    return ((rule.n_logp, rule.log4m3p, tuple(f_shifts), tuple(q_pairs)),
+            tuple(terms["a"]), tuple(terms["b"]))
 
-    def terms(d):
-        return (tuple(("f", shift) for dim, shift in rule.f_terms if dim == d)
-                + tuple(("q", shift, coeff)
-                        for dim, shift, coeff in rule.q_terms if dim == d))
-    return recipe, terms("a"), terms("b")
+
+def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
+    """The blocks of the coarsest partition of states, finer than RANK's,
+    in which all states of a block have the same multiset of (block of
+    dst, dw, dh, factor kind) over their moves, (src, dst, dw, dh, kind)
+    per table rule with kind an int naming the rule's factor key.  Each
+    state of a block then moves into each block at each (dw, dh) with the
+    same probability, at every (w, h) and p, so the chain on
+    (w, h, block) is a strong lumping of the chain on (w, h, state)
+    (Kemeny & Snell, Finite Markov Chains, 1960, 6.3) and has the same
+    hit probabilities.  Found by partition refinement: split every block
+    by that multiset until nothing splits."""
+    out = {s: [] for s in states}
+    for src, *move in moves:
+        out[src].append(move)
+    block, count = RANK, len({RANK[s] for s in states})
+    while True:
+        ids = {}
+        split = {s: ids.setdefault((block[s], tuple(sorted(
+            (block[dst], dw, dh, kind) for dst, dw, dh, kind in out[s]))),
+            len(ids)) for s in states}
+        if len(ids) == count:
+            break
+        block, count = split, len(ids)
+    blocks = {}
+    for s in states:
+        blocks.setdefault(block[s], []).append(s)
+    return tuple(tuple(members) for members in blocks.values())
 
 
 class _Plan:
-    """The p-independent part of one table's sweep.
+    """The p-independent part of one table's sweep, on the table's
+    coarsest strong lumping.
 
-    rows: the stored frame states, those some moving rule leaves, in state
-    order.  rules, rule_factors: the moving rules (all but the absorbing
-    self-loop) and the index of each one's factor in factors, the distinct
-    (constant recipe, width terms, height terms); terms: the distinct
+    blocks: the lumping's classes of frame states, each in state order,
+    ordered by their first state, which stands for the block.  rows: the
+    stored blocks, those some moving rule leaves, in state order.  lumped:
+    (member rules, factor index) per edge of the quotient; the members are
+    the moving rules (all but the absorbing self-loop) out of the block's
+    first state into one block at one (dw, dh) with one factor key, in
+    table order, and the edge's probability is the sum of theirs.
+    factors: the distinct (multiplicity, factor key); terms: the distinct
     terms.  An edge is (dphi, source row, dw, dh, factor index).  into:
     (target row, edges) per stored row in stage (rank) order, the edges in
     canonical order: source phi ascending (dphi descending), source w
     ascending (dw descending), source state order.  crossing: the edges
-    that raise phi, in hit-summation order (source state, table row),
+    that raise phi, in hit-summation order (source state, table order),
     whether or not their target row is stored.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
         order = {s: i for i, s in enumerate(states)}
-        self.rules = tuple(r for r in table
-                           if not (r.src == r.dst and r.dphi == 0))
-        sources = {r.src for r in self.rules}
+        keys = [_factor_key(r) for r in table]
+        kinds = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        moves = [(r.src, r.dst, r.dw, r.dh, kinds[key])
+                 for r, key in zip(table, keys)]
+        self.blocks = _coarsest_lumping(states, moves)
+        name = {s: block[0] for block in self.blocks for s in block}
+        merged = {}     # the quotient's edges, each with its member rules
+        for r, (src, dst, dw, dh, kind) in zip(table, moves):
+            if name[src] == src and not (src == dst and dw + dh == 0):
+                merged.setdefault((src, name[dst], dw, dh, kind),
+                                  []).append(r)
+        sources = {src for src, *_ in merged}
         self.rows = tuple(s for s in states if s in sources)
         row = {s: i for i, s in enumerate(self.rows)}
         self.seed_row = row["0"]
-        self.max_dphi = max(r.dphi for r in self.rules)
-        self.max_dw = max(r.dw for r in self.rules)
-        keys = [_factor_key(r) for r in self.rules]
-        self.factors = tuple(dict.fromkeys(keys))
-        index = {key: i for i, key in enumerate(self.factors)}
-        self.rule_factors = tuple(index[key] for key in keys)
+        self.max_dphi = max(dw + dh for _, _, dw, dh, _ in merged)
+        self.max_dw = max(dw for _, _, dw, _, _ in merged)
+        index = {}
+        self.lumped = tuple(
+            (tuple(rules), index.setdefault((len(rules), kind), len(index)))
+            for (*_, kind), rules in merged.items())
+        key_of = list(kinds)
+        self.factors = tuple((mult, key_of[kind]) for mult, kind in index)
         self.terms = tuple(dict.fromkeys(
-            term for _, a_terms, b_terms in self.factors
+            term for _, (_, a_terms, b_terms) in self.factors
             for term in a_terms + b_terms))
-        edges = [(r.dphi, row[r.src], r.dw, r.dh, fi)
-                 for r, fi in zip(self.rules, self.rule_factors)]
+        edges = [(dw + dh, row[src], dw, dh, fi)
+                 for (src, _, dw, dh, _), (_, fi) in zip(merged, self.lumped)]
+        srcs = [order[src] for src, *_ in merged]
+        dsts = [dst for _, dst, *_ in merged]
         canonical = sorted(range(len(edges)), key=lambda i: (
-            -edges[i][0], -edges[i][2], order[self.rules[i].src]))
+            -edges[i][0], -edges[i][2], srcs[i]))
         self.into = tuple(
-            (row[t], tuple(edges[i] for i in canonical
-                           if self.rules[i].dst == t))
+            (row[t], tuple(edges[i] for i in canonical if dsts[i] == t))
             for t in sorted(self.rows, key=RANK.__getitem__))
         self.crossing = tuple(edges[i] for i in sorted(
-            (i for i, r in enumerate(self.rules) if r.dphi > 0),
-            key=lambda i: order[self.rules[i].src]))
+            (i for i, e in enumerate(edges) if e[0] > 0),
+            key=srcs.__getitem__))
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
@@ -224,8 +292,9 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int):
         return out
 
     factors = []
-    for (n_logp, log4m3p, f_shifts, q_pairs), a_keys, b_keys in plan.factors:
-        const = p ** n_logp
+    for mult, ((n_logp, log4m3p, f_shifts, q_pairs), a_keys,
+               b_keys) in plan.factors:
+        const = mult * p ** n_logp
         if log4m3p:
             const *= 4.0 - 3.0 * p
         for shift in f_shifts:
@@ -265,19 +334,20 @@ class _Engine:
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
         self._rows = [list(level) for level in self._levels]  # 1-D row views
         self._tmp = np.empty(self.N)
-        self._scales = [0.0] * self.window
         self._los, self._his = [1] * self.window, [1] * self.window
+        self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = 0
 
     # -- per-level kernel -----------------------------------------------------
-    def _fill(self, phi: int, lo: int, hi: int, factor):
-        """Flow into target widths [lo, hi) of level phi; factor[dphi] is
-        exp(source scale - scale), or None below the seed level.  The first
-        edge into a row overwrites [lo, hi), so those entries are not
-        cleared: a slot is fresh (zeros, plus the seed at phi = 2) until
-        phi = 2 + window, and from phi = 1 + window on every edge has a
-        source, so every stored row with an incoming edge is overwritten.
-        sweep() clears the slot outside [lo, hi)."""
+    def _fill(self, phi: int, lo: int, hi: int, into):
+        """Flow along the edges of into into target widths [lo, hi) of
+        level phi.  The first edge into a row overwrites [lo, hi), so those
+        entries are not cleared: a slot is fresh (zeros) until
+        phi = 2 + window, and below phi = 1 + window into holds only the
+        edges out of levels 2 .. phi, so none overwrites the seed; from
+        there on every edge has a source, so every stored row with an
+        incoming edge is overwritten.  sweep() clears the slot outside
+        [lo, hi)."""
         rows, window = self._rows, self.window
         mul, add = np.multiply, np.add     # positional out: cheaper calls
         cur = rows[phi % window]
@@ -288,13 +358,10 @@ class _Engine:
         # factor from lb + dh, where the source height is phi - dphi - w + dw
         la = lo + _PAD
         lb = self.N - 1 - _PAD - phi + lo
-        for t, edges in self._into:
+        for t, edges in into:
             row = cur[t][la:la + cnt]
             out = row           # the first edge writes the row directly
             for dphi, s, dw, dh, a, b_rev in edges:
-                fac = factor[dphi]
-                if fac is None:
-                    continue
                 s0 = la - dw
                 vals = src[dphi][s][s0:s0 + cnt]
                 if a is None:
@@ -305,8 +372,6 @@ class _Engine:
                     if b_rev is not None:
                         r0 = lb + dh
                         mul(out, b_rev[r0:r0 + cnt], out)
-                if fac != 1.0:
-                    mul(out, fac, out)
                 if out is tmp:
                     add(row, tmp, row)
                 out = tmp
@@ -315,11 +380,8 @@ class _Engine:
     def sweep(self):
         """Fill levels 2 .. L - 1 into the ring."""
         L, window = self.L, self.window
-        levels, scales = self._levels, self._scales
-        los, his = self._los, self._his
+        levels, los, his = self._levels, self._los, self._his
         max_dw = self.plan.max_dw
-        ones = [1.0] * window
-        refresh = 1 + window    # factors are recomputed while phi < refresh
         for phi in range(2, L):
             slot = phi % window
             cur = levels[slot]
@@ -334,17 +396,17 @@ class _Engine:
                 cur[:, old_lo + _PAD:lo + _PAD] = 0.0
             if hi < old_hi:
                 cur[:, hi + _PAD:old_hi + _PAD] = 0.0
-            scale = scales[(phi - 1) % window]
             if phi == 2:
-                # seed; _fill then runs the seed level's creation chain
                 cur[self.plan.seed_row, 1 + _PAD] = 1.0
-            if phi < refresh:
-                factor = [1.0] + [math.exp(scales[(phi - d) % window] - scale)
-                                  if phi - d >= 2 else None
-                                  for d in range(1, window)]
+            if phi <= window:
+                # no level lies below the seed: skip the edges out of
+                # those slots (which would only add zeros), so that none
+                # overwrites the seed
+                into = [(t, [e for e in edges if e[0] <= phi - 2])
+                        for t, edges in self._into]
             else:
-                factor = ones
-            self._fill(phi, lo, hi, factor)
+                into = self._into
+            self._fill(phi, lo, hi, into)
             self.cells += hi - lo
             live = cur[:, lo + _PAD:hi + _PAD]
             colmax = live.max(axis=0)
@@ -353,8 +415,14 @@ class _Engine:
                 inv = 1.0 / top
                 live *= inv
                 colmax *= inv
-                scale -= math.log(inv)      # the divisor actually applied
-                refresh = phi + window      # its successors read both scales
+                self.scale -= math.log(inv)     # the divisor actually applied
+                # and so are the levels that later levels still read, so
+                # the ring keeps one scale
+                for d in range(1, window - 1):
+                    s = (phi - d) % window
+                    held = levels[s][:, los[s] + _PAD:his[s] + _PAD]
+                    held *= inv
+                    np.copyto(held, 0.0, where=held < _TINY)
             np.copyto(live, 0.0, where=live < _TINY)
             # the surviving columns, found by a scan from both ends: the
             # flushed tails are a few columns, and a boolean temporary of a
@@ -365,7 +433,6 @@ class _Engine:
             while b > a and colmax[b - 1] < _TINY:
                 b -= 1
             los[slot], his[slot] = lo + a, lo + b
-            scales[slot] = scale
 
     def hits(self):
         """Returns (log hit prob exact, log hit prob at-least).
@@ -374,19 +441,18 @@ class _Engine:
         exactly once, along a crossing edge into a level t in
         L .. L+max_dphi-1, an exact hit when t = L.  The flow along an edge
         out of a stored level is one dot product over the live widths of
-        its source row; within a level the edges' flows are summed in the
-        plan's crossing order, and the per-level sums are then combined in
-        log space in ascending source phi."""
+        its source row, taken in ascending source phi and, within a level,
+        in the plan's crossing order; the levels share one scale, so the
+        flows are summed once."""
         L, N, window = self.L, self.N, self.window
         if L == 2:
             return 0.0, 0.0
-        exact = at_least = -math.inf
+        on_L, past_L = [], []
         for sphi in range(max(2, L - self.plan.max_dphi), L):
             slot = sphi % window
             rows, lo = self._rows[slot], self._los[slot]
             cnt = self._his[slot] - lo
             la, lb = lo + _PAD, N - 1 - _PAD - sphi + lo
-            on_L, past_L = [], []
             for dphi, s, _, _, a, b_rev in self._crossing:
                 if sphi + dphi < L:
                     continue
@@ -398,19 +464,13 @@ class _Engine:
                 else:
                     flow = (vals * a[la:la + cnt]).dot(b_rev[lb:lb + cnt])
                 (on_L if sphi + dphi == L else past_L).append(flow)
-            scale = self._scales[slot]
-            at_least = _log_add(at_least, math.fsum(on_L + past_L), scale)
-            exact = _log_add(exact, math.fsum(on_L), scale)
-        return exact, at_least
+        return (_log_scaled(math.fsum(on_L), self.scale),
+                _log_scaled(math.fsum(on_L + past_L), self.scale))
 
 
-def _log_add(acc: float, total: float, scale: float) -> float:
-    """log(exp(acc) + total * exp(scale)) for total >= 0."""
-    if total <= 0.0:
-        return acc
-    x = math.log(total) + scale
-    hi, lo = max(acc, x), min(acc, x)
-    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+def _log_scaled(total: float, scale: float) -> float:
+    """log(total * exp(scale)) for total >= 0."""
+    return math.log(total) + scale if total > 0.0 else -math.inf
 
 
 def _run(plan: _Plan, params: ChainParams, memory_cap_bytes,

@@ -149,6 +149,10 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         "p": result.p, "q": result.q, "L": result.threshold,
         "convention": result.convention,
         "log_hit_prob": result.log_hit_prob, "log_pi": result.log_pi,
+        "levels": result.levels, "cells_swept": result.cells_swept,
+        "prepare_seconds": result.prepare_seconds,
+        "sweep_seconds": result.sweep_seconds,
+        "hits_seconds": result.hits_seconds,
     }
     _emit_record("pi", {
         "p": pv, "log2_inv_p": log2_inv_p, "threshold": params.threshold,

@@ -5,7 +5,8 @@ import pytest
 
 from bpdp.chain import (BRUTE_FORCE_MAX_L, ChainParams, FROBOSE_STATES,
                         FROBOSE_TABLE, RANK, ResourceCapError,
-                        TWO_NEIGHBOUR_TABLE, brute_force_hit_prob, compute_pi,
+                        TWO_NEIGHBOUR_STATES, TWO_NEIGHBOUR_TABLE,
+                        brute_force_hit_prob, compute_pi,
                         compute_two_neighbour_lower_bound, default_threshold,
                         frobose_transitions, sample_trajectory,
                         two_neighbour_transitions)
@@ -269,27 +270,76 @@ class TestTwoNeighbourLowerBound:
         assert r.log_hit_prob < 0.0
 
 
+class TestLumping:
+    """The engine sweeps the coarsest strong lumping of each table."""
+
+    def test_frobose_blocks(self):
+        plan = engine._FROBOSE_PLAN
+        assert plan.blocks == (("0",), ("1", "1'"), ("1''",), ("2", "2'"),
+                               ("3",), ("4",))
+        assert plan.rows == ("0", "1", "1''", "2", "3")
+        assert sum(len(edges) for _, edges in plan.into) == 17
+        assert len(plan.crossing) == 13
+
+    def test_two_neighbour_is_not_lumped(self):
+        # 1 and 1' loop with e^{-2q} and e^{-4q}
+        plan = engine._TWO_NEIGHBOUR_PLAN
+        assert plan.blocks == tuple((s,) for s in TWO_NEIGHBOUR_STATES)
+        assert all(len(members) == 1 for members, _ in plan.lumped)
+
+    @pytest.mark.parametrize("plan, table", [
+        (engine._FROBOSE_PLAN, FROBOSE_TABLE),
+        (engine._TWO_NEIGHBOUR_PLAN, TWO_NEIGHBOUR_TABLE)],
+        ids=["frobose", "two_neighbour"])
+    def test_blocks_are_strongly_lumpable(self, plan, table):
+        # From the rules alone: every state of a block moves into each
+        # block at each (dw, dh) with its first state's probability.
+        block_of = {s: block[0] for block in plan.blocks for s in block}
+
+        def flows(s, w, h, mp):
+            out = {}
+            for r in table:
+                if r.src == s:
+                    key = (block_of[r.dst], r.dw, r.dh)
+                    out[key] = out.get(key, 0.0) + r.linear_prob(w, h, mp)
+            return out
+
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            w, h = (int(x) for x in rng.integers(1, 200, size=2))
+            mp = ModelParams(float(rng.uniform(0.01, 0.99)))
+            for block in plan.blocks:
+                want = flows(block[0], w, h, mp)
+                for s in block[1:]:
+                    got = flows(s, w, h, mp)
+                    assert got.keys() == want.keys(), (s, w, h)
+                    for key, prob in want.items():
+                        assert got[key] == pytest.approx(prob, rel=1e-14,
+                                                         abs=0.0), (s, key)
+
+
 class TestEnginePlan:
     @pytest.mark.parametrize("p", [0.1, 0.5, 2.0 ** -9])
     @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
                                       engine._TWO_NEIGHBOUR_PLAN])
     def test_shared_factors_equal_linear_prob(self, plan, p):
-        # The constant is folded into one of the two factor vectors, so
-        # a[w] * b[h] is the whole probability of the rule at (w, h).
+        # The constant and the edge's multiplicity are folded into one of
+        # the two factor vectors, so a[w] * b[h] is the summed probability
+        # of the lumped edge's member rules at (w, h).
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
         factors = engine._factor_vectors(plan, mp, N)
         ws = np.arange(1, L)
         ones = np.ones(len(ws))
-        for rule, fi in zip(plan.rules, plan.rule_factors):
+        for members, fi in plan.lumped:
             a, b_rev = factors[fi]
             av = ones if a is None else a[ws + engine._PAD]
             bv = ones if b_rev is None else b_rev[N - 1 - (ws + engine._PAD)]
-            want = np.array([[rule.linear_prob(w, h, mp) for h in ws]
-                             for w in ws])
+            want = np.array([[sum(r.linear_prob(w, h, mp) for r in members)
+                              for h in ws] for w in ws])
             np.testing.assert_allclose(np.outer(av, bv), want, rtol=1e-14,
-                                       atol=0.0, err_msg=repr(rule))
+                                       atol=0.0, err_msg=repr(members))
 
     def test_calls_share_no_state(self):
         # The plans are built once, at import; a call must leave nothing

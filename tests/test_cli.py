@@ -15,6 +15,8 @@ from bpdp import __version__
 from bpdp.chain import PiResult
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
+# the timed phases of a pi record's outputs
+PHASE_KEYS = ("prepare_seconds", "sweep_seconds", "hits_seconds")
 
 
 def provenance(convention):
@@ -42,6 +44,23 @@ class TestPi:
         assert "log_pi" in rec["outputs"]
         assert "wall_time_seconds" in rec and "tool_version" in rec
 
+    def test_record_keys(self):
+        rec = json.loads(run_cli("pi", "--log2-inv-p", "3").stdout)
+        assert set(rec) == {"command", "parameters", "outputs",
+                            "wall_time_seconds", "tool_version"}
+        assert set(rec["parameters"]) == {"p", "log2_inv_p", "threshold",
+                                          "convention"}
+        assert set(rec["outputs"]) == {
+            "p", "q", "L", "convention", "log_hit_prob", "log_pi", "levels",
+            "cells_swept", "prepare_seconds", "sweep_seconds",
+            "hits_seconds"}
+        out = rec["outputs"]
+        assert out["levels"] == out["L"] - 2 == 32
+        assert 0 < out["cells_swept"] <= (out["L"] - 1) * (out["L"] - 2) // 2
+        phases = [out[key] for key in PHASE_KEYS]
+        assert min(phases) >= 0.0
+        assert sum(phases) <= rec["wall_time_seconds"]
+
     def test_trivial_threshold(self):
         r = run_cli("pi", "--p", "0.9", "--threshold", "2")
         rec = json.loads(r.stdout)
@@ -50,8 +69,10 @@ class TestPi:
     def test_deterministic_apart_from_wall_time(self):
         a = json.loads(run_cli("pi", "--log2-inv-p", "3").stdout)
         b = json.loads(run_cli("pi", "--log2-inv-p", "3").stdout)
-        a.pop("wall_time_seconds")
-        b.pop("wall_time_seconds")
+        for rec in (a, b):
+            rec.pop("wall_time_seconds")
+            for key in PHASE_KEYS:
+                rec["outputs"].pop(key)
         assert a == b
 
     def test_usage_error_exit_1(self):
