@@ -4,7 +4,7 @@ from .engine import (ChainParams, PiResult, ResourceCapError,
                      compute_pi, compute_two_neighbour_lower_bound,
                      default_threshold)
 from .oracle import BRUTE_FORCE_MAX_L, brute_force_hit_prob, sample_trajectory
-from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK,
+from .rules import (FRAME_BUFFERS, FROBOSE_STATES, FROBOSE_TABLE, RANK,
                     TWO_NEIGHBOUR_STATES, TWO_NEIGHBOUR_TABLE,
                     TransitionRule, frobose_transitions,
                     two_neighbour_transitions)
@@ -13,7 +13,7 @@ __all__ = [
     "ChainParams", "PiResult", "ResourceCapError", "compute_pi",
     "compute_two_neighbour_lower_bound", "default_threshold",
     "BRUTE_FORCE_MAX_L", "brute_force_hit_prob", "sample_trajectory",
-    "FROBOSE_STATES", "FROBOSE_TABLE", "RANK", "TWO_NEIGHBOUR_STATES",
-    "TWO_NEIGHBOUR_TABLE", "TransitionRule", "frobose_transitions",
-    "two_neighbour_transitions",
+    "FRAME_BUFFERS", "FROBOSE_STATES", "FROBOSE_TABLE", "RANK",
+    "TWO_NEIGHBOUR_STATES", "TWO_NEIGHBOUR_TABLE", "TransitionRule",
+    "frobose_transitions", "two_neighbour_transitions",
 ]

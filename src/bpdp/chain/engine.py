@@ -65,12 +65,13 @@ The sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
 Entries below the smallest normal double are flushed to zero every level,
 which also keeps slow subnormal numbers out of the sweep; as a level's
 largest entry lies in [e^-16, 1], a flushed entry is at most about e^-692
-below it.  At the default threshold the flushed entries are 20% of all
-level entries at p = 2^-8 and 30% at p = 2^-9, and log_pi stayed within
-1.1e-13 relative of a log-domain sweep that flushes nothing (k = 2..9).
-At long thresholds most entries flush (67% at p = 0.5, L = 2000; 77% at
-p = 0.9, L = 800), and log_hit_prob stayed within 4e-14 absolute of that
-sweep.  The flushed mass is measured, not bounded.
+below it.  Counted over all levels as the share of each level's
+live-window entries that lie below the smallest normal double after its
+fill, the sweep flushes 0.3% at p = 2^-8 and 0.2% at p = 2^-9, and log_pi
+stayed within 1.1e-13 relative of a log-domain sweep that flushes nothing
+(k = 2..9).  At long thresholds about half flush (46% at p = 0.5,
+L = 2000; 51% at p = 0.9, L = 800), and log_hit_prob stayed within 4e-14
+absolute of that sweep.  The flushed mass is measured, not bounded.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
@@ -507,14 +508,14 @@ def compute_pi(params: ChainParams, threads: int = 1,
     return _run(_FROBOSE_PLAN, params, memory_cap_bytes, "frobose")
 
 
-def compute_two_neighbour_lower_bound(params: ChainParams, threads: int = 1,
+def compute_two_neighbour_lower_bound(params: ChainParams,
                                       memory_cap_bytes: int = 8 << 30) -> PiResult:
     """Same computation over the published two-neighbour rows.
 
     The published table is sub-stochastic (it is an excerpt), so the hit
     probability is a lower bound and the returned log_pi an upper bound;
-    this makes no claim to equal the true two-neighbour growth scale.
-    ``threads`` is ignored, as in compute_pi.
+    this makes no claim to equal the true two-neighbour growth scale.  The
+    sweep is compute_pi's, on one thread and deterministic to the bit.
     """
     return _run(_TWO_NEIGHBOUR_PLAN, params, memory_cap_bytes,
                 "two-neighbour-lower-bound")

@@ -30,16 +30,16 @@ ProjectedState = Tuple[int, int, str]
 _RULES_BY_SRC = {s: frobose_transitions(s) for s in FROBOSE_STATES if s != "4"}
 
 
-def brute_force_hit_prob(params: ChainParams,
-                         max_threshold: int = BRUTE_FORCE_MAX_L) -> float:
+def brute_force_hit_prob(params: ChainParams) -> float:
     """log P(hit) by exhaustive recursion over all trajectories.
 
     Same semantics as compute_pi (convention included), evaluated without
-    any shared state tables.  Rejects thresholds beyond max_threshold.
+    any shared state tables.  Rejects thresholds beyond BRUTE_FORCE_MAX_L.
     """
     L = params.threshold
-    if L > max_threshold:
-        raise ValueError(f"threshold {L} exceeds brute-force bound {max_threshold}")
+    if L > BRUTE_FORCE_MAX_L:
+        raise ValueError(
+            f"threshold {L} exceeds brute-force bound {BRUTE_FORCE_MAX_L}")
     if L == 2:
         return 0.0
     model = params.model

@@ -23,7 +23,7 @@ from ..special_functions import ModelParams
 
 __all__ = [
     "FrameState", "TransitionRule", "FROBOSE_STATES", "TWO_NEIGHBOUR_STATES",
-    "RANK", "frobose_transitions", "two_neighbour_transitions",
+    "FRAME_BUFFERS", "RANK", "frobose_transitions", "two_neighbour_transitions",
     "FROBOSE_TABLE", "TWO_NEIGHBOUR_TABLE",
 ]
 
@@ -34,14 +34,16 @@ TWO_NEIGHBOUR_STATES: Tuple[FrameState, ...] = (
     "0", "1", "1'", "1''", "2", "2'", "2''", "3", "4"
 )
 
-# Rank = number of revealed buffers; creations raise it at fixed dimensions.
-RANK = {
-    "0": 0,
-    "1": 1, "1'": 1, "1''": 1,
-    "2": 2, "2'": 2, "2''": 2,
-    "3": 3,
-    "4": 4,
+# The side buffers each frame state has revealed empty: right, up, left,
+# down.  A buffer creation adds one at fixed dimensions.
+FRAME_BUFFERS = {
+    "0": (), "1": ("r",), "1'": ("l",), "1''": ("u",),
+    "2": ("r", "u"), "2'": ("u", "l"), "2''": ("r", "l"),
+    "3": ("r", "u", "l"), "4": ("r", "u", "l", "d"),
 }
+
+# Rank = number of revealed buffers; creations raise it at fixed dimensions.
+RANK = {s: len(buffers) for s, buffers in FRAME_BUFFERS.items()}
 
 
 @dataclass(frozen=True)

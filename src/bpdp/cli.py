@@ -47,7 +47,8 @@ import numpy as np
 from . import __version__
 from .chain import (ChainParams, ResourceCapError, compute_pi,
                     default_threshold)
-from .fitting import (PiDataset, fit_first_order, fit_first_order_fixed_alpha,
+from .fitting import (LAMBDA1_F, LAMBDA2_F, FitError, PiDataset,
+                      fit_first_order, fit_first_order_fixed_alpha,
                       fit_four_param, fit_second_order,
                       fit_second_order_fixed_beta, fit_third_order)
 from .lattice_sim import EVENTS, Rectangle, event_holds, mc_estimate
@@ -421,7 +422,6 @@ def cmd_fit(input_path):
         data = PiDataset(tuple(rows))
     except ValueError as exc:
         raise click.ClickException(f"{input_path}: {exc}") from None
-    from .fitting import FitError
 
     def attempt(fn):
         try:
@@ -444,23 +444,21 @@ def cmd_fit(input_path):
 
 def _figure_coordinates(data: PiDataset) -> dict:
     """Plot-ready transformed coordinates for the standard figures."""
-    import numpy as _np
-    from .fitting import LAMBDA1_F, LAMBDA2_F
     x = data.log_inv_p
     p = data.p
     y = data.log_pi
     res1 = LAMBDA1_F / p - y
-    res2 = y - LAMBDA1_F / p + LAMBDA2_F / _np.sqrt(p)
+    res2 = y - LAMBDA1_F / p + LAMBDA2_F / np.sqrt(p)
     return {
         "leading": {"x_log_inv_p": _points(x), "y_p_log_pi": _points(p * y)},
         "loglog": {"x_log_inv_p": _points(x),
-                   "y_log_log_pi": _points(_np.log(y))},
+                   "y_log_log_pi": _points(np.log(y))},
         "second_order": {"x_log_inv_p": _points(x),
-                         "y_log_residual": _points(_np.log(res1))},
-        "second_order_sqrt": {"x_inv_sqrt_p": _points(1.0 / _np.sqrt(p)),
+                         "y_log_residual": _points(np.log(res1))},
+        "second_order_sqrt": {"x_inv_sqrt_p": _points(1.0 / np.sqrt(p)),
                               "y_residual": _points(res1)},
         "third_order": {"x_log_inv_p": _points(x),
-                        "y_log_residual": _points(_np.log(res2))},
+                        "y_log_residual": _points(np.log(res2))},
     }
 
 
@@ -470,13 +468,8 @@ def _points(values) -> list:
     return [float(v) if math.isfinite(v) else None for v in values]
 
 
-# The crossing events C and CF need a smaller rectangle inside the region,
-# which simulate has no option for.
-_SIMULATE_EVENTS = [e for e in EVENTS if e not in ("C", "CF")]
-
-
 @cli.command("simulate")
-@click.option("--event", "event_id", type=click.Choice(_SIMULATE_EVENTS),
+@click.option("--event", "event_id", type=click.Choice(list(EVENTS)),
               required=True, help="Rectangle event.")
 @click.option("--width", type=click.IntRange(min=1), required=True)
 @click.option("--height", type=click.IntRange(min=1), required=True)

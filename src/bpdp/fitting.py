@@ -8,8 +8,9 @@ first-order term, then lambda2 with beta fixed at 1/2, then the third
 order exponent against the exact first two terms.  A four-point
 simultaneous fit solves for all four parameters at once.
 
-All regressions use the last k data points (k = 3 unless noted) and are
-deterministic: same input, bit-identical output.
+The regressions use the last K_LAST = 3 data points and the four-point
+fit the last four; all are deterministic: same input, bit-identical
+output.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 LAMBDA1_F = math.pi ** 2 / 6.0
 LAMBDA2_F = math.pi * math.sqrt(2.0 + math.sqrt(2.0))
+K_LAST = 3
 
 __all__ = [
     "PiDataset", "linreg",
@@ -83,17 +85,17 @@ def linreg(points: Sequence[Tuple[float, float]], k_last: int) -> dict:
     return {"slope": slope, "intercept": ybar - slope * xbar}
 
 
-def fit_first_order(data: PiDataset, k_last: int = 3) -> dict:
+def fit_first_order(data: PiDataset) -> dict:
     """Regress log log Pi on log(1/p): slope estimates alpha, the
     exponentiated intercept estimates lambda1."""
     pts = list(zip(data.log_inv_p, np.log(data.log_pi)))
-    r = linreg(pts, k_last)
+    r = linreg(pts, K_LAST)
     return {"alpha": r["slope"], "lambda1": math.exp(r["intercept"])}
 
 
-def fit_first_order_fixed_alpha(data: PiDataset, k_last: int = 3) -> dict:
+def fit_first_order_fixed_alpha(data: PiDataset) -> dict:
     """Regress log Pi on 1/p (alpha fixed at 1): slope estimates lambda1."""
-    r = linreg(list(zip(1.0 / data.p, data.log_pi)), k_last)
+    r = linreg(list(zip(1.0 / data.p, data.log_pi)), K_LAST)
     return {"lambda1": r["slope"]}
 
 
@@ -104,29 +106,29 @@ def _second_order_residual(data: PiDataset) -> np.ndarray:
     return res
 
 
-def fit_second_order(data: PiDataset, k_last: int = 3) -> dict:
+def fit_second_order(data: PiDataset) -> dict:
     """Regress log(lambda1/p - log Pi) on log(1/p): slope estimates beta,
     exponentiated intercept estimates lambda2 (alpha = 1, lambda1 = pi^2/6
     assumed exact)."""
     res = _second_order_residual(data)
-    r = linreg(list(zip(data.log_inv_p, np.log(res))), k_last)
+    r = linreg(list(zip(data.log_inv_p, np.log(res))), K_LAST)
     return {"beta": r["slope"], "lambda2": math.exp(r["intercept"])}
 
 
-def fit_second_order_fixed_beta(data: PiDataset, k_last: int = 3) -> dict:
+def fit_second_order_fixed_beta(data: PiDataset) -> dict:
     """Regress (lambda1/p - log Pi) on 1/sqrt(p): slope estimates lambda2."""
     res = _second_order_residual(data)
-    r = linreg(list(zip(1.0 / np.sqrt(data.p), res)), k_last)
+    r = linreg(list(zip(1.0 / np.sqrt(data.p), res)), K_LAST)
     return {"lambda2": r["slope"]}
 
 
-def fit_third_order(data: PiDataset, k_last: int = 3) -> dict:
+def fit_third_order(data: PiDataset) -> dict:
     """Regress log(log Pi - lambda1/p + lambda2/sqrt(p)) on log(1/p); the
     slope estimates the third-order exponent."""
     res = data.log_pi - LAMBDA1_F / data.p + LAMBDA2_F / np.sqrt(data.p)
     if np.any(res <= 0.0):
         raise FitError("third-order residual not positive")
-    r = linreg(list(zip(data.log_inv_p, np.log(res))), k_last)
+    r = linreg(list(zip(data.log_inv_p, np.log(res))), K_LAST)
     return {"exponent": r["slope"], "intercept": r["intercept"]}
 
 
@@ -169,13 +171,11 @@ def _nelder_mead_2d(fn, x0, tol=1e-12, max_iter=2000):
     return pts[order[0]], vals[order[0]]
 
 
-def fit_four_param(data: PiDataset, k_last: int = 4) -> dict:
+def fit_four_param(data: PiDataset) -> dict:
     """Solve log Pi = lambda1 p^-alpha - lambda2 p^-beta on the last four
     points.  For fixed (alpha, beta) the system is linear in the lambdas;
     the outer search over (alpha, beta) is a direct simplex seeded at the
     theoretical (1, 1/2), with alpha > beta enforced."""
-    if k_last != 4:
-        raise ValueError("the four-parameter fit uses exactly four points")
     if len(data.rows) < 4:
         raise FitError("need at least four data points")
     rows = data.rows[-4:]

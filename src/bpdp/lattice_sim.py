@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .chain.rules import FROBOSE_STATES, frobose_transitions
+from .chain.rules import FRAME_BUFFERS, FROBOSE_STATES, frobose_transitions
 from .special_functions import ModelParams
 
 __all__ = [
-    "Rectangle", "FramedRectangle", "LatticeConfiguration",
+    "Rectangle", "FramedRectangle",
     "closure_two_neighbour", "closure_frobose",
     "rectangles_process_closure",
     "local_closure_two_neighbour", "local_closure_frobose",
@@ -60,10 +60,6 @@ class Rectangle:
     def __post_init__(self):
         if not (self.a < self.c and self.b < self.d):
             raise ValueError(f"degenerate rectangle {self}")
-
-    @classmethod
-    def dims(cls, w: int, h: int) -> "Rectangle":
-        return cls(0, 0, w, h)
 
     @property
     def width(self) -> int:
@@ -106,19 +102,6 @@ class Rectangle:
                          self.c + gamma, self.d + delta)
 
 
-@dataclass(frozen=True)
-class LatticeConfiguration:
-    """Finite set of infected sites within a bounding box."""
-
-    infected: FrozenSet[Site]
-    bounding_box: Rectangle
-
-    def __post_init__(self):
-        for s in self.infected:
-            if s not in self.bounding_box:
-                raise ValueError(f"site {s} outside bounding box")
-
-
 def _buffers(rect: Rectangle) -> Dict[str, Set[Site]]:
     a, b, c, d = rect.a, rect.b, rect.c, rect.d
     return {
@@ -127,13 +110,6 @@ def _buffers(rect: Rectangle) -> Dict[str, Set[Site]]:
         "l": {(a - 1, y) for y in range(b, d)},
         "d": {(x, b - 1) for x in range(a, c)},
     }
-
-
-_FRAME_BUFFERS = {
-    "0": (), "1": ("r",), "2": ("r", "u"), "3": ("r", "u", "l"),
-    "2'": ("u", "l"), "1'": ("l",), "4": ("r", "u", "l", "d"), "1''": ("u",),
-    "2''": ("r", "l"),
-}
 
 
 def _buffers_two_neighbour(rect: Rectangle) -> Dict[str, Set[Site]]:
@@ -167,7 +143,7 @@ class FramedRectangle:
     state: str
 
     def frame_cells(self, model: str = "frobose") -> Set[Site]:
-        keys = _FRAME_BUFFERS[self.state]
+        keys = FRAME_BUFFERS[self.state]
         if model == "frobose":
             if self.state == "2''":
                 raise ValueError("frame state 2'' exists only for the "
@@ -455,30 +431,27 @@ def traversable(rect: Rectangle, infected: Set[Site], direction: str) -> bool:
 
 
 EVENTS = {
-    "I": lambda rect, A, **kw: internally_filled(rect, A, "two-neighbour"),
-    "IF": lambda rect, A, **kw: internally_filled(rect, A, "frobose"),
-    "I_loc": lambda rect, A, **kw: locally_internally_filled(rect, A, "two-neighbour"),
-    "IF_loc": lambda rect, A, **kw: locally_internally_filled(rect, A, "frobose"),
-    "C": lambda rect, A, small=None, **kw: crossing(small, rect, A, "two-neighbour"),
-    "CF": lambda rect, A, small=None, **kw: crossing(small, rect, A, "frobose"),
-    "O": lambda rect, A, **kw: occupied(rect.cells(), A),
-    "G-": lambda rect, A, **kw: no_horizontal_gaps(rect, A),
-    "G|": lambda rect, A, **kw: no_vertical_gaps(rect, A),
-    "T_east": lambda rect, A, **kw: traversable(rect, A, "east"),
-    "T_west": lambda rect, A, **kw: traversable(rect, A, "west"),
-    "T_north": lambda rect, A, **kw: traversable(rect, A, "north"),
-    "T_south": lambda rect, A, **kw: traversable(rect, A, "south"),
+    "I": lambda rect, A: internally_filled(rect, A, "two-neighbour"),
+    "IF": lambda rect, A: internally_filled(rect, A, "frobose"),
+    "I_loc": lambda rect, A: locally_internally_filled(rect, A, "two-neighbour"),
+    "IF_loc": lambda rect, A: locally_internally_filled(rect, A, "frobose"),
+    "O": lambda rect, A: occupied(rect.cells(), A),
+    "G-": lambda rect, A: no_horizontal_gaps(rect, A),
+    "G|": lambda rect, A: no_vertical_gaps(rect, A),
+    "T_east": lambda rect, A: traversable(rect, A, "east"),
+    "T_west": lambda rect, A: traversable(rect, A, "west"),
+    "T_north": lambda rect, A: traversable(rect, A, "north"),
+    "T_south": lambda rect, A: traversable(rect, A, "south"),
 }
 
 
-def event_holds(event_id: str, rect: Rectangle, infected: Set[Site],
-                **kwargs) -> bool:
+def event_holds(event_id: str, rect: Rectangle, infected: Set[Site]) -> bool:
     """Evaluate a named rectangle event on a configuration."""
     try:
         fn = EVENTS[event_id]
     except KeyError:
         raise ValueError(f"unknown event {event_id!r}") from None
-    return fn(rect, infected, **kwargs)
+    return fn(rect, infected)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +461,7 @@ def event_holds(event_id: str, rect: Rectangle, infected: Set[Site],
 # Candidate transitions out of each live frame state, in table row order:
 # the side offsets, the destination state and its side buffers.
 _EXPLORE_RULES = {s: tuple((r.alpha, r.beta, r.gamma, r.delta, r.dst,
-                            _FRAME_BUFFERS[r.dst])
+                            FRAME_BUFFERS[r.dst])
                            for r in frobose_transitions(s))
                   for s in FROBOSE_STATES if s != "4"}
 

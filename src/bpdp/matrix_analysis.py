@@ -23,7 +23,7 @@ __all__ = [
     "cycle_matrix", "matrix_power_entry", "closed_form_entry",
     "perturbed_matrix", "char_poly_coeffs", "expected_char_poly_coeffs",
     "perturbed_eigenvalues", "unperturbed_eigenvalues", "spectral_radius",
-    "operator_norm", "frobenius_norm", "lagrange_norm_bound",
+    "operator_norm", "lagrange_norm_bound",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -169,40 +169,15 @@ def perturbed_spectral_radius(P: float) -> float:
     return math.sqrt(P) * float(np.max(np.abs(perturbed_eigenvalues(P))))
 
 
-def operator_norm(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000) -> float:
-    """Euclidean operator norm by power iteration on M^T M."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[1]
-    A = M.T @ M
-    v = np.full(n, 1.0 / math.sqrt(n))
-    prev = 0.0
-    for _ in range(max_iter):
-        w = A @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - prev) <= tol * max(1.0, norm):
-            break
-        prev = norm
-    return math.sqrt(norm)
+def operator_norm(M: np.ndarray) -> float:
+    """Euclidean operator norm: the largest singular value."""
+    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
-def frobenius_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=float), "fro"))
-
-
-_NORMS = {
-    "spectral": (operator_norm, 1.0),
-    "frobenius": (frobenius_norm, None),  # |||I||| depends on dimension
-}
-
-
-def lagrange_norm_bound(M: np.ndarray, n: int, norm_id: str = "spectral",
-                        eigenvalue_gap_tol: float = 1e-9) -> float:
-    """Bound d ((1+|||I|||) |||M||| / eps)^{d-1} rho(M)^n with eps the
-    minimal eigenvalue gap; dominates |||M^n||| for any submultiplicative
-    norm when all eigenvalues are distinct."""
+def lagrange_norm_bound(M: np.ndarray, n: int) -> float:
+    """Bound d (2 |||M||| / eps)^{d-1} rho(M)^n with eps the minimal
+    eigenvalue gap and |||.||| the operator norm (|||I||| = 1); dominates
+    |||M^n||| when all eigenvalues are distinct."""
     if n < 0:
         raise ValueError("n must be >= 0")
     M = np.asarray(M, dtype=float)
@@ -210,13 +185,7 @@ def lagrange_norm_bound(M: np.ndarray, n: int, norm_id: str = "spectral",
     lam = np.linalg.eigvals(M)
     gaps = [abs(lam[i] - lam[j]) for i in range(d) for j in range(i + 1, d)]
     eps = min(gaps)
-    if eps < eigenvalue_gap_tol:
+    if eps < 1e-9:
         raise ValueError(f"repeated eigenvalues (gap {eps:g})")
     rho = float(np.max(np.abs(lam)))
-    try:
-        norm_fn, identity_norm = _NORMS[norm_id]
-    except KeyError:
-        raise ValueError(f"unknown norm {norm_id!r}") from None
-    if identity_norm is None:
-        identity_norm = norm_fn(np.eye(d))
-    return d * ((1.0 + identity_norm) * norm_fn(M) / eps) ** (d - 1) * rho ** n
+    return d * (2.0 * operator_norm(M) / eps) ** (d - 1) * rho ** n

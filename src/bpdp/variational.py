@@ -156,32 +156,25 @@ def optimal_path(small: Tuple[float, float],
     return MonotonePath(_dedup([(float(x), float(y)) for x, y in pts]))
 
 
-def holroyd_lower(dims: Tuple[int, int], params: ModelParams,
-                  model: str = "frobose") -> float:
-    """Lower bound on the locally-internally-filled probability:
-    p exp(-W^F_p(gamma)) for Frobose, p^3 exp(-W_p(gamma)) two-neighbour."""
+def holroyd_lower(dims: Tuple[int, int], params: ModelParams) -> float:
+    """Lower bound p exp(-W^F_p(gamma)) on the Frobose
+    locally-internally-filled probability."""
     a, b = dims
     if a < 1 or b < 1:
         raise ValueError("dimensions must be >= 1")
     if (a, b) == (1, 1):
         # the seed path is degenerate: a single germ fills the cell
-        w = 0.0
-    else:
-        gamma = gamma_rect((float(a), float(b)))
-        w = (W_f_p if model == "frobose" else W_p)(gamma, params)
-    n = 1 if model == "frobose" else 3
-    return n * math.log(params.p) - w
+        return math.log(params.p)
+    return math.log(params.p) - W_f_p(gamma_rect((float(a), float(b))), params)
 
 
-def holroyd_upper(dims: Tuple[int, int], params: ModelParams, C3: float,
-                  model: str = "frobose") -> float:
-    """Upper bound exp(1/(C3 p) - W_p(gamma)) with the proof constant C3
-    exposed as an argument."""
+def holroyd_upper(dims: Tuple[int, int], params: ModelParams, C3: float) -> float:
+    """Upper bound exp(1/(C3 p) - W^F_p(gamma)) on the Frobose
+    internally-filled probability, with the proof constant C3 exposed as
+    an argument."""
     if C3 <= 0.0:
         raise ValueError("C3 must be positive")
     a, b = dims
     if a < 1 or b < 1:
         raise ValueError("dimensions must be >= 1")
-    gamma = gamma_rect((float(a), float(b)))
-    w = (W_f_p if model == "frobose" else W_p)(gamma, params)
-    return 1.0 / (C3 * params.p) - w
+    return 1.0 / (C3 * params.p) - W_f_p(gamma_rect((float(a), float(b))), params)

@@ -5,7 +5,7 @@ import pytest
 
 from bpdp.chain import ChainParams, frobose_transitions, sample_trajectory
 from bpdp.lattice_sim import (EXACT_ENUMERATION_MAX_CELLS, FramedRectangle,
-                              LatticeConfiguration, Rectangle, closure_frobose,
+                              Rectangle, closure_frobose,
                               closure_two_neighbour, crossing, event_holds,
                               exact_event_prob, explore, internally_filled,
                               local_closure_frobose,
@@ -32,10 +32,6 @@ class TestRectangle:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             Rectangle(0, 0, 0, 3)
-
-    def test_configuration_invariant(self):
-        with pytest.raises(ValueError):
-            LatticeConfiguration(frozenset({(9, 9)}), Rectangle(0, 0, 3, 3))
 
 
 class TestClosures:
