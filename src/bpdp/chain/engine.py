@@ -318,7 +318,7 @@ class _Engine:
     """Single-use DP state for one plan at one parameter."""
 
     def __init__(self, plan: _Plan, params: ModelParams, threshold: int,
-                 memory_cap_bytes: int = 8 << 30):
+                 memory_cap_bytes: int):
         self.plan = plan
         self.L = threshold
         self.window = plan.max_dphi + 1
@@ -474,11 +474,10 @@ def _log_scaled(total: float, scale: float) -> float:
     return math.log(total) + scale if total > 0.0 else -math.inf
 
 
-def _run(plan: _Plan, params: ChainParams, memory_cap_bytes,
-         model_name: str) -> PiResult:
+def _run(plan: _Plan, params: ChainParams, model_name: str,
+         memory_cap_bytes: int = 8 << 30) -> PiResult:
     t0 = time.perf_counter()
-    eng = _Engine(plan, params.model, params.threshold,
-                  memory_cap_bytes=memory_cap_bytes)
+    eng = _Engine(plan, params.model, params.threshold, memory_cap_bytes)
     t1 = time.perf_counter()
     eng.sweep()
     t2 = time.perf_counter()
@@ -505,11 +504,10 @@ def compute_pi(params: ChainParams, threads: int = 1,
     on one thread and is deterministic to the bit; ``threads`` is accepted
     for callers that pass it and is ignored.
     """
-    return _run(_FROBOSE_PLAN, params, memory_cap_bytes, "frobose")
+    return _run(_FROBOSE_PLAN, params, "frobose", memory_cap_bytes)
 
 
-def compute_two_neighbour_lower_bound(params: ChainParams,
-                                      memory_cap_bytes: int = 8 << 30) -> PiResult:
+def compute_two_neighbour_lower_bound(params: ChainParams) -> PiResult:
     """Same computation over the published two-neighbour rows.
 
     The published table is sub-stochastic (it is an excerpt), so the hit
@@ -517,5 +515,4 @@ def compute_two_neighbour_lower_bound(params: ChainParams,
     this makes no claim to equal the true two-neighbour growth scale.  The
     sweep is compute_pi's, on one thread and deterministic to the bit.
     """
-    return _run(_TWO_NEIGHBOUR_PLAN, params, memory_cap_bytes,
-                "two-neighbour-lower-bound")
+    return _run(_TWO_NEIGHBOUR_PLAN, params, "two-neighbour-lower-bound")

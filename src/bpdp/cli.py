@@ -303,9 +303,13 @@ def _parse_table(path: str, lines):
 def _parse_range(text: str):
     try:
         a, b = text.split("..")
-        return int(a), int(b)
+        a, b = int(a), int(b)
     except ValueError:
         raise click.UsageError(f"range must look like 2..8, got {text!r}")
+    if a < 1:
+        raise click.UsageError(f"range must start at k >= 1 (p = 2^-k < 1), "
+                               f"got {text!r}")
+    return a, b
 
 
 @cli.command("scan")
@@ -389,7 +393,8 @@ def cmd_constants():
 @cli.command("functions")
 @click.option("--grid", default="1e-6..60", show_default=True,
               help="Log-spaced grid lo..hi for the abscissa z.")
-@click.option("--points", type=int, default=200, show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=200,
+              show_default=True)
 def cmd_functions(grid, points):
     """CSV table of (z, f, g, h, h2, h2_mod, alpha) on a log-spaced grid."""
     try:
@@ -397,8 +402,8 @@ def cmd_functions(grid, points):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise click.UsageError(f"grid must look like 1e-6..60, got {grid!r}")
-    if not (0.0 < lo < hi):
-        raise click.UsageError("need 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise click.UsageError(f"need finite 0 < lo < hi, got {grid!r}")
     zs = np.exp(np.linspace(math.log(lo), math.log(hi), points))
     click.echo("z,f,g,h,h2,h2_mod,alpha")
     for z in zs:

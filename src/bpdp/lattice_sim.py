@@ -365,8 +365,13 @@ def locally_internally_filled(rect: Rectangle, infected: Set[Site],
     return False
 
 
-def _crossing_from_available(small: Rectangle, big: Rectangle,
-                             available: Set[Site], model: str) -> bool:
+def crossing(small: Rectangle, big: Rectangle, infected: Set[Site],
+             model: str) -> bool:
+    """A filled small rectangle plus the infections inside big fills big,
+    under the local dynamics seeded in the small rectangle."""
+    if not big.contains_rect(small):
+        raise ValueError("need small contained in big")
+    available = {s for s in big.cells() if s in infected}
     if not available and big != small:
         return False
     germs = small.cells()
@@ -381,16 +386,6 @@ def _crossing_from_available(small: Rectangle, big: Rectangle,
             queue.append((x, y))
     out = _local_closure(available, germs, queue, big, model)
     return len(out) == big.width * big.height
-
-
-def crossing(small: Rectangle, big: Rectangle, infected: Set[Site],
-             model: str) -> bool:
-    """A filled small rectangle plus the infections inside big fills big,
-    under the local dynamics seeded in the small rectangle."""
-    if not big.contains_rect(small):
-        raise ValueError("need small contained in big")
-    available = {s for s in big.cells() if s in infected}
-    return _crossing_from_available(small, big, available, model)
 
 
 def no_horizontal_gaps(rect: Rectangle, infected: Set[Site]) -> bool:

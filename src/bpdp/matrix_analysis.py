@@ -1,23 +1,25 @@
 """The 6x6 frame-state cycle matrices and their spectral analysis.
 
-The unweighted matrix counts non-loop transition words between the six
-contributing frame states (0, 1, 2, 3, 2', 1'); its (0,3) entry at odd
-powers has the closed form ((1-sqrt2)(2-sqrt2)^K + (1+sqrt2)(2+sqrt2)^K)/2.
-The perturbed matrix weighs buffer creations by a parameter, and its
-characteristic polynomial factors as
-(X-1)(X+1)(X^4 - 4X^2 + 2 - 4X sqrt(P) - P) after scaling by sqrt(P).
-The quartic factor is solved in closed form, so no general eigensolver is
-needed for the cycle-matrix analysis; random-matrix norm bounds use
-numpy's eigenvalues.
+Both matrices are read off ``FROBOSE_TABLE``: entry (i, j) sums a weight
+over the non-loop rules from state i to state j among the six contributing
+frame states (0, 1, 2, 3, 2', 1'), with 1'' counted as 1 where it is a
+target.  The unweighted matrix keeps the rank-one steps; its (0,3) entry at
+odd powers has the closed form
+((1-sqrt2)(2-sqrt2)^K + (1+sqrt2)(2+sqrt2)^K)/2.  The perturbed matrix
+weighs buffer creations by a parameter, and its characteristic polynomial
+factors as (X-1)(X+1)(X^4 - 4X^2 + 2 - 4X sqrt(P) - P) after scaling by
+sqrt(P).  Powers, characteristic polynomials and roots are numpy's; the
+closed forms stay as the references they are checked against.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from typing import List
+from typing import Callable
 
 import numpy as np
+
+from .chain.rules import FROBOSE_TABLE, RANK, TransitionRule
 
 __all__ = [
     "cycle_matrix", "matrix_power_entry", "closed_form_entry",
@@ -28,36 +30,36 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+_STATES = ("0", "1", "2", "3", "2'", "1'")
+_INDEX = {s: i for i, s in enumerate(_STATES)}
+
+
+def _frame_matrix(weight: Callable[[TransitionRule], object],
+                  dtype) -> np.ndarray:
+    """Sum of weight(rule) over the non-loop FROBOSE_TABLE rules between
+    the six states in _STATES order.  A rule into 1'' counts into 1 (the
+    doubled 3 -> 1 entry); rules out of 1'' or into 4 drop out."""
+    M = np.zeros((6, 6), dtype=dtype)
+    for r in FROBOSE_TABLE:
+        dst = "1" if r.dst == "1''" else r.dst
+        if r.src in _INDEX and dst in _INDEX and r.src != dst:
+            M[_INDEX[r.src], _INDEX[dst]] += weight(r)
+    return M
+
 
 def cycle_matrix() -> np.ndarray:
-    """Adjacency of good non-loop transitions between frame states
-    (0, 1, 2, 3, 2', 1'): the 6-cycle with one directed edge removed."""
-    return np.array([
-        [0, 1, 0, 0, 0, 0],
-        [1, 0, 1, 0, 0, 0],
-        [0, 1, 0, 1, 0, 0],
-        [0, 0, 1, 0, 1, 0],
-        [0, 0, 0, 1, 0, 1],
-        [1, 0, 0, 0, 1, 0],
-    ], dtype=object)
+    """Adjacency of the rank-one non-loop transitions between frame states
+    (0, 1, 2, 3, 2', 1'): the 6-cycle with one directed edge removed.
+    Object dtype, so powers are exact Python ints."""
+    return _frame_matrix(
+        lambda r: int(abs(RANK[r.dst] - RANK[r.src]) == 1), object)
 
 
 def matrix_power_entry(K: int) -> int:
-    """Entry (0,3) of the (2K+3)-rd power, by exact integer multiplication."""
+    """Entry (0,3) of the (2K+3)-rd power, in exact integer arithmetic."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    M = cycle_matrix()
-    n = 2 * K + 3
-    # plain square-and-multiply over Python ints
-    result = np.eye(6, dtype=object)
-    base = M
-    e = n
-    while e:
-        if e & 1:
-            result = result @ base
-        base = base @ base
-        e >>= 1
-    return int(result[0, 3])
+    return int(np.linalg.matrix_power(cycle_matrix(), 2 * K + 3)[0, 3])
 
 
 def closed_form_entry(K: int) -> float:
@@ -70,77 +72,22 @@ def closed_form_entry(K: int) -> float:
 
 
 def perturbed_matrix(P: float) -> np.ndarray:
-    """Weighted matrix with buffer creations carrying weight P; the entry
-    for 3 -> 1 is doubled, absorbing the removed 1'' state."""
+    """Weighted matrix of the same transitions, buffer creations carrying
+    weight P; the entry for 3 -> 1 is 2, absorbing the removed 1'' state."""
     if not 0.0 < P < 0.25:
         raise ValueError("P must lie in (0, 1/4)")
-    return np.array([
-        [0, P, 0, 0, 0, 0],
-        [1, 0, P, 0, 0, 0],
-        [1, 1, 0, P, 0, 0],
-        [1, 2, 1, 0, 1, 1],
-        [1, 0, 0, P, 0, 1],
-        [1, 0, 0, 0, P, 0],
-    ], dtype=float)
+    return _frame_matrix(lambda r: P if r.dphi == 0 else 1.0, float)
 
 
 def char_poly_coeffs(M: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    coeffs = [1.0]
-    Mk = M.copy()
-    for k in range(1, n + 1):
-        ck = -np.trace(Mk) / k
-        coeffs.append(ck)
-        if k < n:
-            Mk = M @ (Mk + ck * np.eye(n))
-    return np.array(coeffs)
+    """Monic characteristic polynomial coefficients, highest power first."""
+    return np.poly(np.asarray(M, dtype=float))
 
 
 def expected_char_poly_coeffs(P: float) -> np.ndarray:
     """Coefficients of (X-1)(X+1)(X^4 - 4X^2 + 2 - 4X sqrt(P) - P)."""
     s = math.sqrt(P)
     return np.array([1.0, 0.0, -5.0, -4.0 * s, 6.0 - P, 4.0 * s, P - 2.0])
-
-
-def _cubic_roots(a: float, b: float, c: float, d: float) -> List[complex]:
-    # roots of a x^3 + b x^2 + c x + d via Cardano
-    b, c, d = b / a, c / a, d / a
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    sq = cmath.sqrt(disc)
-    u = (-q / 2.0 + sq) ** (1.0 / 3.0) if abs(-q / 2.0 + sq) > abs(-q / 2.0 - sq) \
-        else (-q / 2.0 - sq) ** (1.0 / 3.0)
-    if u == 0:
-        ys = [0.0, 0.0, 0.0]
-    else:
-        omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-        ys = [u * omega ** k + (-p / 3.0) / (u * omega ** k) for k in range(3)]
-    return [y - b / 3.0 for y in ys]
-
-
-def _depressed_quartic_roots(p: float, q: float, r: float) -> List[complex]:
-    # roots of y^4 + p y^2 + q y + r via Ferrari's resolvent
-    if abs(q) < 1e-300:
-        roots = []
-        for z in _quadratic_roots(1.0, p, r):
-            s = cmath.sqrt(z)
-            roots.extend([s, -s])
-        return roots
-    cands = _cubic_roots(8.0, 8.0 * p, 2.0 * p * p - 8.0 * r, -q * q)
-    m = max((z for z in cands), key=lambda z: z.real)
-    s = cmath.sqrt(2.0 * m)
-    roots = []
-    roots += _quadratic_roots(1.0, s, p / 2.0 + m - q / (2.0 * s))
-    roots += _quadratic_roots(1.0, -s, p / 2.0 + m + q / (2.0 * s))
-    return roots
-
-
-def _quadratic_roots(a, b, c) -> List[complex]:
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    return [(-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)]
 
 
 def unperturbed_eigenvalues() -> np.ndarray:
@@ -151,22 +98,17 @@ def unperturbed_eigenvalues() -> np.ndarray:
 
 
 def perturbed_eigenvalues(P: float) -> np.ndarray:
-    """Eigenvalues of perturbed_matrix(P)/sqrt(P) in closed form: +-1 and
-    the four roots of the quartic factor."""
+    """Eigenvalues of perturbed_matrix(P)/sqrt(P), by decreasing real part:
+    +-1 and the four roots of the quartic factor."""
     s = math.sqrt(P)
-    quartic = _depressed_quartic_roots(-4.0, -4.0 * s, 2.0 - P)
-    roots = [1.0 + 0j, -1.0 + 0j] + quartic
+    quartic = np.roots([1.0, 0.0, -4.0, -4.0 * s, 2.0 - P])
+    roots = [1.0 + 0j, -1.0 + 0j, *quartic]
     return np.array(sorted(roots, key=lambda z: -z.real))
 
 
 def spectral_radius(M: np.ndarray) -> float:
     """Largest eigenvalue modulus of a general square matrix."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(M, dtype=float)))))
-
-
-def perturbed_spectral_radius(P: float) -> float:
-    """Spectral radius of perturbed_matrix(P) via the closed-form roots."""
-    return math.sqrt(P) * float(np.max(np.abs(perturbed_eigenvalues(P))))
 
 
 def operator_norm(M: np.ndarray) -> float:

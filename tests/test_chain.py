@@ -225,12 +225,6 @@ class TestBruteForceOracle:
             assert abs(compute_pi(cp).log_hit_prob
                        - brute_force_hit_prob(cp)) <= 1e-12
 
-    def test_specific_points(self):
-        cp = ChainParams.from_p(0.3, threshold=6)
-        assert abs(compute_pi(cp).log_hit_prob - brute_force_hit_prob(cp)) < 1e-12
-        cp = ChainParams.from_p(0.5, threshold=8)
-        assert abs(compute_pi(cp).log_hit_prob - brute_force_hit_prob(cp)) < 1e-12
-
     def test_trivial(self):
         assert brute_force_hit_prob(ChainParams.from_p(0.4, threshold=2)) == 0.0
 

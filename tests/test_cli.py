@@ -259,8 +259,9 @@ class TestNonFiniteResults:
         assert err[-1] == "# 2 of 4 rows failed"
 
     def test_scan_exit_status_from_shell(self):
-        # a row that fails for real: k = 0 gives p = 1, outside (0, 1)
-        r = run_cli("scan", "--log2-inv-p-range", "0..0")
+        # a row that fails for real: at k = 60 the level storage estimate
+        # exceeds the memory cap (k = 0, p = 1, is a usage error instead)
+        r = run_cli("scan", "--log2-inv-p-range", "60..60")
         assert r.returncode == 4
         assert r.stderr.strip().splitlines()[-1] == "# 1 of 1 rows failed"
 
@@ -509,6 +510,19 @@ class TestBadInput:
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr
             assert f"Invalid value for '{option}'" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("functions", "--points", "-1"),
+        ("functions", "--points", "0"),
+        ("functions", "--grid", "1e-6..inf"),
+        ("scan", "--log2-inv-p-range", "0..2")])
+    def test_inputs_past_the_domain_are_usage_errors(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 1, args
+        assert "Traceback" not in r.stderr
+        assert len([line for line in r.stderr.splitlines()
+                    if line.startswith("Error:")]) == 1
+        assert r.stdout == ""
 
 
 CONVENTIONS = ("exact", "at-least")
