@@ -108,8 +108,12 @@ class ResourceCapError(RuntimeError):
 
 
 def default_threshold(p: float) -> int:
-    """L = ceil(2 log(1/p) / p) with the natural logarithm."""
-    return math.ceil(2.0 * math.log(1.0 / p) / p)
+    """L = ceil(2 log(1/p) / p) with the natural logarithm; ValueError when
+    that is not a finite number (p below about 7.8e-306)."""
+    bound = 2.0 * math.log(1.0 / p) / p
+    if not math.isfinite(bound):
+        raise ValueError("2 log(1/p) / p is not finite")
+    return math.ceil(bound)
 
 
 @dataclass(frozen=True)
@@ -479,9 +483,18 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
     t0 = time.perf_counter()
     eng = _Engine(plan, params.model, params.threshold, memory_cap_bytes)
     t1 = time.perf_counter()
-    eng.sweep()
-    t2 = time.perf_counter()
-    hit_exact, hit_atl = eng.hits()
+    # every rule has a positive probability, so an overflow (the levels
+    # span more than a double holds) or a NaN makes the result wrong, not
+    # small; underflow stays ignored, as the flush below _TINY relies on it
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            eng.sweep()
+            t2 = time.perf_counter()
+            hit_exact, hit_atl = eng.hits()
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"the level scale left the double range at p={params.model.p!r}, "
+            f"L={params.threshold} ({exc})") from None
     t3 = time.perf_counter()
     hit = hit_exact if params.convention == "exact" else hit_atl
     return PiResult(

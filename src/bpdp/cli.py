@@ -11,29 +11,28 @@ Infinity: a `pi` result whose log Pi is not finite (the hit probability
 underflowed to 0) is an error instead, and `scan` counts such a row as
 failed and does not write it.
 
-`scan --output` and `pi --csv` write one table format: a provenance line
-`# bpdp <version> convention=<c>` (readers skip it as a comment), the
-header `log2_inv_p,log_pi`, then one row per exponent k.  Both check an
-existing table before any DP runs and append through one path, which
-first drops a cut-off last line.  A table of another --convention or
-another header, a malformed row, or (for `pi --csv`) a k the table already
-holds is an error that leaves the file as it was, and so is a path that
-cannot be opened for appending (a missing directory, or a directory);
-`scan --resume` skips the k a table holds.  A table without the
-provenance line predates it and counts as `exact`; the
-log2_inv_p,p,log_pi tables `pi --csv` once wrote still read with `fit`
-but take no more rows.  A `pi --csv` row is a
-default-threshold log Pi, so `--csv` with another --threshold is refused
-before the DP runs.  Tables streamed to stdout carry no provenance line.
+`scan --output` is the one writer of growth-scale tables, and they have
+one layout: a provenance line `# bpdp <version> convention=<c>` (readers
+skip it as a comment), the header `log2_inv_p,log_pi`, then one row per
+exponent k.  `scan` opens the file once; with --resume it first checks
+the whole table, and another --convention, another header or a malformed
+row is an error that leaves the file as it was, and so is a path that
+cannot be opened (a missing directory, or a directory).  Then a cut-off
+last line is dropped and the k the table holds are skipped.  A table
+without the provenance line predates it and counts as `exact`.  `fit`
+reads the same layout.  Tables streamed to stdout carry no provenance
+line.
 
 Exit status: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded, 4 a computation failed (a non-finite `pi`
-result, or at least one failed `scan` row; `scan` then ends with
-`# n of m rows failed` on stderr).
+result, levels that overflow the double range, or at least one failed
+`scan` row; `scan` then ends with `# n of m rows failed` on stderr).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -45,8 +44,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .chain import (ChainParams, ResourceCapError, compute_pi,
-                    default_threshold)
+from .chain import ChainParams, ResourceCapError, compute_pi
 from .fitting import (LAMBDA1_F, LAMBDA2_F, FitError, PiDataset,
                       fit_first_order, fit_first_order_fixed_alpha,
                       fit_four_param, fit_second_order,
@@ -117,31 +115,19 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               default=8 << 30, show_default=True,
               help="Abort before starting if the level "
               "storage estimate exceeds this.")
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Append a row (log2_inv_p, log_pi) to this table; needs "
-              "p = 2^-k, the default threshold, the table's convention and "
-              "a k the table does not hold yet.")
-def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
+def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)
-    csv_k = log2_inv_p if log2_inv_p is not None else _exact_log2_inv(pv)
-    if csv_path and csv_k is None:
-        raise click.ClickException(
-            f"--csv needs p = 2^-k so the row names its log2_inv_p; "
-            f"p={pv!r} is not a power of two (use --log2-inv-p)")
-    if csv_path and threshold not in (None, default_threshold(pv)):
-        raise click.ClickException(
-            f"--csv rows are read as log Pi at the default threshold "
-            f"({default_threshold(pv)} for p={pv!r}); refusing --threshold "
-            f"{threshold}")
-    if csv_path:
-        _check_appendable(csv_path)
-        if csv_k in _table_exponents(csv_path, convention):
-            raise click.ClickException(
-                f"{csv_path}: already holds a row for log2_inv_p={csv_k}; "
-                "refusing to append another")
-    params = ChainParams.from_p(pv, threshold=threshold, convention=convention)
-    result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
+    try:
+        params = ChainParams.from_p(pv, threshold=threshold,
+                                    convention=convention)
+    except ValueError as exc:
+        raise click.UsageError(f"no valid default threshold for p={pv!r} "
+                               f"({exc}); give --threshold") from None
+    try:
+        result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
+    except ArithmeticError as exc:
+        raise ComputationFailure(str(exc)) from None
     if not math.isfinite(result.log_pi):
         raise ComputationFailure(
             f"log_pi is not finite (log_hit_prob={result.log_hit_prob!r}): "
@@ -159,137 +145,85 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes, csv_path):
         "p": pv, "log2_inv_p": log2_inv_p, "threshold": params.threshold,
         "convention": convention,
     }, outputs, result.wall_time_seconds)
-    if csv_path:
-        with _open_table(csv_path, convention) as fh:
-            fh.write(_table_row(csv_k, result.log_pi))
 
 
-def _exact_log2_inv(p: float) -> Optional[int]:
-    """k with p == 2^-k exactly, or None."""
-    mantissa, exponent = math.frexp(p)
-    return 1 - exponent if mantissa == 0.5 else None
-
-
-_TABLE_COLUMNS = ("log2_inv_p", "log_pi")
+_HEADER = "log2_inv_p,log_pi"
 _PROVENANCE_PREFIX = "# bpdp "
-
-
-def _provenance(convention: str) -> str:
-    """First line of every table file `scan` and `pi --csv` create."""
-    return f"{_PROVENANCE_PREFIX}{__version__} convention={convention}\n"
 
 
 def _table_row(k: int, log_pi: float) -> str:
     return f"{k},{_fmt(log_pi)}\n"
 
 
-def _complete_lines(data: bytes) -> bytes:
-    """Everything up to the last newline: a last line without its newline
-    was cut off mid-write."""
-    return data[:data.rfind(b"\n") + 1]
+def _open_table(path: str, convention: str, resume: bool):
+    """Open the table at path to append `convention` rows to it; returns
+    the exponents it holds and a text sink positioned after them.
 
-
-def _table_exponents(path: str, convention: str) -> set:
-    """Exponents k that already have a row in the table at path (none if
-    there is no file); reads the file and never changes it.
-
-    A cut-off last line is ignored.  Every complete line must parse (see
-    `_parse_table`) under the header log2_inv_p,log_pi, and the table must
-    hold `convention` rows, as its provenance line names them; a table
-    whose header comes first was written before the line existed, when
-    `exact` was the default, and counts as `exact`.  Otherwise appending
-    is a one-line error (exit status 1).
-    """
-    if not os.path.isfile(path):
-        return set()
-    with open(path, "rb") as fh:
-        lines = _complete_lines(fh.read()).decode(
-            "utf-8", "replace").splitlines()
-    found = None
-    for line in lines:
-        line = line.strip()
-        if line.startswith(_PROVENANCE_PREFIX) and "convention=" in line:
-            found = line.rsplit("convention=", 1)[1]
-            break
-        if line and not line.startswith("#"):
-            found = "exact"
-            break
-    if found not in (None, convention):
-        raise click.ClickException(
-            f"{path}: table holds convention={found} rows; refusing to "
-            f"add convention={convention} rows")
-    header, rows = _parse_table(path, lines)
-    if header not in (None, _TABLE_COLUMNS):
-        raise click.ClickException(
-            f"{path}: header {','.join(header)!r} is not "
-            f"{','.join(_TABLE_COLUMNS)!r}; cannot append")
-    return {k for k, _ in rows}
-
-
-def _check_appendable(path: str) -> None:
-    """One-line error (exit status 1) unless path can be opened for
-    appending; run before any DP, and leaves no file behind."""
-    existed = os.path.exists(path)
-    try:
-        open(path, "ab").close()
-    except OSError as exc:
-        raise click.FileError(path, hint=exc.strerror)
-    if not existed:
-        os.remove(path)
-
-
-def _open_table(path: str, convention: str):
-    """Open a table accepted by `_table_exponents` for appending rows.
-
-    A cut-off last line is truncated away, so the next row starts on a
-    line of its own; a file that holds no header yet starts afresh with
-    the provenance line and the header.  A path that cannot be opened (a
-    missing directory, say) is a one-line error with exit status 1.
+    The file is opened once: without resume it starts empty, with resume
+    it is read first, and it must pass `_parse_table` and hold
+    `convention` rows, else a one-line error (exit status 1) leaves it as
+    it was.  Only then is a cut-off last line truncated away, and a file
+    without a header gets the provenance line `# bpdp <version>
+    convention=<c>` and the header.  A path that cannot be opened (a
+    missing directory, a directory) is a one-line error too.
     """
     try:
-        with open(path, "ab+") as fh:
-            fh.seek(0)
-            kept = _complete_lines(fh.read())
-            lines = kept.decode("utf-8", "replace").splitlines()
-            if _parse_table(path, lines)[0] is None:
-                kept = b""
-            fh.truncate(len(kept))
-        sink = open(path, "a", encoding="utf-8")
+        with contextlib.ExitStack() as stack:
+            raw = stack.enter_context(open(path, "ab+" if resume else "wb+"))
+            raw.seek(0)
+            data = raw.read()
+            # a last line without its newline was cut off mid-write
+            kept = data[:data.rfind(b"\n") + 1]
+            found, header, rows = _parse_table(
+                path, kept.decode("utf-8", "replace").splitlines())
+            if found not in (None, convention):
+                raise click.ClickException(
+                    f"{path}: table holds convention={found} rows; refusing "
+                    f"to add convention={convention} rows")
+            raw.truncate(len(kept) if header else 0)
+            raw.seek(0, io.SEEK_END)
+            sink = io.TextIOWrapper(raw, encoding="utf-8")
+            if not header:
+                sink.write(f"{_PROVENANCE_PREFIX}{__version__} "
+                           f"convention={convention}\n{_HEADER}\n")
+            stack.pop_all()
     except OSError as exc:
-        raise click.FileError(path, hint=exc.strerror)
-    if not kept:
-        sink.write(_provenance(convention) + ",".join(_TABLE_COLUMNS) + "\n")
-    return sink
+        raise click.FileError(path, hint=exc.strerror) from None
+    return {k for k, _ in rows}, sink
 
 
 def _parse_table(path: str, lines):
-    """Header and rows (log2_inv_p, log_pi) of a growth-scale CSV.
+    """Convention, header flag and rows (log2_inv_p, log_pi) of a
+    growth-scale table.
 
-    The two columns are found by name in the header, so tables with more
-    columns (the log2_inv_p,p,log_pi tables `pi --csv` used to write) read
-    too; blank lines and `#` comments are skipped.  A header without both
-    columns, or a row that is not an integer exponent and a finite log Pi,
-    is a one-line error naming the file and line (exit status 1).
+    Blank lines and `#` comments are skipped; the first non-comment line
+    must be the header log2_inv_p,log_pi.  The convention is the one the
+    provenance line names, `exact` for a table whose header comes first
+    (it predates the line, when `exact` was the default), and None before
+    either.  Another header, or a row that is not an integer exponent and a
+    finite log Pi, is a one-line error naming the file and line (exit
+    status 1).
     """
-    header = None
-    rows = []
+    convention, header, rows = None, False, []
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
+            if (convention is None and line.startswith(_PROVENANCE_PREFIX)
+                    and "convention=" in line):
+                convention = line.rsplit("convention=", 1)[1]
             continue
-        fields = line.split(",")
-        if header is None:
-            if not set(_TABLE_COLUMNS) <= set(fields):
+        if not line:
+            continue
+        if not header:
+            if line != _HEADER:
                 raise click.ClickException(
-                    f"{path}, line {lineno}: header {line!r} does not name "
-                    "the columns log2_inv_p and log_pi")
-            header = tuple(fields)
-            cols = [fields.index(name) for name in _TABLE_COLUMNS]
+                    f"{path}, line {lineno}: header {line!r} is not "
+                    f"{_HEADER!r}")
+            convention, header = convention or "exact", True
             continue
         try:
-            if len(fields) != len(header):
-                raise ValueError
-            k, v = int(fields[cols[0]]), float(fields[cols[1]])
+            k, v = line.split(",")
+            k, v = int(k), float(v)
             if not math.isfinite(v):
                 raise ValueError
         except ValueError:
@@ -297,7 +231,7 @@ def _parse_table(path: str, lines):
                 f"{path}, line {lineno}: malformed row {line!r} (want "
                 "an integer log2_inv_p and a finite log_pi)") from None
         rows.append((k, v))
-    return header, rows
+    return convention, header, rows
 
 
 def _parse_range(text: str):
@@ -309,6 +243,9 @@ def _parse_range(text: str):
     if a < 1:
         raise click.UsageError(f"range must start at k >= 1 (p = 2^-k < 1), "
                                f"got {text!r}")
+    if a <= b and b > 1074:
+        raise click.UsageError(f"range must end at k <= 1074 (2^-k rounds "
+                               f"to 0.0 from k = 1075 on), got {text!r}")
     return a, b
 
 
@@ -322,20 +259,16 @@ def _parse_range(text: str):
 @click.option("--resume", is_flag=True,
               help="Skip exponents that have a complete row in the output "
               "file; a cut-off last row is dropped and recomputed, and a "
-              "malformed row or another convention is an error.")
+              "malformed row, another header or another convention is an "
+              "error.")
 def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
     if output:
-        _check_appendable(output)
-        if not resume and os.path.exists(output):
-            os.remove(output)
-        done = _table_exponents(output, convention)
-        sink = _open_table(output, convention)
+        done, sink = _open_table(output, convention, resume)
     else:
-        done = set()
-        sink = sys.stdout
-        sink.write(",".join(_TABLE_COLUMNS) + "\n")
+        done, sink = set(), sys.stdout
+        sink.write(_HEADER + "\n")
     try:
         todo = [k for k in range(k0, k1 + 1) if k not in done]
         failed = 0
@@ -414,13 +347,13 @@ def cmd_functions(grid, points):
 
 @cli.command("fit")
 @click.option("--input", "input_path", type=click.Path(exists=True),
-              required=True, help="CSV with columns log2_inv_p and log_pi "
-              "(a scan or pi --csv table).")
+              required=True, help="A growth-scale table, as "
+              "scan --output writes it.")
 def cmd_fit(input_path):
     """All asymptotic fits of a growth-scale table, as one JSON record."""
     t0 = time.perf_counter()
     with open(input_path, encoding="utf-8", errors="replace") as fh:
-        _, rows = _parse_table(input_path, fh)
+        _, _, rows = _parse_table(input_path, fh)
     if len(rows) < 4:
         raise click.UsageError("need at least four data rows")
     try:

@@ -122,6 +122,12 @@ class TestDefaultThreshold:
         with pytest.raises(ValueError):
             ChainParams.from_p(0.3, convention="sometimes")
 
+    def test_not_finite_is_value_error(self):
+        # 2 log(1/p) / p overflows below p of about 7.8e-306
+        for p in (1e-310, 7.7e-306):
+            with pytest.raises(ValueError, match="not finite"):
+                default_threshold(p)
+
 
 class TestComputePi:
     def test_trivial_threshold(self):
@@ -156,6 +162,19 @@ class TestComputePi:
     def test_memory_cap(self):
         with pytest.raises(ResourceCapError):
             compute_pi(ChainParams.from_p(0.01), memory_cap_bytes=1000)
+
+    @pytest.mark.parametrize("p, L", [(1e-200, 6), (1e-300, 6), (1e-310, 4)])
+    def test_overflowing_levels_raise(self, p, L):
+        # every rule has a positive probability, so the hit probability is
+        # never 0: levels that span more than a double holds are an error,
+        # not a log_hit_prob of -inf
+        with pytest.raises(ArithmeticError, match=f"p={p!r}, L={L}"):
+            compute_pi(ChainParams.from_p(p, threshold=L))
+
+    def test_tiny_p_within_range_is_finite(self):
+        for p, L in ((1e-100, 12), (1e-300, 4)):
+            r = compute_pi(ChainParams.from_p(p, threshold=L))
+            assert math.isfinite(r.log_hit_prob) and r.log_hit_prob < -1000
 
     def test_thread_counts_bit_identical(self):
         cp = ChainParams.from_p(2.0 ** -4)

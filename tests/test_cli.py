@@ -96,116 +96,6 @@ class TestPi:
         assert r.returncode == 3
         assert "cap" in r.stderr
 
-    def test_csv_append(self, tmp_path):
-        out = tmp_path / "pi.csv"
-        run_cli("pi", "--log2-inv-p", "2", "--csv", str(out))
-        run_cli("pi", "--log2-inv-p", "3", "--csv", str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[:2] == [provenance("exact"), "log2_inv_p,log_pi"]
-        assert len(lines) == 4
-
-    def test_csv_refuses_repeated_exponent(self, tmp_path, monkeypatch):
-        table = tmp_path / "pi.csv"
-        args = ["pi", "--log2-inv-p", "2", "--csv", str(table)]
-        assert CliRunner().invoke(bpdp.cli.cli, args).exit_code == 0
-        before = table.read_text()
-
-        def no_dp(params, **kwargs):
-            raise AssertionError("the DP ran")
-
-        monkeypatch.setattr(bpdp.cli, "compute_pi", no_dp)
-        r = CliRunner().invoke(bpdp.cli.cli, args)
-        assert r.exit_code == 1
-        assert r.stdout == ""
-        assert r.stderr.strip().splitlines() == [
-            f"Error: {table}: already holds a row for log2_inv_p=2; "
-            "refusing to append another"]
-        assert table.read_text() == before
-
-    def test_csv_drops_cut_off_row(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        for k in (2, 3):
-            r = CliRunner().invoke(bpdp.cli.cli, ["pi", "--log2-inv-p", str(k),
-                                                  "--csv", str(table)])
-            assert r.exit_code == 0, r.output
-            if k == 2:
-                head = table.read_text().splitlines(keepends=True)[:2]
-                table.write_bytes(table.read_bytes()[:-5])  # cut the k=2 row
-        lines = table.read_text().splitlines(keepends=True)
-        assert lines[:2] == head
-        assert len(lines) == 3
-        assert lines[2].startswith("3,") and lines[2].endswith("\n")
-
-    @pytest.mark.parametrize("convention", ["exact", "at-least"])
-    def test_csv_table_equals_scan_table(self, tmp_path, convention):
-        table, scan = tmp_path / "pi.csv", tmp_path / "scan.csv"
-        for k in range(2, 6):
-            r = CliRunner().invoke(bpdp.cli.cli, [
-                "pi", "--log2-inv-p", str(k), "--convention", convention,
-                "--csv", str(table)])
-            assert r.exit_code == 0, r.output
-        r = CliRunner().invoke(bpdp.cli.cli, [
-            "scan", "--log2-inv-p-range", "2..5", "--convention", convention,
-            "--output", str(scan)])
-        assert r.exit_code == 0, r.output
-        assert table.read_bytes() == scan.read_bytes()
-
-    def test_csv_with_p_names_its_exponent(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        for k in range(2, 6):
-            r = run_cli("pi", "--p", repr(2.0 ** -k), "--csv", str(table))
-            assert r.returncode == 0, r.stderr
-        rows = table.read_text().splitlines()[2:]
-        assert [row.split(",")[0] for row in rows] == ["2", "3", "4", "5"]
-        assert all(row.count(",") == 1 for row in rows)
-        assert run_cli("fit", "--input", str(table)).returncode == 0
-
-    def test_csv_with_other_p_is_refused(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        r = run_cli("pi", "--p", "0.3", "--csv", str(table))
-        assert_one_line_error(r, "--csv", "0.3")
-        assert r.stdout == ""
-        assert not table.exists()
-
-    def test_csv_with_other_threshold_is_refused(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        r = run_cli("pi", "--log2-inv-p", "3", "--threshold", "30",
-                    "--csv", str(table))
-        assert_one_line_error(r, "--csv", "--threshold 30", "34")
-        assert r.stdout == ""
-        assert not table.exists()
-        # the default threshold, given explicitly, is the same row
-        r = run_cli("pi", "--log2-inv-p", "3", "--threshold", "34",
-                    "--csv", str(table))
-        assert r.returncode == 0, r.stderr
-
-    def test_csv_refuses_other_convention(self, tmp_path):
-        table = tmp_path / "pi.csv"
-        run_cli("pi", "--log2-inv-p", "2", "--convention", "at-least",
-                "--csv", str(table))
-        before = table.read_text()
-        assert before.startswith(provenance("at-least") + "\n")
-        r = run_cli("pi", "--log2-inv-p", "3", "--csv", str(table))
-        assert_one_line_error(r, "pi.csv", "convention=at-least",
-                              "convention=exact")
-        assert r.stdout == ""
-        assert table.read_text() == before
-
-    def test_csv_refuses_other_table(self, tmp_path):
-        table = tmp_path / "old.csv"
-        table.write_text(OLD_PI_TABLE)
-        before = table.read_text()
-        r = run_cli("pi", "--log2-inv-p", "3", "--csv", str(table))
-        assert_one_line_error(r, "old.csv", "cannot append")
-        assert r.stdout == ""
-        assert table.read_text() == before
-
-
-# A table in the older three-column layout of `pi --csv`: `fit` reads it,
-# and appending to it is refused.
-OLD_PI_TABLE = (provenance("exact") + "\nlog2_inv_p,p,log_pi\n"
-                "2,0.25,0.85\n")
-
 
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, which are not JSON."""
@@ -225,17 +115,24 @@ class TestNonFiniteResults:
     """A hit probability that underflows to 0 gives log_pi = inf; it is
     reported as a failure, never printed as Infinity."""
 
-    def test_pi_non_finite_is_error(self, monkeypatch, tmp_path):
+    def test_pi_non_finite_is_error(self, monkeypatch):
         monkeypatch.setattr(bpdp.cli, "compute_pi", non_finite_pi)
-        table = tmp_path / "pi.csv"
-        r = CliRunner().invoke(bpdp.cli.cli, ["pi", "--log2-inv-p", "3",
-                                              "--csv", str(table)])
+        r = CliRunner().invoke(bpdp.cli.cli, ["pi", "--log2-inv-p", "3"])
         assert r.exit_code == 4
         assert r.stdout == ""
         assert "Infinity" not in r.output
         assert len(r.stderr.strip().splitlines()) == 1
         assert "not finite" in r.stderr
-        assert not table.exists()
+
+    def test_pi_overflowing_levels_are_a_failure(self):
+        # at p = 1e-200 and L = 6 the levels span more than a double holds
+        r = run_cli("pi", "--p", "1e-200", "--threshold", "6")
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "Traceback" not in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert "p=1e-200" in r.stderr and "L=6" in r.stderr
+        assert "underflowed" not in r.stderr
 
     def test_scan_reports_failed_rows(self, monkeypatch):
         real = bpdp.cli.compute_pi
@@ -343,7 +240,8 @@ class TestScan:
     def test_output_in_missing_directory_is_usage_error(self, tmp_path):
         path = str(tmp_path / "nodir" / "t.csv")
         for args in (("scan", "--log2-inv-p-range", "2..2", "--output", path),
-                     ("pi", "--log2-inv-p", "2", "--csv", path)):
+                     ("scan", "--log2-inv-p-range", "2..2", "--resume",
+                      "--output", path)):
             r = run_cli(*args)
             assert r.returncode == 1
             assert r.stdout == ""
@@ -354,8 +252,7 @@ class TestScan:
         (tmp_path / "keep.csv").write_text("x\n")
         for args in (("scan", "--log2-inv-p-range", "2..2", "--output"),
                      ("scan", "--log2-inv-p-range", "2..2", "--resume",
-                      "--output"),
-                     ("pi", "--log2-inv-p", "2", "--csv")):
+                      "--output")):
             r = run_cli(*args, str(tmp_path))
             assert r.stdout == ""
             assert_one_line_error(r, str(tmp_path))
@@ -389,21 +286,6 @@ class TestTableInput:
     """`fit` and `scan --resume` read tables by column name, and a row
     that does not parse is a one-line error naming the file and line."""
 
-    def test_fit_reads_pi_csv_table(self, tmp_path):
-        # the old three-column layout of `pi --csv` tables
-        scan = tmp_path / "scan.csv"
-        run_cli("scan", "--log2-inv-p-range", "2..5", "--output", str(scan))
-        lines = scan.read_text().splitlines()
-        old = [lines[0], "log2_inv_p,p,log_pi"] + [
-            f"{k},{2.0 ** -int(k)!r},{v}"
-            for k, v in (line.split(",") for line in lines[2:])]
-        table = tmp_path / "pi.csv"
-        table.write_text("\n".join(old) + "\n")
-        r = run_cli("fit", "--input", str(table))
-        assert r.returncode == 0, r.stderr
-        want = json.loads(run_cli("fit", "--input", str(scan)).stdout)
-        assert json.loads(r.stdout)["outputs"] == want["outputs"]
-
     def test_fit_malformed_row_names_line(self, tmp_path):
         table = tmp_path / "t.csv"
         table.write_text("log2_inv_p,log_pi\n2,1.82\n3,abc\n4,12.4\n5,30.5\n")
@@ -426,13 +308,17 @@ class TestTableInput:
         assert out.read_text() == "log2_inv_p,log_pi\n2,abc\n"
 
     def test_resume_refuses_other_table(self, tmp_path):
+        # the three-column layout an older `pi --csv` wrote
         out = tmp_path / "pi.csv"
-        out.write_text(OLD_PI_TABLE)
+        out.write_text(provenance("exact") + "\nlog2_inv_p,p,log_pi\n"
+                       "2,0.25,0.85\n")
         before = out.read_text()
-        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
-                    "--resume")
-        assert_one_line_error(r, "pi.csv", "cannot append")
-        assert out.read_text() == before
+        for args in (("scan", "--log2-inv-p-range", "2..3", "--output",
+                      str(out), "--resume"), ("fit", "--input", str(out))):
+            assert_one_line_error(run_cli(*args), "pi.csv, line 2",
+                                  "log2_inv_p,p,log_pi",
+                                  "is not 'log2_inv_p,log_pi'")
+            assert out.read_text() == before
 
 
 class TestOtherCommands:
@@ -515,7 +401,10 @@ class TestBadInput:
         ("functions", "--points", "-1"),
         ("functions", "--points", "0"),
         ("functions", "--grid", "1e-6..inf"),
-        ("scan", "--log2-inv-p-range", "0..2")])
+        ("scan", "--log2-inv-p-range", "0..2"),
+        ("scan", "--log2-inv-p-range", "1075..1075"),
+        ("pi", "--p", "0.8"),
+        ("pi", "--p", "1e-310")])
     def test_inputs_past_the_domain_are_usage_errors(self, args):
         r = run_cli(*args)
         assert r.returncode == 1, args
@@ -540,15 +429,15 @@ def fake_pi(params, **kwargs):
 
 EXPONENTS = st.integers(2, 6)
 TABLE_OPERATIONS = st.lists(st.one_of(
-    st.tuples(st.just("pi"), EXPONENTS, st.sampled_from(CONVENTIONS)),
-    st.tuples(st.just("scan"), EXPONENTS, EXPONENTS,
+    st.tuples(st.sampled_from(("scan", "resume")), EXPONENTS, EXPONENTS,
               st.sampled_from(CONVENTIONS)),
     st.tuples(st.just("cut"), st.integers(1, 40))), max_size=12)
 
 
 class TestTableProperties:
-    """Random sequences of `pi --csv`, `scan --resume` and cut-off last
-    lines on one file never leave a table that is corrupt or mixed."""
+    """Random sequences of `scan --output`, with and without --resume,
+    and cut-off last lines on one file never leave a table that is
+    corrupt or mixed."""
 
     @settings(max_examples=200, deadline=None)
     @given(TABLE_OPERATIONS)
@@ -563,13 +452,10 @@ class TestTableProperties:
                     with open(path, "wb") as fh:
                         fh.write(before[:-op[1]])
                 else:
-                    if op[0] == "pi":
-                        args = ["pi", "--log2-inv-p", str(op[1]),
-                                "--convention", op[2], "--csv", path]
-                    else:
-                        args = ["scan", "--log2-inv-p-range",
-                                f"{op[1]}..{op[2]}", "--convention", op[3],
-                                "--output", path, "--resume"]
+                    args = ["scan", "--log2-inv-p-range", f"{op[1]}..{op[2]}",
+                            "--convention", op[3], "--output", path]
+                    if op[0] == "resume":
+                        args.append("--resume")
                     r = runner.invoke(bpdp.cli.cli, args)
                     if r.exit_code == 0:
                         assert read_bytes(path).endswith(b"\n")
@@ -589,8 +475,7 @@ def check_table(path):
     distinct exponents."""
     data = read_bytes(path)
     lines = data[:data.rfind(b"\n") + 1].decode().splitlines()
-    header, rows = bpdp.cli._parse_table(path, lines)
-    assert header in (None, ("log2_inv_p", "log_pi"))
+    _, _, rows = bpdp.cli._parse_table(path, lines)
     conventions = {line.rsplit("=", 1)[1] for line in lines
                    if line.startswith("# bpdp ")}
     assert len(conventions) <= 1
