@@ -96,9 +96,10 @@ def cli():
 def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
     if (p is None) == (log2_inv_p is None):
         raise click.UsageError("give exactly one of --p / --log2-inv-p")
-    if p is None:
+    # k < 1 is refused before 2^-k, which overflows for large negative k
+    if p is None and log2_inv_p >= 1:
         p = 2.0 ** -log2_inv_p
-    if not 0.0 < p < 1.0:
+    if p is None or not 0.0 < p < 1.0:
         raise click.UsageError("p must lie in (0,1)")
     return p
 
@@ -264,6 +265,8 @@ def _parse_range(text: str):
 def cmd_scan(krange, convention, output, resume):
     """Stream a CSV table of (log2_inv_p, log_pi), one row per p."""
     k0, k1 = _parse_range(krange)
+    if resume and not output:
+        raise click.UsageError("--resume needs --output")
     if output:
         done, sink = _open_table(output, convention, resume)
     else:
@@ -387,16 +390,20 @@ def _figure_coordinates(data: PiDataset) -> dict:
     y = data.log_pi
     res1 = LAMBDA1_F / p - y
     res2 = y - LAMBDA1_F / p + LAMBDA2_F / np.sqrt(p)
+    # the log of a residual that is not positive is a null coordinate,
+    # not a warning on stderr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_y, log_res1, log_res2 = np.log(y), np.log(res1), np.log(res2)
     return {
         "leading": {"x_log_inv_p": _points(x), "y_p_log_pi": _points(p * y)},
         "loglog": {"x_log_inv_p": _points(x),
-                   "y_log_log_pi": _points(np.log(y))},
+                   "y_log_log_pi": _points(log_y)},
         "second_order": {"x_log_inv_p": _points(x),
-                         "y_log_residual": _points(np.log(res1))},
+                         "y_log_residual": _points(log_res1)},
         "second_order_sqrt": {"x_inv_sqrt_p": _points(1.0 / np.sqrt(p)),
                               "y_residual": _points(res1)},
         "third_order": {"x_log_inv_p": _points(x),
-                        "y_log_residual": _points(np.log(res2))},
+                        "y_log_residual": _points(log_res2)},
     }
 
 

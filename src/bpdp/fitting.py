@@ -132,7 +132,12 @@ def fit_third_order(data: PiDataset) -> dict:
     return {"exponent": r["slope"], "intercept": r["intercept"]}
 
 
-def _nelder_mead_2d(fn, x0, tol=1e-12, max_iter=2000):
+# stopping rule of the simplex: spread of its values, iteration budget
+_SIMPLEX_TOL = 1e-12
+_SIMPLEX_MAX_ITER = 2000
+
+
+def _nelder_mead_2d(fn, x0):
     # classic simplex on two variables, deterministic
     pts = [np.array(x0, dtype=float)]
     for i in range(2):
@@ -140,11 +145,11 @@ def _nelder_mead_2d(fn, x0, tol=1e-12, max_iter=2000):
         step[i] = 0.05
         pts.append(np.array(x0) + step)
     vals = [fn(pt) for pt in pts]
-    for _ in range(max_iter):
+    for _ in range(_SIMPLEX_MAX_ITER):
         order = np.argsort(vals)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
-        if vals[-1] - vals[0] < tol and vals[0] < math.inf:
+        if vals[-1] - vals[0] < _SIMPLEX_TOL and vals[0] < math.inf:
             break
         centroid = (pts[0] + pts[1]) / 2.0
         refl = centroid + (centroid - pts[2])

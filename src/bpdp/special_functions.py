@@ -255,22 +255,30 @@ def integrate(fn, lower, upper, tol=1e-10, max_intervals=4096):
     return math.fsum(item[3] for item in heap)
 
 
-def _integral_zero_to_inf(fn, tail_envelope, split=1.0, cutoff=60.0, tol=1e-10):
+# Settings of the half-line integrals below: the split between the
+# substituted head and the body, the cutoff past which the tail envelope
+# is added in closed form, and the summed error tolerance.
+_SPLIT = 1.0
+_CUTOFF = 60.0
+_TOL = 1e-10
+
+
+def _integral_zero_to_inf(fn, tail_envelope):
     # z = t^2 removes 1/sqrt(z) singularities at 0; beyond the cutoff the
     # exponential envelope bound is added in closed form.
-    head = integrate(lambda t: 2.0 * t * fn(t * t), 0.0, math.sqrt(split), tol=tol / 3)
-    body = integrate(fn, split, cutoff, tol=tol / 3)
-    return head + body + tail_envelope(cutoff)
+    head = integrate(lambda t: 2.0 * t * fn(t * t), 0.0, math.sqrt(_SPLIT),
+                     tol=_TOL / 3)
+    body = integrate(fn, _SPLIT, _CUTOFF, tol=_TOL / 3)
+    return head + body + tail_envelope(_CUTOFF)
 
 
-def constants(tol=1e-10):
+def constants():
     """Closed-form first/second-order constants plus the quadrature value
     of int h2 (no closed form is known for it)."""
     lambda2_2n = _integral_zero_to_inf(
         h2,
         # h2(z) <= 2 sqrt(2(2+sqrt2)) e^{-z} (1 + O(e^{-z})) at infinity
         lambda c: 2.0 * math.sqrt(2.0 * TWO_PLUS_SQRT2) * math.exp(-c),
-        tol=tol,
     )
     return {
         "lambda1_f": math.pi ** 2 / 6.0,
@@ -280,18 +288,17 @@ def constants(tol=1e-10):
     }
 
 
-def integral_f(tol=1e-10):
+def integral_f():
     """Quadrature of int_0^inf f, for checking against pi^2/6."""
-    return _integral_zero_to_inf(f, lambda c: math.exp(-c), tol=tol)
+    return _integral_zero_to_inf(f, lambda c: math.exp(-c))
 
 
-def integral_g(tol=1e-10):
+def integral_g():
     """Quadrature of int_0^inf g, for checking against pi^2/18."""
-    return _integral_zero_to_inf(g, lambda c: math.exp(-2.0 * c), tol=tol)
+    return _integral_zero_to_inf(g, lambda c: math.exp(-2.0 * c))
 
 
-def integral_h(tol=1e-10):
+def integral_h():
     """Quadrature of int_0^inf h, for checking against pi sqrt(2+sqrt2)."""
     return _integral_zero_to_inf(
-        h, lambda c: 2.0 * math.sqrt(TWO_PLUS_SQRT2) * math.exp(-c / 2.0), tol=tol
-    )
+        h, lambda c: 2.0 * math.sqrt(TWO_PLUS_SQRT2) * math.exp(-c / 2.0))

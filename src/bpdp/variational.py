@@ -22,6 +22,9 @@ __all__ = [
 
 Point = Tuple[float, float]
 
+# summed quadrature error tolerance of each segment integral
+_PATH_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class MonotonePath:
@@ -47,7 +50,7 @@ class MonotonePath:
         return list(zip(self.vertices, self.vertices[1:]))
 
 
-def _segment_integral(kernel, p0: Point, p1: Point, tol: float) -> float:
+def _segment_integral(kernel, p0: Point, p1: Point) -> float:
     """Integral of kernel(x) dy + kernel(y) dx over the segment p0 -> p1.
 
     The kernel diverges on the axes, so a segment whose interior touches
@@ -75,39 +78,40 @@ def _segment_integral(kernel, p0: Point, p1: Point, tol: float) -> float:
 
     if on_axis_0:
         # t = s^2 clusters quadrature points at the singular endpoint
-        return integrate(lambda s: 2.0 * s * integrand(s * s), 0.0, 1.0, tol=tol)
-    return integrate(integrand, 0.0, 1.0, tol=tol)
+        return integrate(lambda s: 2.0 * s * integrand(s * s), 0.0, 1.0,
+                         tol=_PATH_TOL)
+    return integrate(integrand, 0.0, 1.0, tol=_PATH_TOL)
 
 
-def _path_integral(kernel, path: MonotonePath, tol: float) -> float:
-    return math.fsum(_segment_integral(kernel, p0, p1, tol)
+def _path_integral(kernel, path: MonotonePath) -> float:
+    return math.fsum(_segment_integral(kernel, p0, p1)
                      for p0, p1 in path.segments())
 
 
-def W(path: MonotonePath, tol: float = 1e-10) -> float:
+def W(path: MonotonePath) -> float:
     """Integral of g(x) dy + g(y) dx along the path."""
-    return _path_integral(g, path, tol)
+    return _path_integral(g, path)
 
 
-def W_f(path: MonotonePath, tol: float = 1e-10) -> float:
+def W_f(path: MonotonePath) -> float:
     """Integral of f(x) dy + f(y) dx along the path."""
-    return _path_integral(f, path, tol)
+    return _path_integral(f, path)
 
 
-def W_p(path: MonotonePath, params: ModelParams, tol: float = 1e-10) -> float:
+def W_p(path: MonotonePath, params: ModelParams) -> float:
     """Integral of g(qx) dy + g(qy) dx; equals W(q*path)/q."""
     q = params.q
-    return _path_integral(lambda z: g(q * z), path, tol)
+    return _path_integral(lambda z: g(q * z), path)
 
 
-def W_f_p(path: MonotonePath, params: ModelParams, tol: float = 1e-10) -> float:
+def W_f_p(path: MonotonePath, params: ModelParams) -> float:
     """Integral of f(qx) dy + f(qy) dx; equals W^F(q*path)/q."""
     q = params.q
-    return _path_integral(lambda z: f(q * z), path, tol)
+    return _path_integral(lambda z: f(q * z), path)
 
 
 def path_form_integral(form: Callable[[float, float], Tuple[float, float]],
-                       path: MonotonePath, tol: float = 1e-10) -> float:
+                       path: MonotonePath) -> float:
     """Line integral of a general 1-form P(x,y) dx + Q(x,y) dy."""
     total = 0.0
     for (x0, y0), (x1, y1) in path.segments():
@@ -117,7 +121,7 @@ def path_form_integral(form: Callable[[float, float], Tuple[float, float]],
             P, Q = form(x0 + t * dx, y0 + t * dy)
             return P * dx + Q * dy
 
-        total += integrate(integrand, 0.0, 1.0, tol=tol)
+        total += integrate(integrand, 0.0, 1.0, tol=_PATH_TOL)
     return total
 
 

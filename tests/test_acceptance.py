@@ -1,9 +1,14 @@
 """Acceptance gate: one test per criterion (criteria 8 and 9 have one per
 part), each printing a pass/fail line.
 
-Criteria 2, 3, 7 and 8a are the `bpdp verify` suites (``bpdp.verify``),
-which hold their seeds, sizes and bounds; the tests here call them and
-assert every check, so the CLI and the gate run one implementation.
+Criteria 2, 3, 4, 6, 7, 8a and 8b are the `bpdp verify` suites
+(``bpdp.verify``), which hold their seeds, sizes and bounds; the tests here
+call them and assert every check, so the CLI and the gate run one
+implementation.  The rest stay here: criteria 1 and 9b are the standing
+failures below, each with its own diagnostic, and 9a is the other half of
+criterion 9; criterion 5 fits the published table in tests/data, which
+the package must not read; and criterion 8c draws 100000 samples
+(20-30 s), which would make `bpdp verify` several times slower.
 
 Criterion 1 (reproduction of the published growth-scale table) is known to
 fail: the printed definition of the growth scale does not reproduce the
@@ -37,13 +42,10 @@ from bpdp.fitting import (PiDataset, fit_first_order,
                           fit_first_order_fixed_alpha, fit_four_param,
                           fit_second_order, fit_second_order_fixed_beta,
                           fit_third_order)
-from bpdp.lattice_sim import (FramedRectangle, Rectangle, crossing,
-                              exact_event_prob, explore, traversable)
-from bpdp.special_functions import (ModelParams, beta, beta_bar, constants,
-                                    f, g, integral_f, integral_g, integral_h,
-                                    traversability_x)
-from bpdp.verify import (suite_lattice, suite_matrix, suite_oracle,
-                         suite_stochasticity)
+from bpdp.lattice_sim import Rectangle, explore
+from bpdp.verify import (suite_bridge, suite_constants, suite_lattice,
+                         suite_matrix, suite_oracle, suite_stochasticity,
+                         suite_traversability)
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
 FULL = os.environ.get("BPDP_ACCEPTANCE_FULL") == "1"
@@ -140,14 +142,7 @@ class TestCriterion3Stochasticity:
 
 class TestCriterion4Constants:
     def test_quadrature_constants(self):
-        err_f = abs(integral_f() - math.pi ** 2 / 6.0)
-        err_g = abs(integral_g() - math.pi ** 2 / 18.0)
-        err_h = abs(integral_h() - math.pi * math.sqrt(2.0 + math.sqrt(2.0)))
-        err_h2 = abs(constants()["lambda2_2n"] - 7.054547)
-        ok = err_f <= 1e-8 and err_g <= 1e-8 and err_h <= 1e-8 and err_h2 <= 5e-6
-        report(4, ok, f"int f err {err_f:.1e}, int g err {err_g:.1e}, "
-                      f"int h err {err_h:.1e}, int h2 vs 7.054547 err {err_h2:.1e}")
-        assert ok
+        report_suite(4, suite_constants())
 
 
 class TestCriterion5Fitting:
@@ -187,68 +182,7 @@ class TestCriterion5Fitting:
 
 class TestCriterion6RefinedTraversability:
     def test_closed_form_and_bracket(self):
-        rng = np.random.default_rng(np.random.Philox(654))
-        # closed form vs recurrence x_{n+2} = x_{n+1} u + x_n (1-u) u
-        worst = 0.0
-        for _ in range(100):
-            u = float(rng.uniform(1e-6, 1 - 1e-6))
-            x0, x1 = 1.0, u
-            assert traversability_x(0, u) == 1.0
-            assert traversability_x(1, u) == pytest.approx(u, abs=1e-15)
-            prev2, prev1 = x0, x1
-            for n in range(2, 201):
-                cur = prev1 * u + prev2 * (1.0 - u) * u
-                worst = max(worst, abs(traversability_x(n, u) - cur))
-                prev2, prev1 = prev1, cur
-        ok_rec = worst <= 1e-12
-
-        # x_n is the East-traversability probability: exact enumeration
-        ok_exact = True
-        for (n, b, p) in ((2, 2, 0.3), (3, 2, 0.2), (4, 3, 0.5), (3, 3, 0.4)):
-            params = ModelParams(p)
-            rect = Rectangle(0, 0, n, b)
-            direct = exact_event_prob(
-                lambda A: traversable(rect, A, "east"), rect.cells(), params)
-            u = math.exp(-float(f(b * params.q)))
-            ok_exact = ok_exact and abs(direct - traversability_x(n, u)) <= 1e-12
-
-        # bracket: exp(-n g) >= x_n >= exp(-(n-1) g - f) >= p exp(-(n-1) g)
-        ok_bracket = True
-        for p in (0.1, 0.3, 0.6):
-            params = ModelParams(p)
-            for b in (1, 2, 5, 9):
-                gq = float(g(b * params.q))
-                fq = float(f(b * params.q))
-                u = math.exp(-fq)
-                for n in (1, 2, 5, 10, 40):
-                    x = traversability_x(n, u)
-                    hi = math.exp(-n * gq)
-                    lo = math.exp(-(n - 1) * gq - fq)
-                    lo2 = p * math.exp(-(n - 1) * gq)
-                    # e^{-f(bq)} >= p with equality at b = 1
-                    ok_bracket = ok_bracket and (
-                        hi * (1 + 1e-12) >= x >= lo * (1 - 1e-12)
-                        and lo >= lo2 * (1 - 1e-12))
-
-        # refined ratio bound: x_n deviates from its geometric prefactor
-        # beta^{n+1}/(beta - beta_bar) by at most (|beta_bar|/beta)^{n+1}
-        ok_refined = True
-        for p in (0.2, 0.5):
-            params = ModelParams(p)
-            for b in (1, 3, 6):
-                z = b * params.q
-                u = math.exp(-float(f(z)))
-                for n in (1, 3, 8, 20):
-                    x = traversability_x(n, u)
-                    b1, b2 = float(beta(u)), float(beta_bar(u))
-                    approx = b1 ** (n + 1) / (b1 - b2)
-                    bound = (abs(b2) / b1) ** (n + 1)
-                    ok_refined = ok_refined and abs(x / approx - 1.0) <= bound + 1e-14
-        ok = ok_rec and ok_exact and ok_bracket and ok_refined
-        report(6, ok, f"recurrence max diff {worst:.2e}; enumeration "
-                      f"{ok_exact}; bracket {ok_bracket}; refined bound "
-                      f"{ok_refined}")
-        assert ok
+        report_suite(6, suite_traversability())
 
 
 class TestCriterion7MatrixSuite:
@@ -261,31 +195,7 @@ class TestCriterion8LatticeConsistency:
         report_suite("8a", suite_lattice())
 
     def test_markov_corollary_identity(self):
-        # P(exploration from corner cell ends exactly at R)
-        #   = P(crossing) * e^{-2(a+b) q}, exactly, by enumeration
-        S = Rectangle(0, 0, 1, 1)
-        worst = 0.0
-        for p in (0.2, 0.5):
-            params = ModelParams(p)
-            for R in (Rectangle(0, 0, 2, 2), Rectangle(0, 0, 3, 2)):
-                box = R.expand(2)
-                frame4 = FramedRectangle(R, "4").frame_cells()
-                region = (R.cells() | frame4) - S.cells()
-
-                def ends_at_R(A):
-                    traj = explore(A | S.cells(), S, box)
-                    return traj[-1].state == "4" and traj[-1].rect == R
-
-                lhs = exact_event_prob(ends_at_R, region, params)
-                cross = exact_event_prob(
-                    lambda A: crossing(S, R, A, "frobose"),
-                    R.cells() - S.cells(), params)
-                rhs = cross * math.exp(-2.0 * R.phi * params.q)
-                worst = max(worst, abs(lhs - rhs))
-        ok = worst <= 1e-12
-        report("8b", ok, f"max |P(explore ends at R) - P(crossing) "
-                         f"e^(-2(a+b)q)| = {worst:.2e}")
-        assert ok
+        report_suite("8b", suite_bridge())
 
     def test_exploration_vs_chain_frequencies(self):
         p = 0.3

@@ -236,14 +236,6 @@ def test_cells_swept():
 
 
 class TestBruteForceOracle:
-    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7])
-    @pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8])
-    def test_dp_equals_brute_force(self, p, L):
-        for conv in ("exact", "at-least"):
-            cp = ChainParams.from_p(p, threshold=L, convention=conv)
-            assert abs(compute_pi(cp).log_hit_prob
-                       - brute_force_hit_prob(cp)) <= 1e-12
-
     def test_trivial(self):
         assert brute_force_hit_prob(ChainParams.from_p(0.4, threshold=2)) == 0.0
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
+import traceback
 from unittest import mock
 
 import pytest
@@ -25,17 +28,35 @@ def provenance(convention):
 
 
 def run_cli(*args, env=None):
-    import os
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
+    """Run `bpdp.cli.main()` in this process on args, with env added to the
+    environment; returns the exit status and the captured output as
+    `python -m bpdp.cli` would.  An exception other than SystemExit is
+    written to the captured stderr as a traceback, with exit status 1."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", ["bpdp", *args]), \
+            mock.patch.dict(os.environ, env or {}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            bpdp.cli.main()
+            status = 0
+        except SystemExit as exc:
+            status = exc.code or 0
+        except Exception:
+            traceback.print_exc()
+            status = 1
+    return subprocess.CompletedProcess(args, status, out.getvalue(),
+                                       err.getvalue())
+
+
+def run_shell(*args):
+    """Run `python -m bpdp.cli` on args in a subprocess."""
     return subprocess.run([sys.executable, "-m", "bpdp.cli", *args],
-                          capture_output=True, text=True, env=full_env)
+                          capture_output=True, text=True)
 
 
 class TestPi:
     def test_json_record(self):
-        r = run_cli("pi", "--log2-inv-p", "2")
+        r = run_shell("pi", "--log2-inv-p", "2")
         assert r.returncode == 0
         rec = json.loads(r.stdout)
         assert rec["command"] == "pi"
@@ -158,7 +179,7 @@ class TestNonFiniteResults:
     def test_scan_exit_status_from_shell(self):
         # a row that fails for real: at k = 60 the level storage estimate
         # exceeds the memory cap (k = 0, p = 1, is a usage error instead)
-        r = run_cli("scan", "--log2-inv-p-range", "60..60")
+        r = run_shell("scan", "--log2-inv-p-range", "60..60")
         assert r.returncode == 4
         assert r.stderr.strip().splitlines()[-1] == "# 1 of 1 rows failed"
 
@@ -366,7 +387,7 @@ class TestOtherCommands:
         r = run_cli("verify", "--suite", "all")
         assert r.returncode == 0
         lines = r.stdout.strip().splitlines()
-        assert len(lines) == 13
+        assert len(lines) == 22
         assert all(line.startswith("[pass] ") for line in lines)
         assert "FAIL" not in r.stdout
 
@@ -374,6 +395,15 @@ class TestOtherCommands:
         r = run_cli("verify", "--suite", "stochasticity")
         assert r.returncode == 0
         assert "[pass]" in r.stdout
+
+    @pytest.mark.parametrize("suite, checks", [
+        ("constants", 4), ("traversability", 4), ("bridge", 1)])
+    def test_verify_suite_on_its_own(self, suite, checks):
+        r = run_cli("verify", "--suite", suite)
+        assert r.returncode == 0
+        lines = r.stdout.strip().splitlines()
+        assert len(lines) == checks
+        assert all(line.startswith("[pass] ") for line in lines)
 
 
 class TestBadInput:
@@ -404,7 +434,9 @@ class TestBadInput:
         ("scan", "--log2-inv-p-range", "0..2"),
         ("scan", "--log2-inv-p-range", "1075..1075"),
         ("pi", "--p", "0.8"),
-        ("pi", "--p", "1e-310")])
+        ("pi", "--p", "1e-310"),
+        ("pi", "--log2-inv-p", "-5000"),
+        ("scan", "--log2-inv-p-range", "2..2", "--resume")])
     def test_inputs_past_the_domain_are_usage_errors(self, args):
         r = run_cli(*args)
         assert r.returncode == 1, args
