@@ -28,6 +28,12 @@ class TestCycleMatrix:
         assert closed_form_entry(0) == pytest.approx(1.0, rel=1e-14)
         assert closed_form_entry(1) == pytest.approx(4.0, rel=1e-14)
 
+    @pytest.mark.parametrize("K", list(range(26)))
+    def test_power_equals_closed_form(self, K):
+        exact = matrix_power_entry(K)
+        closed = closed_form_entry(K)
+        assert abs(exact - closed) / max(closed, 1.0) < 1e-6
+
     def test_dominates_growth_rate(self):
         for K in range(31):
             assert closed_form_entry(K) >= (2.0 + SQRT2) ** K * (1 - 1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from bpdp.special_functions import (ModelParams, QuadratureError, alpha, beta,
                                     beta_bar, constants, f, g, h, h2, h_mod,
+                                    integral_f, integral_g, integral_h,
                                     integrate, xi, xi_f, xi_root_T)
 
 SQRT2 = math.sqrt(2.0)
@@ -174,6 +175,16 @@ class TestAspectRatioRates:
 
 
 class TestQuadrature:
+    def test_integral_f(self):
+        assert integral_f() == pytest.approx(math.pi ** 2 / 6.0, abs=1e-8)
+
+    def test_integral_g(self):
+        assert integral_g() == pytest.approx(math.pi ** 2 / 18.0, abs=1e-8)
+
+    def test_integral_h(self):
+        assert integral_h() == pytest.approx(
+            math.pi * math.sqrt(2.0 + SQRT2), abs=1e-8)
+
     def test_polynomial_exact(self):
         assert integrate(lambda x: 3 * x * x, 0.0, 2.0, tol=1e-12) == pytest.approx(
             8.0, abs=1e-10)
@@ -198,5 +209,6 @@ class TestConstants:
         c = constants()
         assert c["lambda2_f"] == pytest.approx(5.8049063, abs=1e-4)
         assert c["lambda2_f"] == pytest.approx(5.80490630427886, abs=1e-10)
+        assert c["lambda2_2n"] == pytest.approx(7.054547, abs=5e-6)
         assert c["lambda1"] == pytest.approx(0.54831, abs=1e-5)
         assert c["lambda1_f"] == pytest.approx(math.pi ** 2 / 6.0, rel=1e-15)
