@@ -26,65 +26,92 @@ the full table.
 
 Everything about a table that does not depend on p is derived once, at
 import, into a _Plan: the lumping, the rows a level stores, the edges
-into each target row in canonical order, the crossing edges and the
-distinct width-dependent terms.  A row that no moving rule leaves
-(Frobose 4; two-neighbour 1'', 2'' and 4) is never read, so it is not
-stored, filled, searched for the column maxima or flushed; the level
-storage and the ResourceCapError estimate count only the stored rows.
-Frobose stores 5 rows with 17 edges into them (13 crossing), against 7,
-26 and 20 unlumped; the two-neighbour plan stores 6 rows with 41 edges.
+into each target row in canonical order, the crossing edges, the terms
+each row's moving edges share and the gauge below.  A row that no moving
+rule leaves (Frobose 4; two-neighbour 1'', 2'' and 4) is never read, so
+it is not stored, filled, searched for the column maxima or flushed; the
+level storage and the ResourceCapError estimate count only the stored
+rows.  Frobose stores 5 rows with 17 edges into them (13 crossing),
+against 7, 26 and 20 unlumped; the two-neighbour plan stores 6 rows with
+41 edges.
 
-A rule's probability at source (w, h) is const * a[w] * b[h], where a and
-b are products of a few terms in one integer argument n: Frobose uses
-two, 1 - e^{-qn} and e^{-qn}, and the two-neighbour excerpt about ten.  A
-call computes each distinct term once, over all n, and each rule's factor
-vector as its constant times one or two of them; rules with the same
-constant and terms share one vector.  The constant is folded into the
-width factor, or into the height factor when the rule does not depend on
-the width, and height factors are stored reversed, so every edge adds
-source * width factor * reversed height factor into a whole target row
-with a few ufunc calls on contiguous slices.
+A rule's probability at source (w, h) is a constant (a monomial in p,
+4 - 3p, e^{-q} and small integers) times a few terms in one integer
+argument n, w or h: Frobose uses two, 1 - e^{-qn} and e^{-qn}, and the
+two-neighbour excerpt about ten.  The moving edges out of a row often
+share terms, f_s: every moving Frobose rule carries 1 - e^{-q side}, the
+chance that the side buffer holds an infection; of the two-neighbour
+rows only 0 shares one.  So a level's rows are filled as X_s = kappa_s F_s,
+F the probability mass, and once the level is filled each row is
+converted in place to its gauged growth mass G_s = nu_s f_s X_s, which
+the later levels read.  nu_s is the constant of the row's self-loop and
+kappa_s a per-row gauge, chosen at import among the spanning forests of
+the constraints so that the most edge constants become exactly 1.  A
+moving edge s -> t with probability c f_s r then adds
+(c kappa_t / (nu_s kappa_s)) r G_s into X_t: for Frobose 11 of the 13
+moving edges become plain shifted adds of a stored row, 3 to 1'' keeps
+the scalar 1/2 and 3 to 0 the scalar (4 - 3p) e^q / 2.  Rank-up edges
+read the current level before its conversion, with the ratio
+kappa_t / kappa_s in their vector.  A Frobose level takes 23 ufunc calls
+(18 for the edges, 5 conversions) where multiplying every edge by a
+factor vector took 29.  A call computes each distinct term once, over
+all n, and each factor as its constant times its residual terms, the
+constant folded into the width vector, or into the height vector when
+the factor does not depend on the width; height vectors are stored
+reversed, so every edge reads contiguous slices.  kappa_s grows like
+p^depth (2 p^3 e^q for Frobose row 3), so where some kappa_s or
+nu_s kappa_s leaves [2^-100, 2^100] (Frobose: p below about 7e-11) the
+call uses kappa = nu = 1 instead; the rows are still converted, and
+every constant stays apart from the terms, so none underflows with them.
 
 Probabilities fall as low as exp(-1e5), far below the smallest double, so
 levels are stored scaled, as the scaled HMM forward algorithm stores its
 columns (Rabiner, Proc. IEEE 1989), but every level in the ring shares
-one scale, whose logarithm is kept beside the ring.  A level is divided
-by its largest entry only when that entry leaves the band [e^-16, 1] (88
-of the 6389 levels at p = 2^-9), and the levels that later levels still
-read are divided (and flushed) with it, so an edge never multiplies by a
-ratio of scales.
+one scale, whose logarithm is kept beside the ring.  A level's gauged
+rows G are divided by their largest entry only when that entry leaves
+the band [e^-16, 1], and the levels that later levels still read are
+divided (and flushed) with it, so an edge never multiplies by a ratio of
+scales.
 
 Each ring slot records the contiguous width range [lo, hi) that survived
 its flush, and a level is filled only over the union of its sources'
 ranges shifted by 0 .. max dw, clipped to [1, phi); what the slot's
 previous level left outside that range is cleared first.  The column
-maxima after the fill give both the level's largest entry and its range.
-The sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
-(PiResult.cells_swept); a skipped cell would only sum zeros.
+maxima of G after the fill give both the level's largest entry and its
+range.  The sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at
+p = 2^-9 (PiResult.cells_swept); a skipped cell would only sum zeros.
 
-Entries below the smallest normal double are flushed to zero every level,
-which also keeps slow subnormal numbers out of the sweep; as a level's
-largest entry lies in [e^-16, 1], a flushed entry is at most about e^-692
-below it.  Counted over all levels as the share of each level's
-live-window entries that lie below the smallest normal double after its
-fill, the sweep flushes 0.3% at p = 2^-8 and 0.2% at p = 2^-9, and log_pi
-stayed within 1.1e-13 relative of a log-domain sweep that flushes nothing
-(k = 2..9).  At long thresholds about half flush (46% at p = 0.5,
-L = 2000; 51% at p = 0.9, L = 800), and log_hit_prob stayed within 4e-14
-absolute of that sweep.  The flushed mass is measured, not bounded.
+Entries of G below the smallest normal double are flushed to zero every
+level, which also keeps slow subnormal numbers out of the sweep; as a
+level's largest entry lies in [e^-16, 1], a flushed entry is at most
+about e^-692 below it.  Counted over all levels as the share of each
+level's live-window entries that lie below the smallest normal double
+after its fill, the sweep flushes 0.34% at p = 2^-8 and 0.33% at
+p = 2^-9, and log_pi stayed within 1.1e-13 relative of a log-domain
+sweep that flushes nothing (k = 2..9).  At long thresholds about half
+flush (46% at p = 0.5, L = 2000; 51% at p = 0.9, L = 800), and
+log_hit_prob stayed within 4e-14 absolute of that sweep.  The flushed
+mass is measured, not bounded.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
-source state order), so the result is bit-identical from run to run.  The
-hit probabilities come from the crossing edges out of the last max-jump
-levels: one dot product per edge over its source row's live widths,
-all summed at once, as those levels share the ring's scale.
+source state order; where a row's first edge is a plain add, it trades
+places with the second, which leaves their sum unchanged), so the result
+is bit-identical from run to run.  The hit probabilities come from the
+crossing edges out of the last max-jump levels: the flow along an edge
+is its constant times the sum of its source row of G over the live
+widths, or, where residual terms are left (the two-neighbour excerpt),
+one dot product with them; the flows are summed at once, as those
+levels share the ring's scale.  The Frobose fold takes no dot product,
+so BLAS starts no threads there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,6 +128,9 @@ _PAD = 6
 _TINY = np.finfo(float).tiny
 # A level is rescaled when its largest entry leaves [_BAND_LOW, 1]
 _BAND_LOW = math.exp(-16.0)
+# The gauge is used only while its row constants lie within 2^+-_GAUGE_BITS
+_GAUGE_BITS = 100
+_LOG2 = math.log(2.0)
 
 
 class ResourceCapError(RuntimeError):
@@ -156,26 +186,6 @@ class PiResult:
     levels: int = 0                # levels swept, L - 2
 
 
-def _factor_key(rule: TransitionRule) -> tuple:
-    """(constant recipe, width terms, height terms) of a rule.  A term is
-    ("f", shift) for 1 - e^{-q(n+shift)} or ("q", shift, coeff) for
-    e^{-q coeff (n+shift)}, listed f-terms first, each in rule order."""
-    f_shifts, q_pairs = [], []
-    terms = {"a": [], "b": []}
-    for dim, shift in rule.f_terms:
-        if dim is None:
-            f_shifts.append(shift)
-        else:
-            terms[dim].append(("f", shift))
-    for dim, shift, coeff in rule.q_terms:
-        if dim is None:
-            q_pairs.append((shift, coeff))
-        else:
-            terms[dim].append(("q", shift, coeff))
-    return ((rule.n_logp, rule.log4m3p, tuple(f_shifts), tuple(q_pairs)),
-            tuple(terms["a"]), tuple(terms["b"]))
-
-
 def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
     """The blocks of the coarsest partition of states, finer than RANK's,
     in which all states of a block have the same multiset of (block of
@@ -205,24 +215,273 @@ def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
     return tuple(tuple(members) for members in blocks.values())
 
 
+# A constant of the tables is a monomial: a product of powers of the bases
+# "p", "4-3p" (4 - 3p), "e^-q", "f<s>" (1 - e^{-qs}, s a fixed integer)
+# and "<n>" (the integer n, the number of rules a lumped edge merges).  It
+# is kept exact, as ((base, power), ...) in base order, so that the gauge
+# knows which edge constants it turns into exactly 1.
+_UNIT = ()
+
+
+def _monomial(powers: dict) -> tuple:
+    return tuple(sorted((base, e) for base, e in powers.items() if e))
+
+
+def _times(x: tuple, y: tuple, sign: int = 1) -> tuple:
+    """x * y, or x / y with sign -1."""
+    if not y:
+        return x
+    powers = dict(x)
+    for base, e in y:
+        powers[base] = powers.get(base, 0) + sign * e
+    return _monomial(powers)
+
+
+def _factor_key(rule: TransitionRule) -> tuple:
+    """(constant, width terms, height terms) of a rule.  The constant is a
+    monomial; a term is ("f", shift) for 1 - e^{-q(n+shift)} or
+    ("q", shift, coeff) for e^{-q coeff (n+shift)}, listed f-terms first,
+    each in rule order."""
+    powers = {"p": rule.n_logp, "4-3p": int(rule.log4m3p)}
+    terms = {"a": [], "b": []}
+    for dim, shift in rule.f_terms:
+        if dim is None:
+            powers[f"f{shift}"] = powers.get(f"f{shift}", 0) + 1
+        else:
+            terms[dim].append(("f", shift))
+    for dim, shift, coeff in rule.q_terms:
+        if dim is None:
+            powers["e^-q"] = powers.get("e^-q", 0) + coeff * shift
+        else:
+            terms[dim].append(("q", shift, coeff))
+    return _monomial(powers), tuple(terms["a"]), tuple(terms["b"])
+
+
+def _base(name: str, params: ModelParams) -> float:
+    if name.isdigit():
+        return float(name)
+    if name == "p":
+        return params.p
+    if name == "4-3p":
+        return 4.0 - 3.0 * params.p
+    if name == "e^-q":
+        return math.exp(-params.q)
+    return -math.expm1(-params.q * int(name[1:]))
+
+
+def _value(mono: tuple, bases: dict) -> float:
+    """The monomial at the base values bases."""
+    out = 1.0
+    for base, e in mono:
+        out *= bases[base] ** e
+    return out
+
+
+def _shared(term_lists: list) -> tuple:
+    """The terms that every list holds, as often as each holds them, in
+    the order of the first list."""
+    if not term_lists:
+        return ()
+    common = Counter(term_lists[0])
+    for terms in term_lists[1:]:
+        common &= Counter(terms)
+    return tuple(common.elements())
+
+
+def _without(terms: tuple, shared: tuple) -> tuple:
+    """terms less one occurrence of each shared term, in order."""
+    left = list(terms)
+    for term in shared:
+        left.remove(term)
+    return tuple(left)
+
+
+def _best_gauge(n_rows: int, seed: int, bare) -> list:
+    """kappa per row, the monomial gauge under which the most of the
+    edges bare meet their ask.  An edge (s, t, r) asks
+    kappa[t] / kappa[s] == r.  Every gauge that meets the most asks meets
+    a spanning forest of the edges between rows, so the search runs over
+    those forests in edge order, the first best one wins, and kappa is 1
+    at the seed and at the first row of each other component.  While it
+    runs, a monomial is the integer sum of its powers times 2^(20 i), i
+    the index of the base, which turns products into sums and is exact
+    while every power stays below 2^19 in size (the tables' stay below
+    20); any kappa is a valid gauge, so only the count of plain edges
+    rests on that."""
+    bases = sorted({base for _, _, r in bare for base, _ in r})
+
+    def code(mono):
+        return sum(e << (20 * bases.index(base)) for base, e in mono)
+
+    asks = [(s, t, code(r)) for s, t, r in bare]
+    links = [ask for ask in asks if ask[0] != ask[1]]
+
+    def component(parent, i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    parent = list(range(n_rows))
+    for s, t, _ in links:
+        parent[component(parent, s)] = component(parent, t)
+    rank = sum(parent[i] != i for i in range(n_rows))
+    best, best_kappa = -1, None
+    for forest in itertools.combinations(links, rank):
+        parent = list(range(n_rows))
+        for s, t, _ in forest:
+            a, b = component(parent, s), component(parent, t)
+            if a == b:
+                break
+            parent[a] = b
+        else:
+            kappa = [None] * n_rows
+            for start in (seed, *range(n_rows)):
+                if kappa[start] is not None:
+                    continue
+                kappa[start], todo = 0, [start]
+                while todo:
+                    u = todo.pop()
+                    for s, t, r in forest:
+                        if s == u and kappa[t] is None:
+                            kappa[t] = kappa[s] + r
+                            todo.append(t)
+                        elif t == u and kappa[s] is None:
+                            kappa[s] = kappa[t] - r
+                            todo.append(s)
+            count = sum(kappa[t] - kappa[s] == r for s, t, r in asks)
+            if count > best:
+                best, best_kappa = count, kappa
+    out = []
+    for k in best_kappa:
+        powers = {}
+        for base in bases:
+            e = (k + (1 << 19)) % (1 << 20) - (1 << 19)
+            powers[base], k = e, (k - e) >> 20
+        out.append(_monomial(powers))
+    return out
+
+
+class _Gauge:
+    """The per-row constants of one way to store a plan's levels, and the
+    edges, conversions and hit flows they leave.
+
+    A level's rows are filled as X_s = kappa_s F_s, F the probability
+    mass, and, once the level is filled, converted in place to the
+    gauged growth mass G_s = nu_s f_s X_s, f_s the product of the terms
+    that all moving rules out of row s share (the row is not converted
+    when it has none, and then nu_s = 1).  A moving edge s -> t with
+    probability c f_s r (r its residual terms) then adds
+    (c kappa_t / (nu_s kappa_s)) r G_s into X_t, and a rank-up edge adds
+    (c kappa_t / kappa_s) r X_s from the same level, before conversion.
+    An edge whose factor is exactly 1, with no residual, is a plain
+    shifted add.  The flow of a crossing edge is (c / (nu_s kappa_s))
+    times the sum of r G_s.
+
+    factors: the distinct (monomial, width terms, height terms).  edges:
+    (dphi, source row, dw, dh, factor index) per lumped edge of the plan
+    into a stored row, else None.  stages[m]: (target row, pair, edge
+    indices) per stored row in stage order, over the edges with
+    dphi <= m, in the plan's canonical order, except that where a row's
+    first two edges are plain shifted adds, pair holds their (dphi,
+    source row, dw), for one add that writes both, and where only the
+    first is plain, it swaps places with the second (which leaves their
+    sum unchanged), so that the row's first write is a multiply; pair is
+    None otherwise.  stages[m] is all that has a source at phi = m + 2.
+    convert: (row, factor index) per converted row.  crossing:
+    (dphi, source row, factor index) per crossing edge, in the plan's
+    crossing order.  into_factor and hit_factor: the factor index per
+    lumped edge of the plan, of its flow into the target row and of its
+    crossing flow, or None.  bounds: the kappa_s and nu_s kappa_s, which
+    fits() checks; bases and bound_bases: the bases that the factors and
+    the bounds name; degree: the largest sum of |power| over the bounds."""
+
+    def __init__(self, plan: "_Plan", kappa: Sequence[tuple],
+                 nu: Sequence[tuple]):
+        self.kappa, self.nu = tuple(kappa), tuple(nu)
+        index = {}
+
+        def factor(*key):
+            return index.setdefault(key, len(index))
+
+        self.into_factor, self.hit_factor = [], []
+        for _, dphi, s, t, _, _, const, a, b in plan.lumped:
+            mu = _times(nu[s], kappa[s]) if dphi else kappa[s]
+            self.into_factor.append(None if t is None else factor(
+                _times(_times(const, kappa[t]), mu, -1), a, b))
+            self.hit_factor.append(factor(_times(const, mu, -1), a, b)
+                                   if dphi else None)
+        self.convert = tuple((s, factor(nu[s], *plan.shared[s]))
+                             for s in range(len(plan.rows))
+                             if any(plan.shared[s]))
+        self.factors = tuple(index)
+        self.terms = tuple(dict.fromkeys(
+            term for _, a_terms, b_terms in self.factors
+            for term in a_terms + b_terms))
+
+        self.edges = tuple(None if fi is None else e[1:3] + e[4:6] + (fi,)
+                           for e, fi in zip(plan.lumped, self.into_factor))
+        self.crossing = tuple((plan.lumped[i][1], plan.lumped[i][2],
+                               self.hit_factor[i]) for i in plan.crossing)
+        plain = [key == (_UNIT, (), ()) for key in self.factors]
+
+        def stage(most):
+            out = []
+            for t, edges in plan.into:
+                edges = [i for i in edges if plan.lumped[i][1] <= most]
+                pair = None
+                if len(edges) > 1 and plain[self.into_factor[edges[0]]]:
+                    if plain[self.into_factor[edges[1]]]:
+                        pair = tuple(self.edges[i][:3] for i in edges[:2])
+                        del edges[:2]
+                    else:
+                        edges[:2] = edges[1::-1]
+                out.append((t, pair, tuple(edges)))
+            return tuple(out)
+
+        self.stages = tuple(stage(most) for most in range(plan.max_dphi + 1))
+        self.bounds = tuple(dict.fromkeys(
+            self.kappa + tuple(map(_times, self.nu, self.kappa))))
+        self.bases = {base for mono, _, _ in self.factors for base, _ in mono}
+        self.bound_bases = {base for mono in self.bounds for base, _ in mono}
+        self.degree = max(sum(abs(e) for _, e in mono) for mono in self.bounds)
+
+    def fits(self, params: ModelParams) -> bool:
+        """Whether every kappa_s and nu_s kappa_s lies within
+        2^+-_GAUGE_BITS at params."""
+        logs = {base: math.log(_base(base, params))
+                for base in self.bound_bases}
+        limit = _GAUGE_BITS * _LOG2
+        # a bound's log is at most its degree times the largest |log|
+        return (max(map(abs, logs.values()), default=0.0) * self.degree
+                <= limit or all(abs(sum(e * logs[base] for base, e in mono))
+                                <= limit for mono in self.bounds))
+
+
 class _Plan:
     """The p-independent part of one table's sweep, on the table's
-    coarsest strong lumping.
+    coarsest strong lumping, with the gauge its rows are stored in.
 
     blocks: the lumping's classes of frame states, each in state order,
     ordered by their first state, which stands for the block.  rows: the
     stored blocks, those some moving rule leaves, in state order.  lumped:
-    (member rules, factor index) per edge of the quotient; the members are
+    (member rules, dphi, source row, target row or None, dw, dh, constant,
+    width terms, height terms) per edge of the quotient; the members are
     the moving rules (all but the absorbing self-loop) out of the block's
     first state into one block at one (dw, dh) with one factor key, in
-    table order, and the edge's probability is the sum of theirs.
-    factors: the distinct (multiplicity, factor key); terms: the distinct
-    terms.  An edge is (dphi, source row, dw, dh, factor index).  into:
-    (target row, edges) per stored row in stage (rank) order, the edges in
-    canonical order: source phi ascending (dphi descending), source w
-    ascending (dw descending), source state order.  crossing: the edges
-    that raise phi, in hit-summation order (source state, table order),
-    whether or not their target row is stored.
+    table order, and the edge's probability, the sum of theirs, is the
+    constant (a monomial) times the terms and, when dphi > 0, f_s.
+    shared: per row, the (width, height) terms f_s that all its edges
+    with dphi > 0 share, which their own terms leave out.  into:
+    (target row, lumped edge indices) per stored row in stage (rank)
+    order, in canonical order: source phi ascending (dphi descending),
+    source w ascending (dw descending), source state order.  crossing: the
+    indices of the edges that raise phi, in hit-summation order (source
+    state, table order), whether or not their target row is stored.
+
+    gauged: the _Gauge with nu_s the constant of row s's first self-loop
+    that the shared terms leave bare, and kappa the best gauge
+    (_best_gauge) for the number of plain edges; ungauged: kappa = nu = 1,
+    for the parameters at which the gauged constants leave 2^+-_GAUGE_BITS.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -244,43 +503,66 @@ class _Plan:
         self.seed_row = row["0"]
         self.max_dphi = max(dw + dh for _, _, dw, dh, _ in merged)
         self.max_dw = max(dw for _, _, dw, _, _ in merged)
-        index = {}
-        self.lumped = tuple(
-            (tuple(rules), index.setdefault((len(rules), kind), len(index)))
-            for (*_, kind), rules in merged.items())
         key_of = list(kinds)
-        self.factors = tuple((mult, key_of[kind]) for mult, kind in index)
-        self.terms = tuple(dict.fromkeys(
-            term for _, (_, a_terms, b_terms) in self.factors
-            for term in a_terms + b_terms))
-        edges = [(dw + dh, row[src], dw, dh, fi)
-                 for (src, _, dw, dh, _), (_, fi) in zip(merged, self.lumped)]
+        lumped = []
+        for (src, dst, dw, dh, kind), rules in merged.items():
+            const, a, b = key_of[kind]
+            if len(rules) > 1:
+                const = _times(const, ((str(len(rules)), 1),))
+            lumped.append((tuple(rules), dw + dh, row[src], row.get(dst),
+                           dw, dh, const, a, b))
+        self.shared = tuple(
+            tuple(_shared([e[dim] for e in lumped if e[2] == s and e[1] > 0])
+                  for dim in (7, 8))
+            for s in range(len(self.rows)))
+        self.lumped = tuple(
+            e[:7] + tuple(_without(e[dim], self.shared[e[2]][dim - 7])
+                          if e[1] else e[dim] for dim in (7, 8))
+            for e in lumped)
         srcs = [order[src] for src, *_ in merged]
         dsts = [dst for _, dst, *_ in merged]
-        canonical = sorted(range(len(edges)), key=lambda i: (
-            -edges[i][0], -edges[i][2], srcs[i]))
+        canonical = sorted(range(len(lumped)), key=lambda i: (
+            -lumped[i][1], -lumped[i][4], srcs[i]))
         self.into = tuple(
-            (row[t], tuple(edges[i] for i in canonical if dsts[i] == t))
+            (row[t], tuple(i for i in canonical if dsts[i] == t))
             for t in sorted(self.rows, key=RANK.__getitem__))
-        self.crossing = tuple(edges[i] for i in sorted(
-            (i for i, e in enumerate(edges) if e[0] > 0),
+        self.crossing = tuple(sorted(
+            (i for i, e in enumerate(lumped) if e[1] > 0),
             key=srcs.__getitem__))
+
+        unit = [_UNIT] * len(self.rows)
+        nu = list(unit)     # the first bare self-loop in table order sets nu
+        for _, dphi, s, t, _, _, const, a, b in reversed(self.lumped):
+            if s == t and dphi and not a + b and any(self.shared[s]):
+                nu[s] = const
+        # the edges a gauge can make plain, with the kappa_t / kappa_s
+        # that does it; self-loops are plain or not whatever kappa is
+        bare = [(s, t, _times(nu[s], const, -1) if dphi
+                 else _times(_UNIT, const, -1))
+                for _, dphi, s, t, _, _, const, a, b in self.lumped
+                if t is not None and not a + b]
+        kappa = _best_gauge(len(self.rows), self.seed_row, bare)
+        self.gauged = _Gauge(self, kappa, nu)
+        self.ungauged = (self.gauged if set(kappa + nu) == {_UNIT}
+                         else _Gauge(self, unit, unit))
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
 _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
-def _factor_vectors(plan: _Plan, params: ModelParams, N: int):
-    """(a, b_rev) per factor of the plan over n = -_PAD .. N - _PAD - 1:
-    a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the rule's probability at
-    source (w, h), and a factor the rule does not depend on is None.
-    Dummies (1) at non-positive arguments are harmless because those
-    positions only ever meet zero source entries."""
-    p, q = params.p, params.q
+def _factor_vectors(gauge: _Gauge, params: ModelParams, N: int):
+    """(w, a, b_rev) per factor of the gauge over n = -_PAD .. N - _PAD - 1:
+    w * a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the factor at source
+    (w, h), where a factor the product does not depend on is None and w
+    is folded into a, or into b_rev when a is None.  w is None for a
+    factor that is exactly 1.  Dummies (1) at non-positive arguments are
+    harmless because those positions only ever meet zero source entries."""
+    q = params.q
+    bases = {base: _base(base, params) for base in gauge.bases}
     n = np.arange(-_PAD, N - _PAD, dtype=float)
     terms = {}
-    for term in plan.terms:
+    for term in gauge.terms:
         if term[0] == "f":
             arg = (n + term[1]) * q
             terms[term] = np.where(arg > 0.0, -np.expm1(-np.maximum(arg, q)),
@@ -297,24 +579,19 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int):
         return out
 
     factors = []
-    for mult, ((n_logp, log4m3p, f_shifts, q_pairs), a_keys,
-               b_keys) in plan.factors:
-        const = mult * p ** n_logp
-        if log4m3p:
-            const *= 4.0 - 3.0 * p
-        for shift in f_shifts:
-            const *= -math.expm1(-q * shift)
-        for shift, coeff in q_pairs:
-            const *= math.exp(-q * coeff * shift)
-        a, b = product(a_keys), product(b_keys)
-        if a is None and b is not None:
-            factors.append((None, b[::-1] * const))
+    for mono, a_keys, b_keys in gauge.factors:
+        if not a_keys and not b_keys:
+            factors.append((None if mono == _UNIT else _value(mono, bases),
+                            None, None))
             continue
+        const = _value(mono, bases)
+        a, b = product(a_keys), product(b_keys)
         if a is None:
-            a = np.full(N, const)
-        elif const != 1.0:
+            factors.append((None, None, b[::-1] * const))
+            continue
+        if const != 1.0:
             a = a * const
-        factors.append((a, None if b is None else b[::-1].copy()))
+        factors.append((None, a, None if b is None else b[::-1].copy()))
     return factors
 
 
@@ -332,10 +609,19 @@ class _Engine:
             raise ResourceCapError(
                 f"estimated {est} bytes of level storage exceeds cap "
                 f"{memory_cap_bytes}")
-        factors = _factor_vectors(plan, params, self.N)
-        self._into = [(t, [e[:4] + factors[e[4]] for e in edges])
-                      for t, edges in plan.into]
-        self._crossing = [e[:4] + factors[e[4]] for e in plan.crossing]
+        gauge = plan.gauged if plan.gauged.fits(params) else plan.ungauged
+        factors = _factor_vectors(gauge, params, self.N)
+
+        self._stages = gauge.stages
+        self._edges = [None if e is None else e[:4] + factors[e[4]]
+                       for e in gauge.edges]
+        # the conversions by width and by height vector (a row whose
+        # shared terms hold both is in both lists)
+        self._convert_a = [(t, factors[fi][1]) for t, fi in gauge.convert
+                           if factors[fi][1] is not None]
+        self._convert_b = [(t, factors[fi][2]) for t, fi in gauge.convert
+                           if factors[fi][2] is not None]
+        self._crossing = [e[:2] + factors[e[2]] for e in gauge.crossing]
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
         self._rows = [list(level) for level in self._levels]  # 1-D row views
         self._tmp = np.empty(self.N)
@@ -343,16 +629,24 @@ class _Engine:
         self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = 0
 
+    def _stage(self, most: int) -> list:
+        """(target row, pair, edges) per stored row, over the edges with
+        dphi <= most (_Gauge.stages)."""
+        edges = self._edges
+        return [(t, pair, [edges[i] for i in order])
+                for t, pair, order in self._stages[most]]
+
     # -- per-level kernel -----------------------------------------------------
     def _fill(self, phi: int, lo: int, hi: int, into):
         """Flow along the edges of into into target widths [lo, hi) of
-        level phi.  The first edge into a row overwrites [lo, hi), so those
-        entries are not cleared: a slot is fresh (zeros) until
-        phi = 2 + window, and below phi = 1 + window into holds only the
-        edges out of levels 2 .. phi, so none overwrites the seed; from
-        there on every edge has a source, so every stored row with an
-        incoming edge is overwritten.  sweep() clears the slot outside
-        [lo, hi)."""
+        level phi, then convert its rows to gauged growth masses, now that
+        the rank-up edges have read them.  The first write into a row
+        overwrites [lo, hi), so those entries are not cleared: a slot is
+        fresh (zeros) until phi = 2 + window, and below phi = 1 + window
+        into holds only the edges out of levels 2 .. phi, so none
+        overwrites the seed; from there on every edge has a source, so
+        every stored row with an incoming edge is overwritten.  sweep()
+        clears the slot outside [lo, hi)."""
         rows, window = self._rows, self.window
         mul, add = np.multiply, np.add     # positional out: cheaper calls
         cur = rows[phi % window]
@@ -363,23 +657,41 @@ class _Engine:
         # factor from lb + dh, where the source height is phi - dphi - w + dw
         la = lo + _PAD
         lb = self.N - 1 - _PAD - phi + lo
-        for t, edges in into:
+        for t, pair, edges in into:
             row = cur[t][la:la + cnt]
-            out = row           # the first edge writes the row directly
-            for dphi, s, dw, dh, a, b_rev in edges:
+            out = row           # the first write goes to the row directly
+            if pair:
+                (d0, s0, w0), (d1, s1, w1) = pair
+                add(src[d0][s0][la - w0:la - w0 + cnt],
+                    src[d1][s1][la - w1:la - w1 + cnt], row)
+                out = tmp
+            for dphi, s, dw, dh, w, a, b_rev in edges:
                 s0 = la - dw
                 vals = src[dphi][s][s0:s0 + cnt]
-                if a is None:
-                    r0 = lb + dh
-                    mul(vals, b_rev[r0:r0 + cnt], out)
-                else:
+                if a is not None:
                     mul(vals, a[s0:s0 + cnt], out)
                     if b_rev is not None:
                         r0 = lb + dh
                         mul(out, b_rev[r0:r0 + cnt], out)
+                elif b_rev is not None:
+                    r0 = lb + dh
+                    mul(vals, b_rev[r0:r0 + cnt], out)
+                elif w is not None:
+                    mul(vals, w, out)
+                elif out is tmp:       # a plain shifted add
+                    add(row, vals, row)
+                    continue
+                else:
+                    np.copyto(row, vals)
                 if out is tmp:
                     add(row, tmp, row)
                 out = tmp
+        for t, a in self._convert_a:
+            row = cur[t][la:la + cnt]
+            mul(row, a[la:la + cnt], row)
+        for t, b_rev in self._convert_b:
+            row = cur[t][la:la + cnt]
+            mul(row, b_rev[lb:lb + cnt], row)
 
     # -- main loop ------------------------------------------------------------
     def sweep(self):
@@ -402,15 +714,14 @@ class _Engine:
             if hi < old_hi:
                 cur[:, hi + _PAD:old_hi + _PAD] = 0.0
             if phi == 2:
+                # the seed: X = kappa F, and kappa is 1 at the seed row
                 cur[self.plan.seed_row, 1 + _PAD] = 1.0
-            if phi <= window:
-                # no level lies below the seed: skip the edges out of
-                # those slots (which would only add zeros), so that none
-                # overwrites the seed
-                into = [(t, [e for e in edges if e[0] <= phi - 2])
-                        for t, edges in self._into]
-            else:
-                into = self._into
+            if phi <= window + 1:
+                # below phi = 1 + window no level lies below the seed:
+                # skip the edges out of those slots (which would only add
+                # zeros), so that none overwrites the seed; from there on
+                # into holds every edge
+                into = self._stage(phi - 2)
             self._fill(phi, lo, hi, into)
             self.cells += hi - lo
             live = cur[:, lo + _PAD:hi + _PAD]
@@ -445,10 +756,11 @@ class _Engine:
         phi only increases, so every path leaves the levels below L
         exactly once, along a crossing edge into a level t in
         L .. L+max_dphi-1, an exact hit when t = L.  The flow along an edge
-        out of a stored level is one dot product over the live widths of
-        its source row, taken in ascending source phi and, within a level,
-        in the plan's crossing order; the levels share one scale, so the
-        flows are summed once."""
+        out of a stored level is its constant times the sum of its source
+        row over the live widths, or, where residual terms are left, one
+        dot product with them, taken in ascending source phi and, within
+        a level, in the plan's crossing order; the levels share one
+        scale, so the flows are summed once."""
         L, N, window = self.L, self.N, self.window
         if L == 2:
             return 0.0, 0.0
@@ -458,16 +770,22 @@ class _Engine:
             rows, lo = self._rows[slot], self._los[slot]
             cnt = self._his[slot] - lo
             la, lb = lo + _PAD, N - 1 - _PAD - sphi + lo
-            for dphi, s, _, _, a, b_rev in self._crossing:
+            sums = {}      # per source row, shared by its bare edges
+            for dphi, s, w, a, b_rev in self._crossing:
                 if sphi + dphi < L:
                     continue
                 vals = rows[s][la:la + cnt]
-                if a is None:
+                if a is not None:
+                    if b_rev is None:
+                        flow = vals.dot(a[la:la + cnt])
+                    else:
+                        flow = (vals * a[la:la + cnt]).dot(b_rev[lb:lb + cnt])
+                elif b_rev is not None:
                     flow = vals.dot(b_rev[lb:lb + cnt])
-                elif b_rev is None:
-                    flow = vals.dot(a[la:la + cnt])
                 else:
-                    flow = (vals * a[la:la + cnt]).dot(b_rev[lb:lb + cnt])
+                    if s not in sums:
+                        sums[s] = float(np.add.reduce(vals))
+                    flow = sums[s] if w is None else w * sums[s]
                 (on_L if sphi + dphi == L else past_L).append(flow)
         return (_log_scaled(math.fsum(on_L), self.scale),
                 _log_scaled(math.fsum(on_L + past_L), self.scale))

@@ -222,6 +222,25 @@ def test_pinned_long_threshold(fn, p, L, convention, want):
     assert r.log_hit_prob == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
+# Regression values of log_hit_prob at tiny p, where the levels span most
+# of the double range.  The values are those of a 50-digit (mpmath)
+# enumeration of the table's trajectories; the bound is 1e-12 relative.
+PINNED_TINY_P_LOG_HIT = [
+    (1e-50, 5, -340.82341575763901634),
+    (1e-50, 12, -1131.999533069664023),
+    (1e-100, 5, -686.21117970674586891),
+    (1e-100, 12, -2283.2920795666868648),
+    (1e-110, 5, -755.28873249656723933),
+    (1e-150, 5, -1031.5989436558527216),
+]
+
+
+@pytest.mark.parametrize("p,L,want", PINNED_TINY_P_LOG_HIT)
+def test_pinned_tiny_p(p, L, want):
+    r = compute_pi(ChainParams.from_p(p, threshold=L))
+    assert r.log_hit_prob == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_cells_swept():
     # Up to L = 12 nothing is flushed, so every level is filled over all its
     # widths; at p = 0.9, L = 800 the flushed tails leave 63% of the cells.
@@ -279,6 +298,13 @@ class TestTwoNeighbourLowerBound:
         assert r.log_hit_prob < 0.0
 
 
+def plain_edges(plan):
+    """Indices of the plan's lumped edges that its gauge makes plain adds."""
+    gauge = plan.gauged
+    return [i for i, fi in enumerate(gauge.into_factor)
+            if fi is not None and gauge.factors[fi] == (engine._UNIT, (), ())]
+
+
 class TestLumping:
     """The engine sweeps the coarsest strong lumping of each table."""
 
@@ -294,7 +320,32 @@ class TestLumping:
         # 1 and 1' loop with e^{-2q} and e^{-4q}
         plan = engine._TWO_NEIGHBOUR_PLAN
         assert plan.blocks == tuple((s,) for s in TWO_NEIGHBOUR_STATES)
-        assert all(len(members) == 1 for members, _ in plan.lumped)
+        assert all(len(members) == 1 for members, *_ in plan.lumped)
+
+    def test_frobose_shared_terms_and_plain_edges(self):
+        # Every moving rule out of a Frobose row carries the chance that
+        # the side buffer holds an infection, 1 - e^{-q side}: the height
+        # for rows 0, 1'' and 2, the width for 1 and 3.  With it factored
+        # out, the gauge leaves 11 of the 13 moving edges plain adds; 3 to
+        # 1'' (1/2) and 3 to 0 ((4 - 3p) e^q / 2) keep a constant.
+        plan = engine._FROBOSE_PLAN
+        width, height = ((("f", 0),), ()), ((), (("f", 0),))
+        assert plan.shared == (height, width, height, height, width)
+        plain = plain_edges(plan)
+        assert len(plain) == 11
+        assert all(plan.lumped[i][1] > 0 for i in plain)
+        scaled = {(plan.rows[e[2]], plan.rows[e[3]])
+                  for i, e in enumerate(plan.lumped)
+                  if e[1] > 0 and i not in plain}
+        assert scaled == {("3", "1''"), ("3", "0")}
+
+    def test_two_neighbour_shares_a_term_in_row_zero_only(self):
+        # 1 - e^{-qh} is common to the two loops of row 0 alone; it leaves
+        # the step-one loop a plain add, and the gauge is trivial
+        plan = engine._TWO_NEIGHBOUR_PLAN
+        assert [any(terms) for terms in plan.shared] == [True] + [False] * 5
+        assert [plan.lumped[i][1:4] for i in plain_edges(plan)] == [(1, 0, 0)]
+        assert set(plan.gauged.kappa + plan.gauged.nu) == {engine._UNIT}
 
     @pytest.mark.parametrize("plan, table", [
         (engine._FROBOSE_PLAN, FROBOSE_TABLE),
@@ -328,27 +379,50 @@ class TestLumping:
 
 
 class TestEnginePlan:
-    @pytest.mark.parametrize("p", [0.1, 0.5, 2.0 ** -9])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 2.0 ** -9, 1e-60])
     @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
                                       engine._TWO_NEIGHBOUR_PLAN])
     def test_shared_factors_equal_linear_prob(self, plan, p):
-        # The constant and the edge's multiplicity are folded into one of
-        # the two factor vectors, so a[w] * b[h] is the summed probability
-        # of the lumped edge's member rules at (w, h).
+        # A level's rows are filled as X_s = kappa_s F_s and stored as
+        # G_s = conv_s X_s, conv_s = nu_s f_s.  So a moving edge's factor
+        # times conv_s, or a rank-up edge's factor alone, times
+        # kappa_s / kappa_t, and a crossing edge's hit factor times
+        # conv_s kappa_s, are each the summed probability of the lumped
+        # edge's member rules at source (w, h).  At p = 1e-60 the gauged
+        # constants leave their range and the plan's ungauged form is used.
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
-        factors = engine._factor_vectors(plan, mp, N)
-        ws = np.arange(1, L)
-        ones = np.ones(len(ws))
-        for members, fi in plan.lumped:
-            a, b_rev = factors[fi]
-            av = ones if a is None else a[ws + engine._PAD]
-            bv = ones if b_rev is None else b_rev[N - 1 - (ws + engine._PAD)]
-            want = np.array([[sum(r.linear_prob(w, h, mp) for r in members)
-                              for h in ws] for w in ws])
-            np.testing.assert_allclose(np.outer(av, bv), want, rtol=1e-14,
-                                       atol=0.0, err_msg=repr(members))
+        gauge = plan.gauged if plan.gauged.fits(mp) else plan.ungauged
+        assert (gauge is plan.gauged) == (
+            p > 1e-60 or plan is engine._TWO_NEIGHBOUR_PLAN)
+        factors = engine._factor_vectors(gauge, mp, N)
+        bases = {base: engine._base(base, mp) for base in gauge.bases}
+        kappa = [engine._value(k, bases) for k in gauge.kappa]
+        W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
+
+        def at(fi):
+            w, a, b_rev = factors[fi]
+            out = np.full(W.shape, 1.0 if w is None else w)
+            if a is not None:
+                out = out * a[W + engine._PAD]
+            if b_rev is not None:
+                out = out * b_rev[N - 1 - (H + engine._PAD)]
+            return out
+
+        conv = {s: at(fi) for s, fi in gauge.convert}
+        for i, (members, dphi, s, t, *_) in enumerate(plan.lumped):
+            want = np.vectorize(lambda w, h: math.fsum(
+                r.linear_prob(int(w), int(h), mp) for r in members))(W, H)
+            source = conv.get(s, 1.0) if dphi else 1.0
+            if t is not None:
+                np.testing.assert_allclose(
+                    at(gauge.into_factor[i]) * source * (kappa[s] / kappa[t]),
+                    want, rtol=1e-14, atol=0.0, err_msg=repr(members))
+            if dphi:
+                np.testing.assert_allclose(
+                    at(gauge.hit_factor[i]) * conv.get(s, 1.0) * kappa[s],
+                    want, rtol=1e-14, atol=0.0, err_msg=repr(members))
 
     def test_calls_share_no_state(self):
         # The plans are built once, at import; a call must leave nothing
