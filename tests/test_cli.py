@@ -406,6 +406,15 @@ class TestOtherCommands:
         assert r.returncode == 0
         assert "[pass]" in r.stdout
 
+    @pytest.mark.parametrize("suite, checks", [
+        ("constants", 4), ("traversability", 4), ("bridge", 1)])
+    def test_verify_suite_on_its_own(self, suite, checks):
+        r = run_cli("verify", "--suite", suite)
+        assert r.returncode == 0
+        lines = r.stdout.strip().splitlines()
+        assert len(lines) == checks
+        assert all(line.startswith("[pass] ") for line in lines)
+
 
 # (name, passed, details) per check, under two of the real suite names
 FAKE_SUITES = {
