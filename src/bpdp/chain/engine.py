@@ -606,9 +606,12 @@ class _Engine:
         self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
         est = self.window * len(plan.rows) * self.N * 8
         if est > memory_cap_bytes:
+            # Decimal, as an explicit threshold can put est past the
+            # double range; imported here to keep it off the import path
+            from decimal import Decimal
             raise ResourceCapError(
-                f"estimated {est} bytes of level storage exceeds cap "
-                f"{memory_cap_bytes}")
+                f"estimated {Decimal(est):.3g} bytes of level storage "
+                f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         gauge = plan.gauged if plan.gauged.fits(params) else plan.ungauged
         factors = _factor_vectors(gauge, params, self.N)
 

@@ -12,8 +12,8 @@ scale; their integrals give the constants
     int h2 ~= 7.054547.
 
 All functions accept floats or numpy arrays and are careful about
-cancellation at both ends (expm1/log1p kernels, stable conjugate-root
-forms).
+cancellation and overflow at both ends (expm1/log1p kernels, stable
+conjugate-root forms, e^{-z/2}-scaled tails).
 """
 
 from __future__ import annotations
@@ -25,11 +25,20 @@ import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 TWO_PLUS_SQRT2 = 2.0 + SQRT2
+SQRT_TWO_PLUS_SQRT2 = math.sqrt(TWO_PLUS_SQRT2)
+
+# g takes -log beta(u) directly below this z and the e^{-2z}-exact form
+# above it; the two forms' relative errors cross between 0.3 and 0.4.
+_G_SWITCH = 0.35
+# Past this z, e^{-z} < 1e-304 is below half an ulp of 1, so e^z - 1 and
+# 2 sinh(z/2) equal e^z and e^{z/2} in double precision; e^z itself
+# overflows at z = 709.78.
+_LARGE_Z = 700.0
 
 __all__ = [
     "ModelParams",
     "f", "beta", "beta_bar", "g", "alpha", "h", "h2", "h_mod",
-    "xi_f", "xi", "xi_root_T", "traversability_x",
+    "traversability_x",
     "integrate", "QuadratureError", "constants",
 ]
 
@@ -88,12 +97,17 @@ def g(z):
     """g(z) = -log beta(1 - e^{-z}); behaves like -(log z + sqrt z)/2 near 0
     and like e^{-2z} at infinity."""
     z = _as_positive(z)
-    eps = np.exp(-z)
-    u = -np.expm1(-z)
+    small = z < _G_SWITCH
+    # Below the switch beta(u) is well away from 1 and its log is taken
+    # directly, keeping full precision as z -> 0 where 1 - beta(u) -> 1.
+    direct = -np.log(beta(-np.expm1(-np.where(small, z, 1.0))))
+    zl = np.where(small, 1.0, z)
+    eps = np.exp(-zl)
+    u = -np.expm1(-zl)
     # 1 - beta(u) = 2(1-u)^2 / (2 - u + sqrt(u(4-3u))) with 1-u = e^{-z}
     # taken exactly, so the e^{-2z} tail survives even once u rounds to 1.
     omb = 2.0 * eps * eps / (2.0 - u + np.sqrt(u * (4.0 - 3.0 * u)))
-    out = -np.log1p(-omb)
+    out = np.where(small, direct, -np.log1p(-omb))
     return out if out.ndim else float(out)
 
 
@@ -106,10 +120,18 @@ def alpha(z):
     return out if out.ndim else float(out)
 
 
+def _large_z_kernel(z):
+    # h and h_mod past _LARGE_Z: sqrt(2+sqrt2) e^{-z/2}, which underflows
+    # quietly to 0 instead of overflowing e^z
+    return SQRT_TWO_PLUS_SQRT2 * np.exp(-0.5 * z)
+
+
 def h(z):
     """Entropy kernel h(z) = sqrt((2+sqrt2)/(e^z - 1))."""
     z = _as_positive(z)
-    out = np.sqrt(TWO_PLUS_SQRT2 / np.expm1(z))
+    big = z > _LARGE_Z
+    out = np.where(big, _large_z_kernel(z),
+                   np.sqrt(TWO_PLUS_SQRT2 / np.expm1(np.where(big, 1.0, z))))
     return out if out.ndim else float(out)
 
 
@@ -132,7 +154,10 @@ def h_mod(z):
     """Modified-model kernel sqrt(2+sqrt2) / (2 sinh(z/2)); not integrable
     at 0."""
     z = _as_positive(z)
-    out = math.sqrt(TWO_PLUS_SQRT2) / (2.0 * np.sinh(z / 2.0))
+    big = z > _LARGE_Z
+    out = np.where(big, _large_z_kernel(z),
+                   SQRT_TWO_PLUS_SQRT2
+                   / (2.0 * np.sinh(np.where(big, 1.0, z) / 2.0)))
     return out if out.ndim else float(out)
 
 
@@ -148,32 +173,6 @@ def traversability_x(n: int, u: float) -> float:
     b1 = float(beta(u))
     b2 = float(beta_bar(u))
     return (b1 ** (n + 1) - b2 ** (n + 1)) / (b1 - b2)
-
-
-def xi_f(x):
-    """Large-aspect-ratio rate xi_f(x) = x (x-1)^{(1-x)/x} on (1, 2]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 1.0) or np.any(x > 2.0):
-        raise ValueError("x must lie in (1,2]")
-    out = x * np.exp((1.0 - x) / x * np.log(x - 1.0))
-    return out if out.ndim else float(out)
-
-
-def xi_root_T(x):
-    """Positive root T of (2x-1) T^2 - T(1-x) - 1 = 0 for x in (1/2, 1]."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.5) or np.any(x > 1.0):
-        raise ValueError("x must lie in (1/2,1]")
-    out = (np.sqrt(x * x + 6.0 * x - 3.0) + 1.0 - x) / (2.0 * (2.0 * x - 1.0))
-    return out if out.ndim else float(out)
-
-
-def xi(x):
-    """Two-neighbour rate xi(x) = (1 + T + T^2) / T^{1/x} on (1/2, 1]."""
-    x = np.asarray(x, dtype=float)
-    T = xi_root_T(x)
-    out = (1.0 + T + T * T) / T ** (1.0 / x)
-    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------

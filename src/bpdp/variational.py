@@ -1,10 +1,10 @@
-"""Path functionals of the growth cost and the a-priori bounds built on them.
+"""Path functionals of the growth cost and the a-priori bound built on them.
 
 W integrates g(x) dy + g(y) dx along coordinatewise non-decreasing paths
-in the quarter-plane (W^F uses f); the scaled variants evaluate the
+in the quarter-plane (W^F uses f); the scaled variant W^F_p evaluates the
 integrand at q-scaled coordinates.  The minimising path between two
-corner points hugs the diagonal; its value gives upper and lower bounds
-on internal-filling probabilities.
+corner points hugs the diagonal; along the seed path W^F_p gives a lower
+bound on the locally-internally-filled probability.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Callable, Sequence, Tuple
 from .special_functions import ModelParams, f, g, integrate
 
 __all__ = [
-    "MonotonePath", "W", "W_f", "W_p", "W_f_p", "path_form_integral",
-    "gamma_rect", "optimal_path", "holroyd_lower", "holroyd_upper",
+    "MonotonePath", "W", "W_f", "W_f_p", "path_form_integral",
+    "gamma_rect", "optimal_path", "holroyd_lower",
 ]
 
 Point = Tuple[float, float]
@@ -98,12 +98,6 @@ def W_f(path: MonotonePath) -> float:
     return _path_integral(f, path)
 
 
-def W_p(path: MonotonePath, params: ModelParams) -> float:
-    """Integral of g(qx) dy + g(qy) dx; equals W(q*path)/q."""
-    q = params.q
-    return _path_integral(lambda z: g(q * z), path)
-
-
 def W_f_p(path: MonotonePath, params: ModelParams) -> float:
     """Integral of f(qx) dy + f(qy) dx; equals W^F(q*path)/q."""
     q = params.q
@@ -171,14 +165,3 @@ def holroyd_lower(dims: Tuple[int, int], params: ModelParams) -> float:
         return math.log(params.p)
     return math.log(params.p) - W_f_p(gamma_rect((float(a), float(b))), params)
 
-
-def holroyd_upper(dims: Tuple[int, int], params: ModelParams, C3: float) -> float:
-    """Upper bound exp(1/(C3 p) - W^F_p(gamma)) on the Frobose
-    internally-filled probability, with the proof constant C3 exposed as
-    an argument."""
-    if C3 <= 0.0:
-        raise ValueError("C3 must be positive")
-    a, b = dims
-    if a < 1 or b < 1:
-        raise ValueError("dimensions must be >= 1")
-    return 1.0 / (C3 * params.p) - W_f_p(gamma_rect((float(a), float(b))), params)

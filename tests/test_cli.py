@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -117,6 +118,13 @@ class TestPi:
         r = run_cli("pi", "--log2-inv-p", "6", "--memory-cap-bytes", "1000")
         assert r.returncode == 3
         assert "cap" in r.stderr
+
+    def test_memory_cap_error_is_short(self):
+        # the estimate is a 206-digit integer, printed to 3 digits
+        r = run_cli("pi", "--p", "1e-200")
+        assert r.returncode == 3
+        lines = r.stderr.splitlines()
+        assert len(lines) == 1 and len(lines[0]) <= 100
 
 
 def strict_json(text):
@@ -534,3 +542,61 @@ def check_table(path):
     if rows:
         shift = CONVENTIONS.index(conventions.pop()) / 4
         assert all(v == 2.0 ** k + shift for k, v in rows)
+
+
+# grid ends z as `functions --grid` takes them, with lo < hi
+GRID_ENDS = st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2,
+                     unique=True).map(sorted)
+# --p values, including the non-finite and the subnormal, and --log2-inv-p
+# values; usually one of the two is given, sometimes both
+P_VALUES = st.one_of(st.floats(), st.floats(0.0, 1.0),
+                     st.sampled_from([5e-324, 2.2e-308, 1e-300]))
+P_SOURCES = st.lists(st.one_of(
+    P_VALUES.map(lambda p: ("--p", repr(p))),
+    st.integers(-5, 1100).map(lambda k: ("--log2-inv-p", str(k)))),
+    min_size=1, max_size=2)
+
+
+class TestArgumentProperties:
+    """Random arguments of `functions` and `pi` give a result or a short
+    error, never a traceback or a warning."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(GRID_ENDS, st.integers(1, 4))
+    def test_functions_cells_are_finite(self, ends, points):
+        lo, hi = ends
+        r = run_cli("functions", "--grid", f"{lo!r}..{hi!r}",
+                    "--points", str(points))
+        assert r.returncode == 0, r.stderr
+        assert "Warning" not in r.stderr
+        lines = r.stdout.splitlines()
+        assert len(lines) == points + 1
+        for line in lines[1:]:
+            cells = [float(cell) for cell in line.split(",")]
+            assert len(cells) == 7
+            assert all(math.isfinite(cell) for cell in cells), line
+
+    @settings(max_examples=150, deadline=None)
+    @given(P_SOURCES, st.one_of(st.none(), st.integers(2, 40)),
+           st.one_of(st.none(), st.sampled_from(CONVENTIONS)),
+           st.integers(1, 100000))
+    def test_pi_result_or_one_error(self, sources, threshold, convention,
+                                    cap):
+        args = ["pi", *(arg for source in sources for arg in source)]
+        if convention is not None:
+            args += ["--convention", convention]
+        if threshold is None:
+            # a long default threshold is refused, not computed
+            args += ["--memory-cap-bytes", str(cap)]
+        else:
+            args += ["--threshold", str(threshold)]
+        r = run_cli(*args)
+        assert "Traceback" not in r.stderr
+        if r.returncode == 0:
+            (line,) = r.stdout.splitlines()
+            assert math.isfinite(strict_json(line)["outputs"]["log_pi"])
+        else:
+            assert r.returncode in (1, 3, 4), r.stderr
+            # click's `Error:` after a usage line, or the cap's `error:`
+            assert len([line for line in r.stderr.splitlines()
+                        if line.lower().startswith("error:")]) == 1, r.stderr

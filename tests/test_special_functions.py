@@ -6,7 +6,7 @@ import pytest
 from bpdp.special_functions import (ModelParams, QuadratureError, alpha, beta,
                                     beta_bar, constants, f, g, h, h2, h_mod,
                                     integral_f, integral_g, integral_h,
-                                    integrate, xi, xi_f, xi_root_T)
+                                    integrate)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -100,6 +100,16 @@ class TestG:
         for z in np.linspace(1e-6, 0.01, 30):
             assert g(z) < -0.5 * math.log(z)
 
+    @pytest.mark.parametrize("z", [1e-300, 1e-40, 1e-20, 1e-12])
+    def test_direct_form_near_zero(self, z):
+        # 1 - beta(u) rounds towards 1 here, so g must not go through it
+        u = -math.expm1(-z)
+        want = -math.log((u + math.sqrt(u * (4 - 3 * u))) / 2)
+        assert g(z) == pytest.approx(want, rel=1e-14)
+
+    def test_h2_finite_near_zero(self):
+        assert math.isfinite(h2(1e-300))
+
 
 class TestAlpha:
     def test_small_z(self):
@@ -143,35 +153,22 @@ class TestEntropyKernels:
         assert h2(z) / h(z) == pytest.approx(
             2.0 * SQRT2 * math.exp(-z / 2.0), rel=1e-9)
 
+    def test_large_z_scaled_form(self):
+        # past e^z's overflow both kernels equal sqrt(2+sqrt2) e^{-z/2}
+        want = math.sqrt(2.0 + SQRT2) * math.exp(-400.0)
+        assert h(800.0) == pytest.approx(h_mod(800.0), rel=1e-13)
+        assert h(800.0) == pytest.approx(want, rel=1e-13)
+
+    def test_large_z_underflows_to_zero(self):
+        # a RuntimeWarning would fail the test (pyproject filterwarnings)
+        assert h(1e4) == 0.0
+        assert h_mod(1e4) == 0.0
+
     def test_all_strictly_decreasing(self):
         zs = np.exp(np.linspace(math.log(1e-6), math.log(35.0), 120))
         for fn in (f, g, h, h2, h_mod):
             vals = np.array([float(fn(z)) for z in zs])
             assert np.all(np.diff(vals) < 0.0), fn.__name__
-
-
-class TestAspectRatioRates:
-    def test_xi_f_at_two(self):
-        assert xi_f(2.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_xi_root_residual(self):
-        rng = np.random.default_rng(6)
-        for x in rng.uniform(0.5 + 1e-6, 1.0, 50):
-            T = xi_root_T(x)
-            resid = (2 * x - 1) * T * T - T * (1 - x) - 1.0
-            assert abs(resid) < 1e-12
-
-    def test_xi_limit_at_half(self):
-        assert xi(0.5 + 1e-6) == pytest.approx(1.0, abs=1e-3)
-
-    def test_xi_at_one(self):
-        assert xi(1.0) == pytest.approx(3.0, rel=1e-14)
-
-    def test_domains(self):
-        with pytest.raises(ValueError):
-            xi_f(1.0)
-        with pytest.raises(ValueError):
-            xi(0.5)
 
 
 class TestQuadrature:

@@ -6,9 +6,8 @@ import pytest
 from bpdp.lattice_sim import (Rectangle, exact_event_prob, internally_filled,
                               locally_internally_filled, mc_estimate)
 from bpdp.special_functions import ModelParams, f, g
-from bpdp.variational import (MonotonePath, W, W_f, W_f_p, W_p, gamma_rect,
-                              holroyd_lower, holroyd_upper, optimal_path,
-                              path_form_integral)
+from bpdp.variational import (MonotonePath, W, W_f, W_f_p, gamma_rect,
+                              holroyd_lower, optimal_path, path_form_integral)
 
 
 class TestMonotonePath:
@@ -45,12 +44,11 @@ class TestWFunctionals:
             assert W(whole) == pytest.approx(W(left) + W(right), abs=1e-12)
 
     def test_scaling_identity(self):
-        # W_p(path) = W(q * path) / q
+        # W_f_p(path) = W_f(q * path) / q
         params = ModelParams(0.3)
         q = params.q
         path = MonotonePath(((1.0, 1.0), (2.0, 4.0), (6.0, 6.0)))
         scaled = MonotonePath(tuple((q * x, q * y) for x, y in path.vertices))
-        assert W_p(path, params) == pytest.approx(W(scaled) / q, rel=1e-9)
         assert W_f_p(path, params) == pytest.approx(W_f(scaled) / q, rel=1e-9)
 
     def test_reparameterisation_invariance(self):
@@ -168,23 +166,3 @@ class TestHolroydBounds:
                           rect.cells(), params, 20000, seed=9)
         bound = math.exp(holroyd_lower((5, 5), params))
         assert bound <= est["p_hat"] + 3 * est["std_err"]
-
-    def test_upper_bound_form(self):
-        params = ModelParams(0.2)
-        got = holroyd_upper((4, 6), params, C3=2.0)
-        gamma = gamma_rect((4.0, 6.0))
-        assert got == pytest.approx(
-            1.0 / (2.0 * params.p) - W_f_p(gamma, params), rel=1e-10)
-        with pytest.raises(ValueError):
-            holroyd_upper((2, 2), params, C3=0.0)
-
-    def test_upper_dominates_exact_on_small_squares(self):
-        # the proposition holds in its asymptotic regime; at desk scale a
-        # small C3 makes the evaluated bound dominate
-        params = ModelParams(0.2)
-        for dims in ((2, 2), (3, 3)):
-            rect = Rectangle(0, 0, *dims)
-            exact = exact_event_prob(
-                lambda A: internally_filled(rect, A, "frobose"),
-                rect.cells(), params)
-            assert holroyd_upper(dims, params, C3=0.5) >= math.log(exact)
