@@ -45,12 +45,14 @@ rows only 0 shares one.  So a level's rows are filled as X_s = kappa_s F_s,
 F the probability mass, and once the level is filled each row is
 converted in place to its gauged growth mass G_s = nu_s f_s X_s, which
 the later levels read.  nu_s is the constant of the row's self-loop and
-kappa_s a per-row gauge, chosen at import among the spanning forests of
-the constraints so that the most edge constants become exactly 1.  A
-moving edge s -> t with probability c f_s r then adds
-(c kappa_t / (nu_s kappa_s)) r G_s into X_t: for Frobose 11 of the 13
-moving edges become plain shifted adds of a stored row, 3 to 1'' keeps
-the scalar 1/2 and 3 to 0 the scalar (4 - 3p) e^q / 2.  Rank-up edges
+kappa_s a per-row gauge, set at import by one walk from the seed: each
+edge whose constant is a bare monomial asks kappa_t / kappa_s to equal
+it, and the walk meets every ask that reaches a row it has not yet set,
+so those edge constants become exactly 1.  A moving edge s -> t with
+probability c f_s r then adds (c kappa_t / (nu_s kappa_s)) r G_s into
+X_t: for Frobose 11 of the 13 moving edges become plain shifted adds of
+a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
+(4 - 3p) e^q / 2.  Rank-up edges
 read the current level before its conversion, with the ratio
 kappa_t / kappa_s in their vector.  A Frobose level takes 23 ufunc calls
 (18 for the edges, 5 conversions) where multiplying every edge by a
@@ -108,7 +110,6 @@ so BLAS starts no threads there.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections import Counter
@@ -296,69 +297,27 @@ def _without(terms: tuple, shared: tuple) -> tuple:
     return tuple(left)
 
 
-def _best_gauge(n_rows: int, seed: int, bare) -> list:
-    """kappa per row, the monomial gauge under which the most of the
-    edges bare meet their ask.  An edge (s, t, r) asks
-    kappa[t] / kappa[s] == r.  Every gauge that meets the most asks meets
-    a spanning forest of the edges between rows, so the search runs over
-    those forests in edge order, the first best one wins, and kappa is 1
-    at the seed and at the first row of each other component.  While it
-    runs, a monomial is the integer sum of its powers times 2^(20 i), i
-    the index of the base, which turns products into sums and is exact
-    while every power stays below 2^19 in size (the tables' stay below
-    20); any kappa is a valid gauge, so only the count of plain edges
-    rests on that."""
-    bases = sorted({base for _, _, r in bare for base, _ in r})
-
-    def code(mono):
-        return sum(e << (20 * bases.index(base)) for base, e in mono)
-
-    asks = [(s, t, code(r)) for s, t, r in bare]
-    links = [ask for ask in asks if ask[0] != ask[1]]
-
-    def component(parent, i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    parent = list(range(n_rows))
-    for s, t, _ in links:
-        parent[component(parent, s)] = component(parent, t)
-    rank = sum(parent[i] != i for i in range(n_rows))
-    best, best_kappa = -1, None
-    for forest in itertools.combinations(links, rank):
-        parent = list(range(n_rows))
-        for s, t, _ in forest:
-            a, b = component(parent, s), component(parent, t)
-            if a == b:
-                break
-            parent[a] = b
-        else:
-            kappa = [None] * n_rows
-            for start in (seed, *range(n_rows)):
-                if kappa[start] is not None:
-                    continue
-                kappa[start], todo = 0, [start]
-                while todo:
-                    u = todo.pop()
-                    for s, t, r in forest:
-                        if s == u and kappa[t] is None:
-                            kappa[t] = kappa[s] + r
-                            todo.append(t)
-                        elif t == u and kappa[s] is None:
-                            kappa[s] = kappa[t] - r
-                            todo.append(s)
-            count = sum(kappa[t] - kappa[s] == r for s, t, r in asks)
-            if count > best:
-                best, best_kappa = count, kappa
-    out = []
-    for k in best_kappa:
-        powers = {}
-        for base in bases:
-            e = (k + (1 << 19)) % (1 << 20) - (1 << 19)
-            powers[base], k = e, (k - e) >> 20
-        out.append(_monomial(powers))
-    return out
+def _walk_gauge(n_rows: int, seed: int, bare) -> list:
+    """kappa per row, the monomial gauge that a walk from the seed along
+    the asks of bare sets.  An edge (s, t, r) asks kappa[t] / kappa[s] == r
+    and is a plain add when it meets it.  kappa is 1 at the seed; each ask
+    in edge order that joins a row with a kappa to one without sets the
+    other row's kappa to meet it, until no ask sets one; then the first
+    row still unset gets kappa 1 and the walk goes on from there.  Any
+    kappa is a valid gauge, so only the count of plain edges rests on the
+    order of the walk."""
+    kappa = [None] * n_rows
+    kappa[seed] = _UNIT
+    while None in kappa:
+        unset = kappa.count(None)
+        for s, t, r in bare:
+            if kappa[t] is None and kappa[s] is not None:
+                kappa[t] = _times(kappa[s], r)
+            elif kappa[s] is None and kappa[t] is not None:
+                kappa[s] = _times(kappa[t], r, -1)
+        if kappa.count(None) == unset:
+            kappa[kappa.index(None)] = _UNIT
+    return kappa
 
 
 class _Gauge:
@@ -391,9 +350,7 @@ class _Gauge:
     (dphi, source row, factor index) per crossing edge, in the plan's
     crossing order.  into_factor and hit_factor: the factor index per
     lumped edge of the plan, of its flow into the target row and of its
-    crossing flow, or None.  bounds: the kappa_s and nu_s kappa_s, which
-    fits() checks; bases and bound_bases: the bases that the factors and
-    the bounds name; degree: the largest sum of |power| over the bounds."""
+    crossing flow, or None.  bases: the bases that the factors name."""
 
     def __init__(self, plan: "_Plan", kappa: Sequence[tuple],
                  nu: Sequence[tuple]):
@@ -439,22 +396,7 @@ class _Gauge:
             return tuple(out)
 
         self.stages = tuple(stage(most) for most in range(plan.max_dphi + 1))
-        self.bounds = tuple(dict.fromkeys(
-            self.kappa + tuple(map(_times, self.nu, self.kappa))))
         self.bases = {base for mono, _, _ in self.factors for base, _ in mono}
-        self.bound_bases = {base for mono in self.bounds for base, _ in mono}
-        self.degree = max(sum(abs(e) for _, e in mono) for mono in self.bounds)
-
-    def fits(self, params: ModelParams) -> bool:
-        """Whether every kappa_s and nu_s kappa_s lies within
-        2^+-_GAUGE_BITS at params."""
-        logs = {base: math.log(_base(base, params))
-                for base in self.bound_bases}
-        limit = _GAUGE_BITS * _LOG2
-        # a bound's log is at most its degree times the largest |log|
-        return (max(map(abs, logs.values()), default=0.0) * self.degree
-                <= limit or all(abs(sum(e * logs[base] for base, e in mono))
-                                <= limit for mono in self.bounds))
 
 
 class _Plan:
@@ -479,9 +421,11 @@ class _Plan:
     state, table order), whether or not their target row is stored.
 
     gauged: the _Gauge with nu_s the constant of row s's first self-loop
-    that the shared terms leave bare, and kappa the best gauge
-    (_best_gauge) for the number of plain edges; ungauged: kappa = nu = 1,
-    for the parameters at which the gauged constants leave 2^+-_GAUGE_BITS.
+    that the shared terms leave bare, and kappa the gauge that a walk from
+    the seed along the bare edges sets (_walk_gauge); ungauged:
+    kappa = nu = 1, for the parameters at which the gauged constants leave
+    2^+-_GAUGE_BITS (gauge_for).  bounds: the distinct kappa_s and
+    nu_s kappa_s that gauge_for checks.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -541,10 +485,20 @@ class _Plan:
                  else _times(_UNIT, const, -1))
                 for _, dphi, s, t, _, _, const, a, b in self.lumped
                 if t is not None and not a + b]
-        kappa = _best_gauge(len(self.rows), self.seed_row, bare)
+        kappa = _walk_gauge(len(self.rows), self.seed_row, bare)
         self.gauged = _Gauge(self, kappa, nu)
         self.ungauged = (self.gauged if set(kappa + nu) == {_UNIT}
                          else _Gauge(self, unit, unit))
+        self.bounds = set(kappa + list(map(_times, nu, kappa)))
+
+    def gauge_for(self, params: ModelParams) -> _Gauge:
+        """gauged when every kappa_s and nu_s kappa_s lies within
+        2^+-_GAUGE_BITS at params, else ungauged."""
+        for mono in self.bounds:
+            log = sum(e * math.log(_base(base, params)) for base, e in mono)
+            if abs(log) > _GAUGE_BITS * _LOG2:
+                return self.ungauged
+        return self.gauged
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
@@ -612,7 +566,7 @@ class _Engine:
             raise ResourceCapError(
                 f"estimated {Decimal(est):.3g} bytes of level storage "
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
-        gauge = plan.gauged if plan.gauged.fits(params) else plan.ungauged
+        gauge = plan.gauge_for(params)
         factors = _factor_vectors(gauge, params, self.N)
 
         self._stages = gauge.stages

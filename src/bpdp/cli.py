@@ -328,7 +328,8 @@ def cmd_constants():
 
 @cli.command("functions")
 @click.option("--grid", default="1e-6..60", show_default=True,
-              help="Log-spaced grid lo..hi for the abscissa z.")
+              help="Log-spaced grid lo..hi for the abscissa z, lo at "
+              "least the smallest normal double.")
 @click.option("--points", type=click.IntRange(min=1), default=200,
               show_default=True)
 def cmd_functions(grid, points):
@@ -338,8 +339,10 @@ def cmd_functions(grid, points):
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
         raise click.UsageError(f"grid must look like 1e-6..60, got {grid!r}")
-    if not (0.0 < lo < hi < math.inf):
-        raise click.UsageError(f"need finite 0 < lo < hi, got {grid!r}")
+    # h2_mod, about 1.85 / z, leaves the double range below z = 1.03e-308
+    if not (sys.float_info.min <= lo < hi < math.inf):
+        raise click.UsageError(f"need finite {sys.float_info.min!r} <= lo < "
+                               f"hi, got {grid!r}")
     zs = np.exp(np.linspace(math.log(lo), math.log(hi), points))
     click.echo("z,f,g,h,h2,h2_mod,alpha")
     for z in zs:

@@ -127,26 +127,33 @@ def _large_z_kernel(z):
 
 
 def h(z):
-    """Entropy kernel h(z) = sqrt((2+sqrt2)/(e^z - 1))."""
+    """Entropy kernel h(z) = sqrt((2+sqrt2)/(e^z - 1)), with the root of
+    e^z - 1 taken on its own so that a subnormal z does not overflow the
+    quotient."""
     z = _as_positive(z)
     big = z > _LARGE_Z
     out = np.where(big, _large_z_kernel(z),
-                   np.sqrt(TWO_PLUS_SQRT2 / np.expm1(np.where(big, 1.0, z))))
+                   SQRT_TWO_PLUS_SQRT2
+                   / np.sqrt(np.expm1(np.where(big, 1.0, z))))
     return out if out.ndim else float(out)
 
 
 def h2(z):
-    """Two-neighbour entropy kernel built from alpha and the deletion
-    weight kernels exp(-f+3g), exp(-f+4g), 2exp(-f+4g-z), exp(-2f+5g-z)."""
+    """Two-neighbour entropy kernel alpha sqrt((2+sqrt2) e^{-2z} s) with
+    s the sum of the deletion weight kernels exp(-f+3g), exp(-f+4g),
+    2exp(-f+4g-z) and exp(-2f+5g-z).  The root is taken term by term, as
+    e^{-z} e^{m/2} sqrt(sum c_i e^{t_i - m}) with m the largest exponent
+    t_i, so neither s (about 3/z at small z) nor e^{-2z} leaves the double
+    range."""
     z = _as_positive(z)
     fz, gz = f(z), g(z)
-    s = (
-        np.exp(-fz + 3.0 * gz)
-        + np.exp(-fz + 4.0 * gz)
-        + 2.0 * np.exp(-fz + 4.0 * gz - z)
-        + np.exp(-2.0 * fz + 5.0 * gz - z)
-    )
-    out = alpha(z) * np.sqrt(TWO_PLUS_SQRT2 * np.exp(-2.0 * z) * s)
+    t = np.stack([-fz + 3.0 * gz, -fz + 4.0 * gz, -fz + 4.0 * gz - z,
+                  -2.0 * fz + 5.0 * gz - z])
+    m = t.max(axis=0)
+    e = np.exp(t - m)
+    s = e[0] + e[1] + 2.0 * e[2] + e[3]
+    out = (alpha(z) * SQRT_TWO_PLUS_SQRT2 * np.exp(-z) * np.exp(0.5 * m)
+           * np.sqrt(s))
     return out if out.ndim else float(out)
 
 

@@ -27,7 +27,6 @@ Set BPDP_ACCEPTANCE_FULL=1 to also run the slow extended table check
 """
 
 import csv
-import itertools
 import math
 import os
 import pathlib
@@ -205,15 +204,16 @@ class TestCriterion8LatticeConsistency:
         box = Rectangle(-12, -12, 13, 13)
         cells = sorted(box.cells() - {(0, 0)})
         rng = np.random.default_rng(np.random.Philox(777))
+        chunk = 1000    # boxes per draw: the same doubles, in the same order
 
         explore_counts = Counter()
-        for _ in range(n):
-            mask = rng.random(len(cells)) < p
-            A = set(itertools.compress(cells, mask.tolist()))
-            A.add((0, 0))
-            traj = explore(A, Rectangle(0, 0, 1, 1), box, max_phi=cap)
-            for fr in traj:
-                explore_counts[fr.projected()] += 1
+        for start in range(0, n, chunk):
+            for mask in rng.random((min(chunk, n - start), len(cells))) < p:
+                A = {cells[i] for i in np.flatnonzero(mask).tolist()}
+                A.add((0, 0))
+                traj = explore(A, Rectangle(0, 0, 1, 1), box, max_phi=cap)
+                for fr in traj:
+                    explore_counts[fr.projected()] += 1
 
         chain_counts = Counter()
         for seed in range(n):

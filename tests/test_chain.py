@@ -339,6 +339,19 @@ class TestLumping:
                   if e[1] > 0 and i not in plain}
         assert scaled == {("3", "1''"), ("3", "0")}
 
+    def test_frobose_gauge(self):
+        # Over rows 0, 1, 1'', 2, 3: kappa = (1, p e^q, p e^q, p^2 e^q,
+        # 2 p^3 e^q) and nu = (1, e^-q, e^-q, e^-q, e^-2q)
+        mono = engine._monomial
+        gauge = engine._FROBOSE_PLAN.gauged
+        assert gauge.kappa == (
+            engine._UNIT, mono({"p": 1, "e^-q": -1}),
+            mono({"p": 1, "e^-q": -1}), mono({"p": 2, "e^-q": -1}),
+            mono({"2": 1, "p": 3, "e^-q": -1}))
+        assert gauge.nu == (engine._UNIT, mono({"e^-q": 1}),
+                            mono({"e^-q": 1}), mono({"e^-q": 1}),
+                            mono({"e^-q": 2}))
+
     def test_two_neighbour_shares_a_term_in_row_zero_only(self):
         # 1 - e^{-qh} is common to the two loops of row 0 alone; it leaves
         # the step-one loop a plain add, and the gauge is trivial
@@ -393,7 +406,7 @@ class TestEnginePlan:
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
-        gauge = plan.gauged if plan.gauged.fits(mp) else plan.ungauged
+        gauge = plan.gauge_for(mp)
         assert (gauge is plan.gauged) == (
             p > 1e-60 or plan is engine._TWO_NEIGHBOUR_PLAN)
         factors = engine._factor_vectors(gauge, mp, N)

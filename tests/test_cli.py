@@ -462,7 +462,8 @@ class TestBadInput:
         ("pi", "--p", "0.8"),
         ("pi", "--p", "1e-310"),
         ("pi", "--log2-inv-p", "-5000"),
-        ("scan", "--log2-inv-p-range", "2..2", "--resume")])
+        ("scan", "--log2-inv-p-range", "2..2", "--resume"),
+        ("functions", "--grid", "5e-324..1")])
     def test_inputs_past_the_domain_are_usage_errors(self, args):
         r = run_cli(*args)
         assert r.returncode == 1, args
@@ -545,8 +546,8 @@ def check_table(path):
 
 
 # grid ends z as `functions --grid` takes them, with lo < hi
-GRID_ENDS = st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2,
-                     unique=True).map(sorted)
+GRID_ENDS = st.lists(st.floats(sys.float_info.min, 1e300), min_size=2,
+                     max_size=2, unique=True).map(sorted)
 # --p values, including the non-finite and the subnormal, and --log2-inv-p
 # values; usually one of the two is given, sometimes both
 P_VALUES = st.one_of(st.floats(), st.floats(0.0, 1.0),

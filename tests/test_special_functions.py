@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -124,7 +125,27 @@ class TestAlpha:
             assert 1.0 < alpha(z) < 2.0
 
 
+# h and h2 at the bottom of the double range, subnormal z included: a
+# 30-digit (mpmath) evaluation of their definitions at these doubles
+PINNED_TINY_Z = [
+    (5e-324, 8.31290874662229493609483932119e+161,
+     1.43983803078335294973742072171e+162),
+    (1e-310, 1.84775906502257633477046883163e+155,
+     3.20041258076506698985914066758e+155),
+    (sys.float_info.min, 1.23871993223164900185090889352e+154,
+     2.14552585897349260708305347222e+154),
+    (1e-300, 1.84775906502257348910478432892e+150,
+     3.20041258076506206102159375365e+150),
+]
+
+
 class TestEntropyKernels:
+    @pytest.mark.parametrize("z, want_h, want_h2", PINNED_TINY_Z)
+    def test_pinned_tiny_z(self, z, want_h, want_h2):
+        # a RuntimeWarning would fail the test (pyproject filterwarnings)
+        assert h(z) == pytest.approx(want_h, rel=1e-13, abs=0.0)
+        assert h2(z) == pytest.approx(want_h2, rel=1e-13, abs=0.0)
+
     def test_h_algebraic_identity(self):
         rng = np.random.default_rng(5)
         for z in rng.uniform(0.01, 20.0, 50):
