@@ -52,19 +52,32 @@ so those edge constants become exactly 1.  A moving edge s -> t with
 probability c f_s r then adds (c kappa_t / (nu_s kappa_s)) r G_s into
 X_t: for Frobose 11 of the 13 moving edges become plain shifted adds of
 a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
-(4 - 3p) e^q / 2.  Rank-up edges
-read the current level before its conversion, with the ratio
-kappa_t / kappa_s in their vector.  A Frobose level takes 23 ufunc calls
-(18 for the edges, 5 conversions) where multiplying every edge by a
-factor vector took 29.  A call computes each distinct term once, over
-all n, and each factor as its constant times its residual terms, the
-constant folded into the width vector, or into the height vector when
-the factor does not depend on the width; height vectors are stored
-reversed, so every edge reads contiguous slices.  kappa_s grows like
-p^depth (2 p^3 e^q for Frobose row 3), so where some kappa_s or
-nu_s kappa_s leaves [2^-100, 2^100] (Frobose: p below about 7e-11) the
-call uses kappa = nu = 1 instead; the rows are still converted, and
-every constant stays apart from the terms, so none underflows with them.
+(4 - 3p) e^q / 2.  Rank-up edges read the current level before its
+conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
+level takes 23 ufunc calls (18 for the edges, 5 conversions) where
+multiplying every edge by a factor vector took 29.  A call computes each
+distinct term once, over all n, and each factor as its constant times
+its residual terms, the constant folded into the width vector, or into
+the height vector when the factor does not depend on the width; height
+vectors are stored reversed, so every edge reads contiguous slices.
+Every constant stays apart from the terms, so none underflows with them.
+
+kappa_s grows like p^depth (2 p^3 e^q for Frobose row 3), and at tiny p
+a level holds about p times the mass of the one before, so one gauge
+serves every p through a level base lam, set per call: level phi is
+stored as lam^-(phi - 2) times its gauged mass.  Each moving edge's
+constant carries lam^-dphi as a symbolic base, so the walk gives
+kappa_s lam^-rank s and nu_s / lam (a Frobose deletion of n costs p^n
+and raises phi by n + 1) and the same edges stay plain.  lam = 1 where
+every kappa_s and nu_s kappa_s at lam = 1 lies within [2^-100, 2^100]
+(Frobose: p above about 7e-11; two-neighbour: always), else lam = p.
+Both evaluations of every constant are resolved at import, the second
+with lam's power merged into p's (lam^-4 alone overflows where
+p^3 lam^-4 does not).  The hit fold multiplies each flow into a level T
+past L by lam^(T - L) and adds (L - 2) log lam, products by exactly 1
+where lam = 1.  Frobose then fails only at a subnormal p, whose 1/p
+overflows; the two-neighbour levels fall by about sqrt(q) per phi, which
+neither base flattens, and leave the double range at p = 1e-200, L = 6.
 
 Probabilities fall as low as exp(-1e5), far below the smallest double, so
 levels are stored scaled, as the scaled HMM forward algorithm stores its
@@ -217,10 +230,11 @@ def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
 
 
 # A constant of the tables is a monomial: a product of powers of the bases
-# "p", "4-3p" (4 - 3p), "e^-q", "f<s>" (1 - e^{-qs}, s a fixed integer)
-# and "<n>" (the integer n, the number of rules a lumped edge merges).  It
-# is kept exact, as ((base, power), ...) in base order, so that the gauge
-# knows which edge constants it turns into exactly 1.
+# "p", "4-3p" (4 - 3p), "e^-q", "f<s>" (1 - e^{-qs}, s a fixed integer),
+# "<n>" (the integer n, the number of rules a lumped edge merges) and
+# "lam" (the level base, 1 or p per call).  It is kept exact, as
+# ((base, power), ...) in base order, so that the gauge knows which edge
+# constants it turns into exactly 1.
 _UNIT = ()
 
 
@@ -236,6 +250,12 @@ def _times(x: tuple, y: tuple, sign: int = 1) -> tuple:
     for base, e in y:
         powers[base] = powers.get(base, 0) + sign * e
     return _monomial(powers)
+
+
+def _put_lam(mono: tuple, lam: tuple) -> tuple:
+    """mono with the level base "lam" replaced by the monomial lam."""
+    powers = dict(mono)
+    return _times(_monomial(dict(powers, lam=0)), lam, powers.get("lam", 0))
 
 
 def _factor_key(rule: TransitionRule) -> tuple:
@@ -320,88 +340,9 @@ def _walk_gauge(n_rows: int, seed: int, bare) -> list:
     return kappa
 
 
-class _Gauge:
-    """The per-row constants of one way to store a plan's levels, and the
-    edges, conversions and hit flows they leave.
-
-    A level's rows are filled as X_s = kappa_s F_s, F the probability
-    mass, and, once the level is filled, converted in place to the
-    gauged growth mass G_s = nu_s f_s X_s, f_s the product of the terms
-    that all moving rules out of row s share (the row is not converted
-    when it has none, and then nu_s = 1).  A moving edge s -> t with
-    probability c f_s r (r its residual terms) then adds
-    (c kappa_t / (nu_s kappa_s)) r G_s into X_t, and a rank-up edge adds
-    (c kappa_t / kappa_s) r X_s from the same level, before conversion.
-    An edge whose factor is exactly 1, with no residual, is a plain
-    shifted add.  The flow of a crossing edge is (c / (nu_s kappa_s))
-    times the sum of r G_s.
-
-    factors: the distinct (monomial, width terms, height terms).  edges:
-    (dphi, source row, dw, dh, factor index) per lumped edge of the plan
-    into a stored row, else None.  stages[m]: (target row, pair, edge
-    indices) per stored row in stage order, over the edges with
-    dphi <= m, in the plan's canonical order, except that where a row's
-    first two edges are plain shifted adds, pair holds their (dphi,
-    source row, dw), for one add that writes both, and where only the
-    first is plain, it swaps places with the second (which leaves their
-    sum unchanged), so that the row's first write is a multiply; pair is
-    None otherwise.  stages[m] is all that has a source at phi = m + 2.
-    convert: (row, factor index) per converted row.  crossing:
-    (dphi, source row, factor index) per crossing edge, in the plan's
-    crossing order.  into_factor and hit_factor: the factor index per
-    lumped edge of the plan, of its flow into the target row and of its
-    crossing flow, or None.  bases: the bases that the factors name."""
-
-    def __init__(self, plan: "_Plan", kappa: Sequence[tuple],
-                 nu: Sequence[tuple]):
-        self.kappa, self.nu = tuple(kappa), tuple(nu)
-        index = {}
-
-        def factor(*key):
-            return index.setdefault(key, len(index))
-
-        self.into_factor, self.hit_factor = [], []
-        for _, dphi, s, t, _, _, const, a, b in plan.lumped:
-            mu = _times(nu[s], kappa[s]) if dphi else kappa[s]
-            self.into_factor.append(None if t is None else factor(
-                _times(_times(const, kappa[t]), mu, -1), a, b))
-            self.hit_factor.append(factor(_times(const, mu, -1), a, b)
-                                   if dphi else None)
-        self.convert = tuple((s, factor(nu[s], *plan.shared[s]))
-                             for s in range(len(plan.rows))
-                             if any(plan.shared[s]))
-        self.factors = tuple(index)
-        self.terms = tuple(dict.fromkeys(
-            term for _, a_terms, b_terms in self.factors
-            for term in a_terms + b_terms))
-
-        self.edges = tuple(None if fi is None else e[1:3] + e[4:6] + (fi,)
-                           for e, fi in zip(plan.lumped, self.into_factor))
-        self.crossing = tuple((plan.lumped[i][1], plan.lumped[i][2],
-                               self.hit_factor[i]) for i in plan.crossing)
-        plain = [key == (_UNIT, (), ()) for key in self.factors]
-
-        def stage(most):
-            out = []
-            for t, edges in plan.into:
-                edges = [i for i in edges if plan.lumped[i][1] <= most]
-                pair = None
-                if len(edges) > 1 and plain[self.into_factor[edges[0]]]:
-                    if plain[self.into_factor[edges[1]]]:
-                        pair = tuple(self.edges[i][:3] for i in edges[:2])
-                        del edges[:2]
-                    else:
-                        edges[:2] = edges[1::-1]
-                out.append((t, pair, tuple(edges)))
-            return tuple(out)
-
-        self.stages = tuple(stage(most) for most in range(plan.max_dphi + 1))
-        self.bases = {base for mono, _, _ in self.factors for base, _ in mono}
-
-
 class _Plan:
     """The p-independent part of one table's sweep, on the table's
-    coarsest strong lumping, with the gauge its rows are stored in.
+    coarsest strong lumping, with the one gauge its rows are stored in.
 
     blocks: the lumping's classes of frame states, each in state order,
     ordered by their first state, which stands for the block.  rows: the
@@ -410,22 +351,35 @@ class _Plan:
     width terms, height terms) per edge of the quotient; the members are
     the moving rules (all but the absorbing self-loop) out of the block's
     first state into one block at one (dw, dh) with one factor key, in
-    table order, and the edge's probability, the sum of theirs, is the
-    constant (a monomial) times the terms and, when dphi > 0, f_s.
-    shared: per row, the (width, height) terms f_s that all its edges
-    with dphi > 0 share, which their own terms leave out.  into:
-    (target row, lumped edge indices) per stored row in stage (rank)
-    order, in canonical order: source phi ascending (dphi descending),
-    source w ascending (dw descending), source state order.  crossing: the
-    indices of the edges that raise phi, in hit-summation order (source
-    state, table order), whether or not their target row is stored.
+    table order, and the edge's probability, the sum of theirs, is
+    lam^dphi times the constant (a monomial in lam) times the terms and,
+    when dphi > 0, f_s.  shared: per row, the (width, height) terms f_s
+    that all its edges with dphi > 0 share, which their own terms leave
+    out.  into: (target row, lumped edge indices) per stored row in stage
+    (rank) order, in canonical order: source phi ascending (dphi
+    descending), source w ascending (dw descending), source state order.
 
-    gauged: the _Gauge with nu_s the constant of row s's first self-loop
-    that the shared terms leave bare, and kappa the gauge that a walk from
-    the seed along the bare edges sets (_walk_gauge); ungauged:
-    kappa = nu = 1, for the parameters at which the gauged constants leave
-    2^+-_GAUGE_BITS (gauge_for).  bounds: the distinct kappa_s and
-    nu_s kappa_s that gauge_for checks.
+    nu: per row, the constant of its first self-loop that the shared
+    terms leave bare (1 where it shares none); kappa: the gauge that a
+    walk from the seed along the bare edges sets (_walk_gauge).  factors:
+    the distinct (monomial, width terms, height terms) of the flows into
+    target rows, of the crossing flows and of the conversions (see the
+    module docstring); (1, (), ()) is a plain shifted add.
+    constants[at_p]: their monomials at lam = 1, or at lam = p with at_p.
+    edges: (dphi, source row, dw, dh, factor index) per lumped edge into a
+    stored row, else None.  stages[m]: (target row, pair, edge indices)
+    per stored row in stage order, over the edges with dphi <= m (all
+    that has a source at phi = m + 2), in canonical order, except that
+    where a row's first two edges are plain adds, pair holds their (dphi,
+    source row, dw), for one add that writes both, and where only the
+    first is, it swaps places with the second, so that the row's first
+    write is a multiply; pair is None otherwise.  convert: (row, factor
+    index) per converted row.  crossing: (dphi, source row, factor index)
+    per edge that raises phi, in hit-summation order (source state, table
+    order).  into_factor and hit_factor: the factor index per lumped edge
+    of its flow into the target row and of its crossing flow, or None.
+    bases: the bases the constants name.  bounds: the distinct kappa_s
+    and nu_s kappa_s at lam = 1, which base_is_p checks.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -451,8 +405,8 @@ class _Plan:
         lumped = []
         for (src, dst, dw, dh, kind), rules in merged.items():
             const, a, b = key_of[kind]
-            if len(rules) > 1:
-                const = _times(const, ((str(len(rules)), 1),))
+            const = _times(const, (("lam", -dw - dh),) + (
+                ((str(len(rules)), 1),) if len(rules) > 1 else ()))
             lumped.append((tuple(rules), dw + dh, row[src], row.get(dst),
                            dw, dh, const, a, b))
         self.shared = tuple(
@@ -470,53 +424,95 @@ class _Plan:
         self.into = tuple(
             (row[t], tuple(i for i in canonical if dsts[i] == t))
             for t in sorted(self.rows, key=RANK.__getitem__))
-        self.crossing = tuple(sorted(
-            (i for i, e in enumerate(lumped) if e[1] > 0),
-            key=srcs.__getitem__))
 
-        unit = [_UNIT] * len(self.rows)
-        nu = list(unit)     # the first bare self-loop in table order sets nu
+        nu = [_UNIT] * len(self.rows)   # the first bare self-loop sets nu
         for _, dphi, s, t, _, _, const, a, b in reversed(self.lumped):
             if s == t and dphi and not a + b and any(self.shared[s]):
                 nu[s] = const
-        # the edges a gauge can make plain, with the kappa_t / kappa_s
+        # the edges the gauge can make plain, with the kappa_t / kappa_s
         # that does it; self-loops are plain or not whatever kappa is
         bare = [(s, t, _times(nu[s], const, -1) if dphi
                  else _times(_UNIT, const, -1))
                 for _, dphi, s, t, _, _, const, a, b in self.lumped
                 if t is not None and not a + b]
         kappa = _walk_gauge(len(self.rows), self.seed_row, bare)
-        self.gauged = _Gauge(self, kappa, nu)
-        self.ungauged = (self.gauged if set(kappa + nu) == {_UNIT}
-                         else _Gauge(self, unit, unit))
-        self.bounds = set(kappa + list(map(_times, nu, kappa)))
+        self.kappa, self.nu = tuple(kappa), tuple(nu)
+        index = {}
 
-    def gauge_for(self, params: ModelParams) -> _Gauge:
-        """gauged when every kappa_s and nu_s kappa_s lies within
-        2^+-_GAUGE_BITS at params, else ungauged."""
-        for mono in self.bounds:
-            log = sum(e * math.log(_base(base, params)) for base, e in mono)
-            if abs(log) > _GAUGE_BITS * _LOG2:
-                return self.ungauged
-        return self.gauged
+        def factor(*key):
+            return index.setdefault(key, len(index))
+
+        self.into_factor, self.hit_factor = [], []
+        for _, dphi, s, t, _, _, const, a, b in self.lumped:
+            mu = _times(nu[s], kappa[s]) if dphi else kappa[s]
+            self.into_factor.append(None if t is None else factor(
+                _times(_times(const, kappa[t]), mu, -1), a, b))
+            self.hit_factor.append(factor(_times(const, mu, -1), a, b)
+                                   if dphi else None)
+        self.convert = tuple((s, factor(nu[s], *self.shared[s]))
+                             for s in range(len(self.rows))
+                             if any(self.shared[s]))
+        self.factors = tuple(index)
+        self.constants = tuple(tuple(_put_lam(mono, lam)
+                                     for mono, _, _ in self.factors)
+                               for lam in (_UNIT, (("p", 1),)))
+        self.bases = {base for monos in self.constants for mono in monos
+                      for base, _ in mono}
+        self.bounds = {_put_lam(mono, _UNIT)
+                       for mono in kappa + list(map(_times, nu, kappa))}
+        self.terms = tuple(dict.fromkeys(
+            term for _, a_terms, b_terms in self.factors
+            for term in a_terms + b_terms))
+        self.edges = tuple(None if fi is None else e[1:3] + e[4:6] + (fi,)
+                           for e, fi in zip(self.lumped, self.into_factor))
+        self.crossing = tuple(
+            self.lumped[i][1:3] + (self.hit_factor[i],) for i in sorted(
+                (i for i, e in enumerate(lumped) if e[1] > 0),
+                key=srcs.__getitem__))
+        plain = [key == (_UNIT, (), ()) for key in self.factors]
+
+        def stage(most):
+            out = []
+            for t, edges in self.into:
+                edges = [i for i in edges if self.lumped[i][1] <= most]
+                pair = None
+                if len(edges) > 1 and plain[self.into_factor[edges[0]]]:
+                    if plain[self.into_factor[edges[1]]]:
+                        pair = tuple(self.edges[i][:3] for i in edges[:2])
+                        del edges[:2]
+                    else:
+                        edges[:2] = edges[1::-1]
+                out.append((t, pair, tuple(edges)))
+            return tuple(out)
+
+        self.stages = tuple(stage(most) for most in range(self.max_dphi + 1))
+
+    def base_is_p(self, params: ModelParams) -> bool:
+        """Whether a call at params stores its levels over lam = p: where
+        some kappa_s or nu_s kappa_s at lam = 1 leaves 2^+-_GAUGE_BITS
+        (Frobose: p below about 7e-11), else lam = 1."""
+        return any(abs(sum(e * math.log(_base(base, params))
+                           for base, e in mono)) > _GAUGE_BITS * _LOG2
+                   for mono in self.bounds)
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
 _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
-def _factor_vectors(gauge: _Gauge, params: ModelParams, N: int):
-    """(w, a, b_rev) per factor of the gauge over n = -_PAD .. N - _PAD - 1:
+def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
+    """(w, a, b_rev) per factor of the plan, at lam = p if at_p else at
+    lam = 1, over n = -_PAD .. N - _PAD - 1:
     w * a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the factor at source
     (w, h), where a factor the product does not depend on is None and w
     is folded into a, or into b_rev when a is None.  w is None for a
     factor that is exactly 1.  Dummies (1) at non-positive arguments are
     harmless because those positions only ever meet zero source entries."""
     q = params.q
-    bases = {base: _base(base, params) for base in gauge.bases}
+    bases = {base: _base(base, params) for base in plan.bases}
     n = np.arange(-_PAD, N - _PAD, dtype=float)
     terms = {}
-    for term in gauge.terms:
+    for term in plan.terms:
         if term[0] == "f":
             arg = (n + term[1]) * q
             terms[term] = np.where(arg > 0.0, -np.expm1(-np.maximum(arg, q)),
@@ -533,7 +529,7 @@ def _factor_vectors(gauge: _Gauge, params: ModelParams, N: int):
         return out
 
     factors = []
-    for mono, a_keys, b_keys in gauge.factors:
+    for (_, a_keys, b_keys), mono in zip(plan.factors, plan.constants[at_p]):
         if not a_keys and not b_keys:
             factors.append((None if mono == _UNIT else _value(mono, bases),
                             None, None))
@@ -566,32 +562,25 @@ class _Engine:
             raise ResourceCapError(
                 f"estimated {Decimal(est):.3g} bytes of level storage "
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
-        gauge = plan.gauge_for(params)
-        factors = _factor_vectors(gauge, params, self.N)
+        at_p = plan.base_is_p(params)
+        self.lam = params.p if at_p else 1.0
+        factors = _factor_vectors(plan, params, self.N, at_p)
 
-        self._stages = gauge.stages
         self._edges = [None if e is None else e[:4] + factors[e[4]]
-                       for e in gauge.edges]
+                       for e in plan.edges]
         # the conversions by width and by height vector (a row whose
         # shared terms hold both is in both lists)
-        self._convert_a = [(t, factors[fi][1]) for t, fi in gauge.convert
+        self._convert_a = [(t, factors[fi][1]) for t, fi in plan.convert
                            if factors[fi][1] is not None]
-        self._convert_b = [(t, factors[fi][2]) for t, fi in gauge.convert
+        self._convert_b = [(t, factors[fi][2]) for t, fi in plan.convert
                            if factors[fi][2] is not None]
-        self._crossing = [e[:2] + factors[e[2]] for e in gauge.crossing]
+        self._crossing = [e[:2] + factors[e[2]] for e in plan.crossing]
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
         self._rows = [list(level) for level in self._levels]  # 1-D row views
         self._tmp = np.empty(self.N)
         self._los, self._his = [1] * self.window, [1] * self.window
         self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = 0
-
-    def _stage(self, most: int) -> list:
-        """(target row, pair, edges) per stored row, over the edges with
-        dphi <= most (_Gauge.stages)."""
-        edges = self._edges
-        return [(t, pair, [edges[i] for i in order])
-                for t, pair, order in self._stages[most]]
 
     # -- per-level kernel -----------------------------------------------------
     def _fill(self, phi: int, lo: int, hi: int, into):
@@ -677,8 +666,9 @@ class _Engine:
                 # below phi = 1 + window no level lies below the seed:
                 # skip the edges out of those slots (which would only add
                 # zeros), so that none overwrites the seed; from there on
-                # into holds every edge
-                into = self._stage(phi - 2)
+                # into holds every edge (_Plan.stages)
+                into = [(t, pair, [self._edges[i] for i in order])
+                        for t, pair, order in self.plan.stages[phi - 2]]
             self._fill(phi, lo, hi, into)
             self.cells += hi - lo
             live = cur[:, lo + _PAD:hi + _PAD]
@@ -717,7 +707,8 @@ class _Engine:
         row over the live widths, or, where residual terms are left, one
         dot product with them, taken in ascending source phi and, within
         a level, in the plan's crossing order; the levels share one
-        scale, so the flows are summed once."""
+        scale, so the flows are summed once, each into a level T past L
+        times lam^(T - L), and (L - 2) log lam is added to the log."""
         L, N, window = self.L, self.N, self.window
         if L == 2:
             return 0.0, 0.0
@@ -743,9 +734,11 @@ class _Engine:
                     if s not in sums:
                         sums[s] = float(np.add.reduce(vals))
                     flow = sums[s] if w is None else w * sums[s]
-                (on_L if sphi + dphi == L else past_L).append(flow)
-        return (_log_scaled(math.fsum(on_L), self.scale),
-                _log_scaled(math.fsum(on_L + past_L), self.scale))
+                (on_L if sphi + dphi == L else past_L).append(
+                    flow * self.lam ** (sphi + dphi - L))
+        scale = self.scale + (L - 2) * math.log(self.lam)
+        return (_log_scaled(math.fsum(on_L), scale),
+                _log_scaled(math.fsum(on_L + past_L), scale))
 
 
 def _log_scaled(total: float, scale: float) -> float:
@@ -756,20 +749,22 @@ def _log_scaled(total: float, scale: float) -> float:
 def _run(plan: _Plan, params: ChainParams, model_name: str,
          memory_cap_bytes: int = 8 << 30) -> PiResult:
     t0 = time.perf_counter()
-    eng = _Engine(plan, params.model, params.threshold, memory_cap_bytes)
-    t1 = time.perf_counter()
-    # every rule has a positive probability, so an overflow (the levels
-    # span more than a double holds) or a NaN makes the result wrong, not
-    # small; underflow stays ignored, as the flush below _TINY relies on it
+    # every rule has a positive probability, so an overflow (the levels or
+    # the constants at a subnormal p span more than a double holds) or a
+    # NaN makes the result wrong, not small; underflow stays ignored, as
+    # the flush below _TINY relies on it
     try:
         with np.errstate(over="raise", invalid="raise", under="ignore"):
+            eng = _Engine(plan, params.model, params.threshold,
+                          memory_cap_bytes)
+            t1 = time.perf_counter()
             eng.sweep()
             t2 = time.perf_counter()
             hit_exact, hit_atl = eng.hits()
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise ArithmeticError(
             f"the level scale left the double range at p={params.model.p!r}, "
-            f"L={params.threshold} ({exc})") from None
+            f"L={params.threshold} ({exc.args[-1]})") from None
     t3 = time.perf_counter()
     hit = hit_exact if params.convention == "exact" else hit_atl
     return PiResult(

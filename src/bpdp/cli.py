@@ -25,8 +25,9 @@ line.
 
 Exit status: 0 success, 1 usage error, 2 verification failure,
 3 resource cap exceeded, 4 a computation failed (a non-finite `pi`
-result, levels that overflow the double range, or at least one failed
-`scan` row; `scan` then ends with `# n of m rows failed` on stderr).
+result, levels or constants that overflow the double range, as at a
+subnormal p, or at least one failed `scan` row; `scan` then ends with
+`# n of m rows failed` on stderr).
 """
 
 from __future__ import annotations
@@ -368,10 +369,14 @@ def cmd_fit(input_path):
         raise click.ClickException(f"{input_path}: {exc}") from None
 
     def attempt(fn):
+        # a fit that cannot be taken (a log Pi that is not positive, a
+        # value that over- or underflows) is an error of its own, and the
+        # rest of the record is still written
         try:
-            return fn(data)
-        except FitError as exc:
-            return {"error": str(exc)}
+            with np.errstate(all="raise"):
+                return fn(data)
+        except (FitError, ArithmeticError) as exc:
+            return {"error": str(exc.args[-1])}
 
     outputs = {
         "first_order": attempt(fit_first_order),
@@ -391,11 +396,11 @@ def _figure_coordinates(data: PiDataset) -> dict:
     x = data.log_inv_p
     p = data.p
     y = data.log_pi
-    res1 = LAMBDA1_F / p - y
-    res2 = y - LAMBDA1_F / p + LAMBDA2_F / np.sqrt(p)
-    # the log of a residual that is not positive is a null coordinate,
-    # not a warning on stderr
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a residual that overflows, or the log of one that is not positive,
+    # is a null coordinate, not a warning on stderr
+    with np.errstate(all="ignore"):
+        res1 = LAMBDA1_F / p - y
+        res2 = y - LAMBDA1_F / p + LAMBDA2_F / np.sqrt(p)
         log_y, log_res1, log_res2 = np.log(y), np.log(res1), np.log(res2)
     return {
         "leading": {"x_log_inv_p": _points(x), "y_p_log_pi": _points(p * y)},

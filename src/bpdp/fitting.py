@@ -40,7 +40,8 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiDataset:
-    """Rows (log2(1/p), log Pi), strictly increasing in both columns."""
+    """Rows (log2(1/p), log Pi), strictly increasing in both columns, with
+    log2(1/p) in 1..1074, where p is a positive double below 1."""
 
     rows: Tuple[Tuple[int, float], ...]
 
@@ -52,6 +53,8 @@ class PiDataset:
         vs = [v for _, v in rows]
         if len(set(ks)) != len(ks):
             raise ValueError("duplicate abscissae")
+        if not all(1 <= k <= 1074 for k in ks):
+            raise ValueError("log2_inv_p must lie in 1..1074")
         if any(v1 <= v0 for v0, v1 in zip(vs, vs[1:])):
             raise ValueError("log Pi must be strictly increasing")
 
@@ -88,6 +91,8 @@ def linreg(points: Sequence[Tuple[float, float]], k_last: int) -> dict:
 def fit_first_order(data: PiDataset) -> dict:
     """Regress log log Pi on log(1/p): slope estimates alpha, the
     exponentiated intercept estimates lambda1."""
+    if np.any(data.log_pi <= 0.0):
+        raise FitError("log Pi not positive")
     pts = list(zip(data.log_inv_p, np.log(data.log_pi)))
     r = linreg(pts, K_LAST)
     return {"alpha": r["slope"], "lambda1": math.exp(r["intercept"])}

@@ -163,11 +163,11 @@ class TestComputePi:
         with pytest.raises(ResourceCapError):
             compute_pi(ChainParams.from_p(0.01), memory_cap_bytes=1000)
 
-    @pytest.mark.parametrize("p, L", [(1e-200, 6), (1e-300, 6), (1e-310, 4)])
+    @pytest.mark.parametrize("p, L", [(5e-324, 3), (1e-315, 6), (1e-310, 4)])
     def test_overflowing_levels_raise(self, p, L):
         # every rule has a positive probability, so the hit probability is
-        # never 0: levels that span more than a double holds are an error,
-        # not a log_hit_prob of -inf
+        # never 0: at a subnormal p the level base's 1/p leaves the double
+        # range, an error, not a log_hit_prob of -inf
         with pytest.raises(ArithmeticError, match=f"p={p!r}, L={L}"):
             compute_pi(ChainParams.from_p(p, threshold=L))
 
@@ -222,16 +222,22 @@ def test_pinned_long_threshold(fn, p, L, convention, want):
     assert r.log_hit_prob == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
-# Regression values of log_hit_prob at tiny p, where the levels span most
-# of the double range.  The values are those of a 50-digit (mpmath)
-# enumeration of the table's trajectories; the bound is 1e-12 relative.
+# Regression values of log_hit_prob at tiny p, where the hit probability
+# spans most of the double range.  The values are those of a 50-digit
+# (mpmath) enumeration of the table's trajectories; the bound is 1e-12
+# relative.
 PINNED_TINY_P_LOG_HIT = [
     (1e-50, 5, -340.82341575763901634),
     (1e-50, 12, -1131.999533069664023),
     (1e-100, 5, -686.21117970674586891),
     (1e-100, 12, -2283.2920795666868648),
     (1e-110, 5, -755.28873249656723933),
+    (1e-110, 12, -2513.5505888660914329),
     (1e-150, 5, -1031.5989436558527216),
+    (1e-150, 12, -3434.5846260637097070),
+    (1e-200, 6, -1835.6930495754084508),
+    (1e-300, 5, -2067.7622355031732793),
+    (1e-300, 6, -2756.7270867730267243),
 ]
 
 
@@ -239,6 +245,18 @@ PINNED_TINY_P_LOG_HIT = [
 def test_pinned_tiny_p(p, L, want):
     r = compute_pi(ChainParams.from_p(p, threshold=L))
     assert r.log_hit_prob == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_tiny_p_scaling_law():
+    # At tiny p the law of a path within a level no longer depends on q,
+    # and each of the L - 2 levels costs a factor q, so log P(hit) moves by
+    # (L - 2) log(q / q') from p' to p; at L = 12000 the levels at
+    # p = 1e-40 must not drift from those at p' = 1e-12.
+    L = 12000
+    got, ref = (compute_pi(ChainParams.from_p(p, threshold=L))
+                for p in (1e-40, 1e-12))
+    law = (L - 2) * math.log(got.q / ref.q)
+    assert abs(got.log_hit_prob - ref.log_hit_prob - law) <= 1e-3
 
 
 def test_cells_swept():
@@ -300,9 +318,8 @@ class TestTwoNeighbourLowerBound:
 
 def plain_edges(plan):
     """Indices of the plan's lumped edges that its gauge makes plain adds."""
-    gauge = plan.gauged
-    return [i for i, fi in enumerate(gauge.into_factor)
-            if fi is not None and gauge.factors[fi] == (engine._UNIT, (), ())]
+    return [i for i, fi in enumerate(plan.into_factor)
+            if fi is not None and plan.factors[fi] == (engine._UNIT, (), ())]
 
 
 class TestLumping:
@@ -340,25 +357,30 @@ class TestLumping:
         assert scaled == {("3", "1''"), ("3", "0")}
 
     def test_frobose_gauge(self):
-        # Over rows 0, 1, 1'', 2, 3: kappa = (1, p e^q, p e^q, p^2 e^q,
-        # 2 p^3 e^q) and nu = (1, e^-q, e^-q, e^-q, e^-2q)
+        # Over rows 0, 1, 1'', 2, 3 of ranks 0, 1, 1, 2, 3:
+        # kappa = (1, p e^q, p e^q, p^2 e^q, 2 p^3 e^q) lam^-rank and
+        # nu = (1, e^-q, e^-q, e^-q, e^-2q) / lam
         mono = engine._monomial
-        gauge = engine._FROBOSE_PLAN.gauged
-        assert gauge.kappa == (
-            engine._UNIT, mono({"p": 1, "e^-q": -1}),
-            mono({"p": 1, "e^-q": -1}), mono({"p": 2, "e^-q": -1}),
-            mono({"2": 1, "p": 3, "e^-q": -1}))
-        assert gauge.nu == (engine._UNIT, mono({"e^-q": 1}),
-                            mono({"e^-q": 1}), mono({"e^-q": 1}),
-                            mono({"e^-q": 2}))
+        plan = engine._FROBOSE_PLAN
+        assert plan.kappa == (
+            engine._UNIT, mono({"p": 1, "e^-q": -1, "lam": -1}),
+            mono({"p": 1, "e^-q": -1, "lam": -1}),
+            mono({"p": 2, "e^-q": -1, "lam": -2}),
+            mono({"2": 1, "p": 3, "e^-q": -1, "lam": -3}))
+        assert plan.nu == (mono({"lam": -1}), mono({"e^-q": 1, "lam": -1}),
+                           mono({"e^-q": 1, "lam": -1}),
+                           mono({"e^-q": 1, "lam": -1}),
+                           mono({"e^-q": 2, "lam": -1}))
 
     def test_two_neighbour_shares_a_term_in_row_zero_only(self):
         # 1 - e^{-qh} is common to the two loops of row 0 alone; it leaves
-        # the step-one loop a plain add, and the gauge is trivial
+        # the step-one loop a plain add, and the gauge is trivial but for
+        # nu_0 = 1 / lam
         plan = engine._TWO_NEIGHBOUR_PLAN
         assert [any(terms) for terms in plan.shared] == [True] + [False] * 5
         assert [plan.lumped[i][1:4] for i in plain_edges(plan)] == [(1, 0, 0)]
-        assert set(plan.gauged.kappa + plan.gauged.nu) == {engine._UNIT}
+        assert plan.nu[0] == engine._monomial({"lam": -1})
+        assert set(plan.kappa + plan.nu[1:]) == {engine._UNIT}
 
     @pytest.mark.parametrize("plan, table", [
         (engine._FROBOSE_PLAN, FROBOSE_TABLE),
@@ -397,21 +419,22 @@ class TestEnginePlan:
                                       engine._TWO_NEIGHBOUR_PLAN])
     def test_shared_factors_equal_linear_prob(self, plan, p):
         # A level's rows are filled as X_s = kappa_s F_s and stored as
-        # G_s = conv_s X_s, conv_s = nu_s f_s.  So a moving edge's factor
-        # times conv_s, or a rank-up edge's factor alone, times
-        # kappa_s / kappa_t, and a crossing edge's hit factor times
-        # conv_s kappa_s, are each the summed probability of the lumped
-        # edge's member rules at source (w, h).  At p = 1e-60 the gauged
-        # constants leave their range and the plan's ungauged form is used.
+        # G_s = conv_s X_s, conv_s = nu_s f_s, where F is the mass over
+        # lam^(phi - 2).  So a moving edge's factor times conv_s, or a
+        # rank-up edge's factor alone, times kappa_s / kappa_t, and a
+        # crossing edge's hit factor times conv_s kappa_s, are each the
+        # summed probability of the lumped edge's member rules at source
+        # (w, h), over lam^dphi.  At p = 1e-60 the lam-free constants leave
+        # their range and the Frobose levels are stored over lam = p.
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
-        gauge = plan.gauge_for(mp)
-        assert (gauge is plan.gauged) == (
-            p > 1e-60 or plan is engine._TWO_NEIGHBOUR_PLAN)
-        factors = engine._factor_vectors(gauge, mp, N)
-        bases = {base: engine._base(base, mp) for base in gauge.bases}
-        kappa = [engine._value(k, bases) for k in gauge.kappa]
+        at_p = plan.base_is_p(mp)
+        assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
+        factors = engine._factor_vectors(plan, mp, N, at_p)
+        lam = p if at_p else 1.0
+        bases = {base: engine._base(base, mp) for base in plan.bases}
+        kappa = [engine._value(k, dict(bases, lam=lam)) for k in plan.kappa]
         W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
 
         def at(fi):
@@ -423,18 +446,20 @@ class TestEnginePlan:
                 out = out * b_rev[N - 1 - (H + engine._PAD)]
             return out
 
-        conv = {s: at(fi) for s, fi in gauge.convert}
+        conv = {s: at(fi) for s, fi in plan.convert}
         for i, (members, dphi, s, t, *_) in enumerate(plan.lumped):
             want = np.vectorize(lambda w, h: math.fsum(
                 r.linear_prob(int(w), int(h), mp) for r in members))(W, H)
             source = conv.get(s, 1.0) if dphi else 1.0
             if t is not None:
                 np.testing.assert_allclose(
-                    at(gauge.into_factor[i]) * source * (kappa[s] / kappa[t]),
+                    at(plan.into_factor[i]) * source * (kappa[s] / kappa[t])
+                    * lam ** dphi,
                     want, rtol=1e-14, atol=0.0, err_msg=repr(members))
             if dphi:
                 np.testing.assert_allclose(
-                    at(gauge.hit_factor[i]) * conv.get(s, 1.0) * kappa[s],
+                    at(plan.hit_factor[i]) * conv.get(s, 1.0) * kappa[s]
+                    * lam ** dphi,
                     want, rtol=1e-14, atol=0.0, err_msg=repr(members))
 
     def test_calls_share_no_state(self):

@@ -155,13 +155,14 @@ class TestNonFiniteResults:
         assert "not finite" in r.stderr
 
     def test_pi_overflowing_levels_are_a_failure(self):
-        # at p = 1e-200 and L = 6 the levels span more than a double holds
-        r = run_cli("pi", "--p", "1e-200", "--threshold", "6")
+        # at the subnormal p = 1e-310 the level base's 1/p leaves the
+        # double range
+        r = run_cli("pi", "--p", "1e-310", "--threshold", "4")
         assert r.returncode == 4
         assert r.stdout == ""
         assert "Traceback" not in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
-        assert "p=1e-200" in r.stderr and "L=6" in r.stderr
+        assert "p=1e-310" in r.stderr and "L=4" in r.stderr
         assert "underflowed" not in r.stderr
 
     def test_scan_reports_failed_rows(self, monkeypatch):
@@ -199,6 +200,37 @@ class TestNonFiniteResults:
         assert r.returncode == 0, r.stderr
         coords = strict_json(r.stdout)["outputs"]["coordinates"]
         assert coords["second_order"]["y_log_residual"][0] is None
+
+
+    @pytest.mark.parametrize("rows, status, failed", [
+        # 1 / p overflows from k = 1024 on, 2^k at k = 1024 in four_param
+        ([(k, k - 1021) for k in range(1022, 1026)], 0,
+         {"first_order_fixed_alpha", "second_order",
+          "second_order_fixed_beta", "third_order", "four_param"}),
+        # the squares of the regressions overflow near k = 1023
+        ([(k, k - 1019) for k in range(1020, 1024)], 0,
+         {"first_order_fixed_alpha", "second_order_fixed_beta",
+          "third_order", "four_param"}),
+        # p >= 1
+        ([(k, k + 4) for k in range(-3, 1)], 1, None),
+        # log Pi < 0 has no log
+        ([(k, k - 6) for k in range(2, 6)], 0,
+         {"first_order", "third_order"}),
+    ], ids=["k1022-1025", "k1020-1023", "p-at-least-1", "log-pi-negative"])
+    def test_fit_failures_are_errors_in_the_record(self, tmp_path, rows,
+                                                   status, failed):
+        table = tmp_path / "t.csv"
+        table.write_text("log2_inv_p,log_pi\n" + "".join(
+            f"{k},{v}\n" for k, v in rows))
+        r = run_cli("fit", "--input", str(table))
+        if status:
+            assert_one_line_error(r, "t.csv", "log2_inv_p must lie in 1..1074")
+            return
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        outputs = strict_json(r.stdout)["outputs"]
+        assert {name for name, out in outputs.items()
+                if "error" in out} == failed
 
 
 class TestScan:
@@ -558,9 +590,34 @@ P_SOURCES = st.lists(st.one_of(
     min_size=1, max_size=2)
 
 
+# 4 to 8 rows of `fit` input: distinct exponents, some outside 1..1074,
+# and finite log Pi of either sign, increasing with the exponent
+FIT_ROWS = st.integers(4, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-5, 1100), min_size=n, max_size=n, unique=True),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n,
+             max_size=n, unique=True))).map(
+    lambda kv: list(zip(sorted(kv[0]), sorted(kv[1]))))
+
+
 class TestArgumentProperties:
-    """Random arguments of `functions` and `pi` give a result or a short
-    error, never a traceback or a warning."""
+    """Random arguments of `functions`, `pi` and `fit` give a result or a
+    short error, never a traceback or a warning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(FIT_ROWS)
+    def test_fit_record_or_one_error(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            with open(path, "w") as fh:
+                fh.write("log2_inv_p,log_pi\n" + "".join(
+                    f"{k},{v!r}\n" for k, v in rows))
+            r = run_cli("fit", "--input", path)
+        if r.returncode == 0:
+            assert r.stderr == ""
+            (line,) = r.stdout.splitlines()
+            strict_json(line)
+        else:
+            assert_one_line_error(r, "t.csv")
 
     @settings(max_examples=80, deadline=None)
     @given(GRID_ENDS, st.integers(1, 4))
