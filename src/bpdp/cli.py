@@ -430,7 +430,8 @@ def _points(values) -> list:
                                            max_open=True), required=True)
 @click.option("--n", type=click.IntRange(min=1), default=10000,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 def cmd_simulate(event_id, width, height, p, n, seed):
     """Monte Carlo estimate of a rectangle event on a Bernoulli field."""
     t0 = time.perf_counter()

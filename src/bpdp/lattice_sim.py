@@ -14,10 +14,23 @@ bit (y - box.b) * stride + (x - box.a) with stride box.width + 1, so an
 always-empty guard column keeps x-shifts from wrapping between rows.  The
 board is loaded lazily, cell by cell from the caller's set, over
 rect.expand(2) of each step's rectangle, the only cells a step reads.
-Frame and buffer tests are masks ANDed with the unrevealed infections,
-and the crossing test is a shift-based local Frobose fixpoint.  The
-closures, ``crossing`` and the worklist ``_local_closure`` stay set-based:
-they are the independent oracle the bitboard is tested against.
+Frame tests are masks ANDed with the unrevealed infections.
+
+Crossings need no fixpoint.  Every Frobose row grows each side by 0 or 1,
+so a crossing adds a one-cell ring to a rectangle whose cells are all
+germs: a line along each grown side and a corner between two grown
+sides.  A unit square of the grown rectangle that holds a line cell holds
+either its neighbour along the line and two cells of the rectangle, or,
+at the line's end, a corner and the end of the next line.  So an
+infection in a line is a germ (it touches the rectangle) and fills the
+whole line, one square at a time; a line with no infection fills exactly
+when an infected corner joins it to a line that fills; and a corner,
+whose one square is its two line ends and a rectangle cell, fills when
+both its lines do.  The crossing holds when every grown line fills: a
+function of 4 line bits and 4 corner bits, which ``_ring_crossings``
+tabulates per row at import.  The closures, ``crossing`` and the
+worklist ``_local_closure`` stay set-based: they are the independent
+oracle the bitboard is tested against.
 """
 
 from __future__ import annotations
@@ -102,23 +115,14 @@ class Rectangle:
                          self.c + gamma, self.d + delta)
 
 
-def _buffers(rect: Rectangle) -> Dict[str, Set[Site]]:
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
+def _buffers(rect: Rectangle, thickness: int) -> Dict[str, Set[Site]]:
+    """The side strips of the given thickness just outside rect."""
+    a, b, c, d, t = rect.a, rect.b, rect.c, rect.d, thickness
     return {
-        "r": {(c, y) for y in range(b, d)},
-        "u": {(x, d) for x in range(a, c)},
-        "l": {(a - 1, y) for y in range(b, d)},
-        "d": {(x, b - 1) for x in range(a, c)},
-    }
-
-
-def _buffers_two_neighbour(rect: Rectangle) -> Dict[str, Set[Site]]:
-    a, b, c, d = rect.a, rect.b, rect.c, rect.d
-    return {
-        "r": {(x, y) for x in (c, c + 1) for y in range(b, d)},
-        "u": {(x, y) for x in range(a, c) for y in (d, d + 1)},
-        "l": {(x, y) for x in (a - 2, a - 1) for y in range(b, d)},
-        "d": {(x, y) for x in range(a, c) for y in (b - 2, b - 1)},
+        "r": {(x, y) for x in range(c, c + t) for y in range(b, d)},
+        "u": {(x, y) for x in range(a, c) for y in range(d, d + t)},
+        "l": {(x, y) for x in range(a - t, a) for y in range(b, d)},
+        "d": {(x, y) for x in range(a, c) for y in range(b - t, b)},
     }
 
 
@@ -144,22 +148,14 @@ class FramedRectangle:
 
     def frame_cells(self, model: str = "frobose") -> Set[Site]:
         keys = FRAME_BUFFERS[self.state]
-        if model == "frobose":
-            if self.state == "2''":
-                raise ValueError("frame state 2'' exists only for the "
-                                 "two-neighbour model")
-            bufs = _buffers(self.rect)
-            out: Set[Site] = set()
-            for key in keys:
-                out |= bufs[key]
-            return out
-        bufs = _buffers_two_neighbour(self.rect)
-        out = set()
-        for key in keys:
-            out |= bufs[key]
-        for pair, corner in _2N_CORNERS.items():
-            if pair <= set(keys):
-                out.add(corner(self.rect))
+        if model == "frobose" and self.state == "2''":
+            raise ValueError("frame state 2'' exists only for the "
+                             "two-neighbour model")
+        bufs = _buffers(self.rect, 1 if model == "frobose" else 2)
+        out: Set[Site] = set().union(*(bufs[key] for key in keys))
+        if model != "frobose":
+            out |= {corner(self.rect) for pair, corner in _2N_CORNERS.items()
+                    if pair <= set(keys)}
         return out
 
     def explored_cells(self) -> Set[Site]:
@@ -453,47 +449,40 @@ def event_holds(event_id: str, rect: Rectangle, infected: Set[Site]) -> bool:
 # Framed-rectangle exploration
 # ---------------------------------------------------------------------------
 
+# A step's key: bit i is set when the ring line along side "ruld"[i] of
+# the current rectangle holds an unrevealed infection, bit 4 + i when the
+# ring corner between sides i and i + 1 (mod 4) does.  _KEY_BITS[i] has bit
+# k set when key k has bit i, so one int operation on them evaluates a
+# formula for all 256 keys at once.
+_KEY_BITS = [sum(1 << k for k in range(256) if k >> i & 1) for i in range(8)]
+
+
+def _ring_crossings(rule) -> int:
+    """The keys whose crossing onto the rule's rectangle holds, as the set
+    bits of a 256-bit int: every grown line fills (module docstring)."""
+    grown = (rule.gamma, rule.delta, rule.alpha, rule.beta)   # r, u, l, d
+    if not set(grown) <= {0, 1}:
+        raise ValueError(f"{rule} grows a side by more than one cell")
+    sides = [i for i in range(4) if grown[i]]
+    fills = [_KEY_BITS[i] if grown[i] else 0 for i in range(4)]
+    corner = _KEY_BITS[4:]
+    for _ in range(3):   # a join passes at most three corners
+        for i in sides:
+            fills[i] |= (corner[i] & fills[(i + 1) % 4]
+                         | corner[i - 1] & fills[i - 1])
+    keys = (1 << 256) - 1
+    for i in sides:
+        keys &= fills[i]
+    return keys
+
+
 # Candidate transitions out of each live frame state, in table row order:
-# the side offsets, the destination state and its side buffers.
+# the side offsets, the destination state, its side buffers and the keys
+# whose crossing holds.
 _EXPLORE_RULES = {s: tuple((r.alpha, r.beta, r.gamma, r.delta, r.dst,
-                            FRAME_BUFFERS[r.dst])
+                            FRAME_BUFFERS[r.dst], _ring_crossings(r))
                            for r in frobose_transitions(s))
                   for s in FROBOSE_STATES if s != "4"}
-
-
-def _frobose_crossing(small: int, big: int, available: int,
-                      stride: int) -> bool:
-    """`crossing(small, big, ..., "frobose")` on bitboard masks, for big
-    strictly containing small and the available infections inside big.
-
-    Germs start as the small rectangle and spread to infected
-    4-neighbours; a healthy cell of big is infected (and is a germ) when,
-    for one diagonal direction, its diagonal, horizontal and vertical
-    neighbours are infected and the horizontal or vertical one is a germ.
-    Every step is a whole-board shift; the least fixpoint is the germ set
-    of the worklist in `_local_closure`.
-    """
-    if not available:
-        return False
-    inf = small | available
-    germ = small
-    sm, sp = stride - 1, stride + 1
-    while True:
-        spread = germ | (inf & ((germ << 1) | (germ >> 1)
-                                | (germ << stride) | (germ >> stride)))
-        # east, west, north, south neighbour infected; g*: a germ there
-        e, w = inf >> 1, inf << 1
-        n, s = inf >> stride, inf << stride
-        ge, gw = spread >> 1, spread << 1
-        gn, gs = spread >> stride, spread << stride
-        new = big & ~inf & ((e & n & (inf >> sp) & (ge | gn))
-                            | (e & s & (inf << sm) & (ge | gs))
-                            | (w & n & (inf >> sm) & (gw | gn))
-                            | (w & s & (inf << sp) & (gw | gs)))
-        if not new and spread == germ:
-            return germ == big
-        germ = spread | new
-        inf |= new
 
 
 def explore(infected: Set[Site], seed_rect: Rectangle,
@@ -511,16 +500,18 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
     step the cells of rect.expand(2) not loaded yet are looked up in
     ``infected`` with Python-int coordinates, so its sites may be tuples
     of numpy integers, and sites outside that region are never read.
+    Each step's key says which lines and corners of the one-cell ring
+    around the rectangle hold unrevealed infections; a row's crossing holds
+    when every line it grows holds one or is joined to one that does by
+    infected corners (proof in the module docstring).
     """
     out = [FramedRectangle(seed_rect, "0")]
     x0, y0 = box.a, box.b
     stride = box.width + 1
     column = [0]   # column[h]: bits 0, stride, ..., (h-1)*stride
-    for h in range(box.height):
+    tallest = box.height if max_phi is None else min(box.height, max_phi + 2)
+    for h in range(tallest):
         column.append(column[-1] | 1 << (h * stride))
-
-    def rect(a, b, c, d):
-        return (((1 << (c - a)) - 1) * column[d - b]) << (b * stride + a)
 
     def frame(a, b, c, d, sides):
         mask = 0
@@ -558,20 +549,28 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
                 if (x + x0, yy) in infected:
                     board |= 1 << (row + x)
         la, lb, lc, ld = a - 2, b - 2, c + 2, d + 2
-        small = rect(a, b, c, d)
-        revealed |= small
+        run = ((1 << (c - a)) - 1) << a         # the columns of small
+        span = column[d - b] << (b * stride)    # the rows of small
+        revealed |= run * span                  # small itself
         hidden = board & ~revealed
+        lo, hi = (b - 1) * stride, d * stride   # the rows below and above
+        key = ((hidden & span << c != 0)
+               | (hidden & run << hi != 0) << 1
+               | (hidden & span << (a - 1) != 0) << 2
+               | (hidden & run << lo != 0) << 3
+               | (hidden >> (hi + c) & 1) << 4
+               | (hidden >> (hi + a - 1) & 1) << 5
+               | (hidden >> (lo + a - 1) & 1) << 6
+               | (hidden >> (lo + c) & 1) << 7)
         chosen = None
-        for alpha, beta, gamma, delta, dst, sides in _EXPLORE_RULES[state]:
+        for alpha, beta, gamma, delta, dst, sides, crosses in \
+                _EXPLORE_RULES[state]:
+            if not crosses >> key & 1:
+                continue
             na, nb, nc, nd = a - alpha, b - beta, c + gamma, d + delta
             buffers = frame(na, nb, nc, nd, sides)
             if buffers & hidden:
                 continue
-            big = small
-            if alpha or beta or gamma or delta:
-                big = rect(na, nb, nc, nd)
-                if not _frobose_crossing(small, big, hidden & big, stride):
-                    continue
             if chosen is not None:
                 raise AssertionError(
                     f"transition events not disjoint at {out[-1]}")

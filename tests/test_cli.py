@@ -471,7 +471,8 @@ class TestBadInput:
         for args, option in [
                 (("--event", "nope"), "--event"), (("--p", "1.5"), "--p"),
                 (("--n", "0"), "--n"), (("--width", "0"), "--width"),
-                (("--event", "C"), "--event"), (("--event", "CF"), "--event")]:
+                (("--event", "C"), "--event"), (("--event", "CF"), "--event"),
+                (("--seed", "-1"), "--seed")]:
             r = run_cli(*simulate, *args)
             assert r.returncode == 1, args
             assert "Traceback" not in r.stderr
@@ -589,6 +590,12 @@ P_SOURCES = st.lists(st.one_of(
     st.integers(-5, 1100).map(lambda k: ("--log2-inv-p", str(k)))),
     min_size=1, max_size=2)
 
+# `simulate` arguments: p in (0, 1) with its subnormal and largest values,
+# n around its lower bound, and seeds that are negative or past 2^64
+SIMULATE_P = st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.sampled_from([1e-320, 5e-324, 1 - 2 ** -53]))
+SEEDS = st.one_of(st.integers(-3, 2 ** 70),
+                  st.sampled_from([-1, 2 ** 64, 2 ** 64 + 1, 2 ** 200]))
 
 # 4 to 8 rows of `fit` input: distinct exponents, some outside 1..1074,
 # and finite log Pi of either sign, increasing with the exponent
@@ -600,8 +607,8 @@ FIT_ROWS = st.integers(4, 8).flatmap(lambda n: st.tuples(
 
 
 class TestArgumentProperties:
-    """Random arguments of `functions`, `pi` and `fit` give a result or a
-    short error, never a traceback or a warning."""
+    """Random arguments of `functions`, `pi`, `fit` and `simulate` give a
+    result or a short error, never a traceback or a warning."""
 
     @settings(max_examples=150, deadline=None)
     @given(FIT_ROWS)
@@ -658,3 +665,25 @@ class TestArgumentProperties:
             # click's `Error:` after a usage line, or the cap's `error:`
             assert len([line for line in r.stderr.splitlines()
                         if line.lower().startswith("error:")]) == 1, r.stderr
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(sorted(bpdp.cli.EVENTS)), st.integers(1, 4),
+           st.integers(1, 4), SIMULATE_P, st.integers(-1, 50), SEEDS)
+    def test_simulate_record_or_one_error(self, event, width, height, p, n,
+                                          seed):
+        # regions stay small: `simulate` enumerates every cell per sample
+        r = run_cli("simulate", "--event", event, "--width", str(width),
+                    "--height", str(height), "--p", repr(p), "--n", str(n),
+                    "--seed", str(seed))
+        assert "Traceback" not in r.stderr
+        assert "Warning" not in r.stderr
+        if r.returncode == 0:
+            (line,) = r.stdout.splitlines()
+            outputs = strict_json(line)["outputs"]
+            assert 0.0 <= outputs["p_hat"] <= 1.0
+            assert outputs["seed"] == seed and outputs["n"] == n
+        else:
+            assert r.returncode == 1 and (seed < 0 or n < 1), r.stderr
+            assert len([line for line in r.stderr.splitlines()
+                        if line.startswith("Error:")]) == 1, r.stderr
+            assert r.stdout == ""

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bpdp.chain import ChainParams, frobose_transitions, sample_trajectory
+from bpdp import lattice_sim
+from bpdp.chain import (FROBOSE_TABLE, TWO_NEIGHBOUR_TABLE, ChainParams,
+                        frobose_transitions, sample_trajectory)
 from bpdp.lattice_sim import (EXACT_ENUMERATION_MAX_CELLS, FramedRectangle,
                               Rectangle, closure_frobose,
                               closure_two_neighbour, crossing, event_holds,
@@ -194,6 +196,40 @@ class TestTwoNeighbourFrames:
     def test_frobose_rejects_2pp(self):
         with pytest.raises(ValueError):
             FramedRectangle(Rectangle(0, 0, 2, 2), "2''").frame_cells()
+
+
+class TestRingCrossing:
+    """explore's crossing rule, read off the ring's lines and corners,
+    against the set-based crossing."""
+
+    def test_every_grown_side_set_and_ring_subset(self):
+        rules = {(r.alpha, r.beta, r.gamma, r.delta): r
+                 for r in FROBOSE_TABLE if r.dphi}
+        assert len(rules) == 13
+        for w, h in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            small = Rectangle(0, 0, w, h)
+            # the key's bits: lines r, u, l, d, then corners ru, ul, ld, dr
+            parts = ([{(w, y) for y in range(h)}, {(x, h) for x in range(w)},
+                      {(-1, y) for y in range(h)}, {(x, -1) for x in range(w)}]
+                     + [{s} for s in ((w, h), (-1, h), (-1, -1), (w, -1))])
+            for grow, rule in rules.items():
+                big = small.grow(*grow)
+                ring = sorted(big.cells() - small.cells())
+                crosses = lattice_sim._ring_crossings(rule)
+                for bits in range(1 << len(ring)):
+                    A = {s for i, s in enumerate(ring) if bits >> i & 1}
+                    key = sum(1 << i for i, part in enumerate(parts)
+                              if part & A)
+                    assert (crosses >> key & 1
+                            == crossing(small, big, A, "frobose")), (
+                        w, h, grow, sorted(A))
+
+    def test_refuses_growth_by_two(self):
+        # the ring rule holds only for the one-cell growth of every
+        # Frobose row, which the table is checked for at import
+        rule = next(r for r in TWO_NEIGHBOUR_TABLE if r.gamma == 2)
+        with pytest.raises(ValueError, match="more than one cell"):
+            lattice_sim._ring_crossings(rule)
 
 
 class TestExplore:
