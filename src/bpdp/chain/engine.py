@@ -25,15 +25,17 @@ brute-force oracle, the trajectory sampler and the lattice bridge keep
 the full table.
 
 Everything about a table that does not depend on p is derived once, at
-import, into a _Plan: the lumping, the rows a level stores, the edges
-into each target row in canonical order, the crossing edges, the terms
-each row's moving edges share and the gauge below.  A row that no moving
-rule leaves (Frobose 4; two-neighbour 1'', 2'' and 4) is never read, so
-it is not stored, filled, searched for the column maxima or flushed; the
-level storage and the ResourceCapError estimate count only the stored
-rows.  Frobose stores 5 rows with 17 edges into them (13 crossing),
-against 7, 26 and 20 unlumped; the two-neighbour plan stores 6 rows with
-41 edges.
+import, into a _Plan: the lumping, the rows a level stores, one table
+of the edges into them, each with its factor, the order in which each
+target row reads them, the terms each row's moving edges share and the
+gauge below.  A row that no moving rule leaves (Frobose 4; two-neighbour
+1'', 2'' and 4) is never read, so it is not stored, filled, searched for
+the column maxima or flushed; the level storage and the ResourceCapError
+estimate count only the stored rows.  A rule that raised phi into such a
+row would carry mass past L that the hit fold never reads, so _Plan
+refuses such a table; a rank-up into it (Frobose 3 to 4) only absorbs.
+Frobose stores 5 rows with 17 edges into them (13 raise phi), against 7,
+26 and 20 unlumped; the two-neighbour plan stores 6 rows with 41 edges.
 
 A rule's probability at source (w, h) is a constant (a monomial in p,
 4 - 3p, e^{-q} and small integers) times a few terms in one integer
@@ -113,12 +115,14 @@ in a fixed canonical order (source phi ascending, source width ascending,
 source state order; where a row's first edge is a plain add, it trades
 places with the second, which leaves their sum unchanged), so the result
 is bit-identical from run to run.  The hit probabilities come from the
-crossing edges out of the last max-jump levels: the flow along an edge
-is its constant times the sum of its source row of G over the live
-widths, or, where residual terms are left (the two-neighbour excerpt),
-one dot product with them; the flows are summed at once, as those
-levels share the ring's scale.  The Frobose fold takes no dot product,
-so BLAS starts no threads there.
+edges that raise phi out of the last max-jump levels, each stated once:
+the fold reads the factor _fill uses for the same edge, times one scalar
+per target row, 1 / kappa_t.  So the flow along an edge is that factor's
+constant times the sum of its source row of G over the live widths, or,
+where residual terms are left (the two-neighbour excerpt), one dot
+product with them; the flows are summed at once, as those levels share
+the ring's scale.  The Frobose fold takes no dot product, so BLAS starts
+no threads there.
 """
 
 from __future__ import annotations
@@ -142,7 +146,8 @@ _PAD = 6
 _TINY = np.finfo(float).tiny
 # A level is rescaled when its largest entry leaves [_BAND_LOW, 1]
 _BAND_LOW = math.exp(-16.0)
-# The gauge is used only while its row constants lie within 2^+-_GAUGE_BITS
+# The level base lam is 1 while the gauge's row constants at lam = 1 lie
+# within 2^+-_GAUGE_BITS, else p (_Plan.base_is_p)
 _GAUGE_BITS = 100
 _LOG2 = math.log(2.0)
 
@@ -346,44 +351,39 @@ class _Plan:
 
     blocks: the lumping's classes of frame states, each in state order,
     ordered by their first state, which stands for the block.  rows: the
-    stored blocks, those some moving rule leaves, in state order.  lumped:
-    (member rules, dphi, source row, target row or None, dw, dh, constant,
-    width terms, height terms) per edge of the quotient; the members are
-    the moving rules (all but the absorbing self-loop) out of the block's
+    stored blocks, those some moving rule leaves, in state order.  edges:
+    (dphi, source row, dw, dh, target row, factor index, member rules)
+    per edge of the quotient into a stored row; the members are the
+    moving rules (all but the absorbing self-loop) out of the block's
     first state into one block at one (dw, dh) with one factor key, in
-    table order, and the edge's probability, the sum of theirs, is
-    lam^dphi times the constant (a monomial in lam) times the terms and,
-    when dphi > 0, f_s.  shared: per row, the (width, height) terms f_s
-    that all its edges with dphi > 0 share, which their own terms leave
-    out.  into: (target row, lumped edge indices) per stored row in stage
-    (rank) order, in canonical order: source phi ascending (dphi
-    descending), source w ascending (dw descending), source state order.
+    table order.  An edge into a row no moving rule leaves is dropped,
+    and one that raises phi is refused: the hit fold reads only edges
+    into stored rows.  shared: per row, the (width, height) terms f_s
+    that all its edges with dphi > 0 share, which their factors leave out.
 
     nu: per row, the constant of its first self-loop that the shared
     terms leave bare (1 where it shares none); kappa: the gauge that a
     walk from the seed along the bare edges sets (_walk_gauge).  factors:
     the distinct (monomial, width terms, height terms) of the flows into
-    target rows, of the crossing flows and of the conversions (see the
-    module docstring); (1, (), ()) is a plain shifted add.
-    constants[at_p]: their monomials at lam = 1, or at lam = p with at_p.
-    edges: (dphi, source row, dw, dh, factor index) per lumped edge into a
-    stored row, else None.  stages[m]: (target row, pair, edge indices)
-    per stored row in stage order, over the edges with dphi <= m (all
-    that has a source at phi = m + 2), in canonical order, except that
-    where a row's first two edges are plain adds, pair holds their (dphi,
-    source row, dw), for one add that writes both, and where only the
-    first is, it swaps places with the second, so that the row's first
-    write is a multiply; pair is None otherwise.  convert: (row, factor
-    index) per converted row.  crossing: (dphi, source row, factor index)
-    per edge that raises phi, in hit-summation order (source state, table
-    order).  into_factor and hit_factor: the factor index per lumped edge
-    of its flow into the target row and of its crossing flow, or None.
-    bases: the bases the constants name.  bounds: the distinct kappa_s
-    and nu_s kappa_s at lam = 1, which base_is_p checks.
+    target rows and of the conversions (see the module docstring);
+    (1, (), ()) is a plain shifted add.  An edge's probability is lam^dphi
+    times its flow factor times kappa_s / kappa_t and, when dphi > 0,
+    nu_s f_s.  constants[at_p]: the factors' monomials at lam = 1, or at
+    lam = p with at_p; unkappa[at_p]: 1 / kappa_t per row, the same way.
+    stages[m]: (target row, pair, edge indices) per stored row in stage
+    (rank) order, over the edges with dphi <= m (all that has a source at
+    phi = m + 2), in canonical order: source phi ascending (dphi
+    descending), source w ascending (dw descending), source state order;
+    except that where a row's first two edges are plain adds, pair holds
+    their (dphi, source row, dw), for one add that writes both, and where
+    only the first is, it swaps places with the second, so that the row's
+    first write is a multiply; pair is None otherwise.  convert: (row,
+    factor index) per converted row.  bases: the bases the constants
+    name.  bounds: the distinct kappa_s and nu_s kappa_s at lam = 1,
+    which base_is_p checks.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
-        order = {s: i for i, s in enumerate(states)}
         keys = [_factor_key(r) for r in table]
         kinds = {key: i for i, key in enumerate(dict.fromkeys(keys))}
         moves = [(r.src, r.dst, r.dw, r.dh, kinds[key])
@@ -399,42 +399,41 @@ class _Plan:
         self.rows = tuple(s for s in states if s in sources)
         row = {s: i for i, s in enumerate(self.rows)}
         self.seed_row = row["0"]
-        self.max_dphi = max(dw + dh for _, _, dw, dh, _ in merged)
-        self.max_dw = max(dw for _, _, dw, _, _ in merged)
         key_of = list(kinds)
-        lumped = []
+        # (dphi, s, dw, dh, t, members, constant, width terms, height
+        # terms); self.edges keeps the first five, then the factor index
+        # that the last three resolve to, then the members
+        edges = []
         for (src, dst, dw, dh, kind), rules in merged.items():
+            if dst not in row:
+                if dw + dh:
+                    raise ValueError(f"a rule raises phi from {src} into "
+                                     f"{dst}, which no moving rule leaves")
+                continue
             const, a, b = key_of[kind]
             const = _times(const, (("lam", -dw - dh),) + (
                 ((str(len(rules)), 1),) if len(rules) > 1 else ()))
-            lumped.append((tuple(rules), dw + dh, row[src], row.get(dst),
-                           dw, dh, const, a, b))
+            edges.append((dw + dh, row[src], dw, dh, row[dst], tuple(rules),
+                          const, a, b))
+        self.max_dphi = max(e[0] for e in edges)
+        self.max_dw = max(e[2] for e in edges)
         self.shared = tuple(
-            tuple(_shared([e[dim] for e in lumped if e[2] == s and e[1] > 0])
+            tuple(_shared([e[dim] for e in edges if e[1] == s and e[0] > 0])
                   for dim in (7, 8))
             for s in range(len(self.rows)))
-        self.lumped = tuple(
-            e[:7] + tuple(_without(e[dim], self.shared[e[2]][dim - 7])
-                          if e[1] else e[dim] for dim in (7, 8))
-            for e in lumped)
-        srcs = [order[src] for src, *_ in merged]
-        dsts = [dst for _, dst, *_ in merged]
-        canonical = sorted(range(len(lumped)), key=lambda i: (
-            -lumped[i][1], -lumped[i][4], srcs[i]))
-        self.into = tuple(
-            (row[t], tuple(i for i in canonical if dsts[i] == t))
-            for t in sorted(self.rows, key=RANK.__getitem__))
+        edges = [e[:7] + tuple(_without(e[dim], self.shared[e[1]][dim - 7])
+                               if e[0] else e[dim] for dim in (7, 8))
+                 for e in edges]
 
         nu = [_UNIT] * len(self.rows)   # the first bare self-loop sets nu
-        for _, dphi, s, t, _, _, const, a, b in reversed(self.lumped):
+        for dphi, s, _, _, t, _, const, a, b in reversed(edges):
             if s == t and dphi and not a + b and any(self.shared[s]):
                 nu[s] = const
         # the edges the gauge can make plain, with the kappa_t / kappa_s
         # that does it; self-loops are plain or not whatever kappa is
         bare = [(s, t, _times(nu[s], const, -1) if dphi
                  else _times(_UNIT, const, -1))
-                for _, dphi, s, t, _, _, const, a, b in self.lumped
-                if t is not None and not a + b]
+                for dphi, s, _, _, t, _, const, a, b in edges if not a + b]
         kappa = _walk_gauge(len(self.rows), self.seed_row, bare)
         self.kappa, self.nu = tuple(kappa), tuple(nu)
         index = {}
@@ -442,47 +441,48 @@ class _Plan:
         def factor(*key):
             return index.setdefault(key, len(index))
 
-        self.into_factor, self.hit_factor = [], []
-        for _, dphi, s, t, _, _, const, a, b in self.lumped:
-            mu = _times(nu[s], kappa[s]) if dphi else kappa[s]
-            self.into_factor.append(None if t is None else factor(
-                _times(_times(const, kappa[t]), mu, -1), a, b))
-            self.hit_factor.append(factor(_times(const, mu, -1), a, b)
-                                   if dphi else None)
+        self.edges = tuple(
+            (dphi, s, dw, dh, t, factor(_times(
+                _times(const, kappa[t]),
+                _times(nu[s], kappa[s]) if dphi else kappa[s], -1), a, b),
+             rules)
+            for dphi, s, dw, dh, t, rules, const, a, b in edges)
         self.convert = tuple((s, factor(nu[s], *self.shared[s]))
                              for s in range(len(self.rows))
                              if any(self.shared[s]))
         self.factors = tuple(index)
+        lams = (_UNIT, (("p", 1),))
         self.constants = tuple(tuple(_put_lam(mono, lam)
                                      for mono, _, _ in self.factors)
-                               for lam in (_UNIT, (("p", 1),)))
-        self.bases = {base for monos in self.constants for mono in monos
-                      for base, _ in mono}
+                               for lam in lams)
+        self.unkappa = tuple(tuple(_put_lam(_times(_UNIT, k, -1), lam)
+                                   for k in kappa) for lam in lams)
+        self.bases = {base for monos in self.constants + self.unkappa
+                      for mono in monos for base, _ in mono}
         self.bounds = {_put_lam(mono, _UNIT)
                        for mono in kappa + list(map(_times, nu, kappa))}
         self.terms = tuple(dict.fromkeys(
             term for _, a_terms, b_terms in self.factors
             for term in a_terms + b_terms))
-        self.edges = tuple(None if fi is None else e[1:3] + e[4:6] + (fi,)
-                           for e, fi in zip(self.lumped, self.into_factor))
-        self.crossing = tuple(
-            self.lumped[i][1:3] + (self.hit_factor[i],) for i in sorted(
-                (i for i, e in enumerate(lumped) if e[1] > 0),
-                key=srcs.__getitem__))
+        edges = self.edges
         plain = [key == (_UNIT, (), ()) for key in self.factors]
+        canonical = sorted(range(len(edges)), key=lambda i: (
+            -edges[i][0], -edges[i][2], edges[i][1]))
+        into = [(row[t], [i for i in canonical if edges[i][4] == row[t]])
+                for t in sorted(self.rows, key=RANK.__getitem__)]
 
         def stage(most):
             out = []
-            for t, edges in self.into:
-                edges = [i for i in edges if self.lumped[i][1] <= most]
+            for t, order in into:
+                order = [i for i in order if edges[i][0] <= most]
                 pair = None
-                if len(edges) > 1 and plain[self.into_factor[edges[0]]]:
-                    if plain[self.into_factor[edges[1]]]:
-                        pair = tuple(self.edges[i][:3] for i in edges[:2])
-                        del edges[:2]
+                if len(order) > 1 and plain[edges[order[0]][5]]:
+                    if plain[edges[order[1]][5]]:
+                        pair = tuple(edges[i][:3] for i in order[:2])
+                        del order[:2]
                     else:
-                        edges[:2] = edges[1::-1]
-                out.append((t, pair, tuple(edges)))
+                        order[:2] = order[1::-1]
+                out.append((t, pair, tuple(order)))
             return tuple(out)
 
         self.stages = tuple(stage(most) for most in range(self.max_dphi + 1))
@@ -501,8 +501,9 @@ _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
 def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
-    """(w, a, b_rev) per factor of the plan, at lam = p if at_p else at
-    lam = 1, over n = -_PAD .. N - _PAD - 1:
+    """(w, a, b_rev) per factor of the plan and 1 / kappa_t per row, at
+    lam = p if at_p else at lam = 1, the vectors over
+    n = -_PAD .. N - _PAD - 1:
     w * a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the factor at source
     (w, h), where a factor the product does not depend on is None and w
     is folded into a, or into b_rev when a is None.  w is None for a
@@ -542,7 +543,7 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
         if const != 1.0:
             a = a * const
         factors.append((None, a, None if b is None else b[::-1].copy()))
-    return factors
+    return factors, [_value(mono, bases) for mono in plan.unkappa[at_p]]
 
 
 class _Engine:
@@ -564,17 +565,14 @@ class _Engine:
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         at_p = plan.base_is_p(params)
         self.lam = params.p if at_p else 1.0
-        factors = _factor_vectors(plan, params, self.N, at_p)
-
-        self._edges = [None if e is None else e[:4] + factors[e[4]]
-                       for e in plan.edges]
+        self._factors, self._unkappa = _factor_vectors(
+            plan, params, self.N, at_p)
+        self._edges = [e[:4] + self._factors[e[5]] for e in plan.edges]
         # the conversions by width and by height vector (a row whose
         # shared terms hold both is in both lists)
-        self._convert_a = [(t, factors[fi][1]) for t, fi in plan.convert
-                           if factors[fi][1] is not None]
-        self._convert_b = [(t, factors[fi][2]) for t, fi in plan.convert
-                           if factors[fi][2] is not None]
-        self._crossing = [e[:2] + factors[e[2]] for e in plan.crossing]
+        convert = [(t, self._factors[fi]) for t, fi in plan.convert]
+        self._convert_a = [(t, a) for t, (_, a, _) in convert if a is not None]
+        self._convert_b = [(t, b) for t, (_, _, b) in convert if b is not None]
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
         self._rows = [list(level) for level in self._levels]  # 1-D row views
         self._tmp = np.empty(self.N)
@@ -701,14 +699,16 @@ class _Engine:
         """Returns (log hit prob exact, log hit prob at-least).
 
         phi only increases, so every path leaves the levels below L
-        exactly once, along a crossing edge into a level t in
-        L .. L+max_dphi-1, an exact hit when t = L.  The flow along an edge
-        out of a stored level is its constant times the sum of its source
-        row over the live widths, or, where residual terms are left, one
-        dot product with them, taken in ascending source phi and, within
-        a level, in the plan's crossing order; the levels share one
-        scale, so the flows are summed once, each into a level T past L
-        times lam^(T - L), and (L - 2) log lam is added to the log."""
+        exactly once, along an edge that raises phi into a level T in
+        L .. L+max_dphi-1, an exact hit when T = L.  The flow along an
+        edge is the flow _fill would add into X_t, read off the same
+        (w, a, b_rev) factor: w times the sum of the source row over the
+        live widths, or, where residual terms are left, one dot product
+        with them; times 1 / kappa_t it is the mass F that enters row t.
+        The levels share one scale, so the flows are summed once, each
+        into a level T past L times lam^(T - L), and (L - 2) log lam is
+        added to the log; math.fsum rounds the sum once, whatever the
+        order of its terms."""
         L, N, window = self.L, self.N, self.window
         if L == 2:
             return 0.0, 0.0
@@ -719,9 +719,10 @@ class _Engine:
             cnt = self._his[slot] - lo
             la, lb = lo + _PAD, N - 1 - _PAD - sphi + lo
             sums = {}      # per source row, shared by its bare edges
-            for dphi, s, w, a, b_rev in self._crossing:
+            for dphi, s, _, _, t, fi, _ in self.plan.edges:
                 if sphi + dphi < L:
                     continue
+                w, a, b_rev = self._factors[fi]
                 vals = rows[s][la:la + cnt]
                 if a is not None:
                     if b_rev is None:
@@ -735,7 +736,7 @@ class _Engine:
                         sums[s] = float(np.add.reduce(vals))
                     flow = sums[s] if w is None else w * sums[s]
                 (on_L if sphi + dphi == L else past_L).append(
-                    flow * self.lam ** (sphi + dphi - L))
+                    flow * self._unkappa[t] * self.lam ** (sphi + dphi - L))
         scale = self.scale + (L - 2) * math.log(self.lam)
         return (_log_scaled(math.fsum(on_L), scale),
                 _log_scaled(math.fsum(on_L + past_L), scale))

@@ -71,21 +71,34 @@ class PiDataset:
         return np.array([v for _, v in self.rows])
 
 
+def _unit(values: np.ndarray) -> Tuple[int, np.ndarray]:
+    """(e, values / 2^e), 2^e the power of two at or just above the
+    largest magnitude (e = 0 when every value is 0)."""
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return e, np.ldexp(values, -e)
+
+
 def linreg(points: Sequence[Tuple[float, float]], k_last: int) -> dict:
-    """Ordinary least squares over the last k_last points."""
+    """Ordinary least squares over the last k_last points.  Abscissae and
+    ordinates are each regressed in units of the power of two just above
+    their largest magnitude (_unit), so neither the squares of 1/p nor
+    the sum of log Pi near 2^1023 overflows; scaling by a power of two is
+    exact, so the slope and intercept are those of the unscaled
+    regression to the bit."""
     if k_last < 2:
         raise ValueError("need at least two points")
     if k_last > len(points):
         raise ValueError("k_last exceeds the number of points")
     pts = list(points)[-k_last:]
-    x = np.array([a for a, _ in pts])
-    y = np.array([b for _, b in pts])
+    ex, x = _unit(np.array([a for a, _ in pts]))
+    ey, y = _unit(np.array([b for _, b in pts]))
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     if sxx == 0.0:
         raise ValueError("degenerate abscissae")
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    return {"slope": slope, "intercept": ybar - slope * xbar}
+    return {"slope": math.ldexp(slope, ey - ex),
+            "intercept": math.ldexp(float(ybar - slope * xbar), ey)}
 
 
 def fit_first_order(data: PiDataset) -> dict:
@@ -185,19 +198,25 @@ def fit_four_param(data: PiDataset) -> dict:
     """Solve log Pi = lambda1 p^-alpha - lambda2 p^-beta on the last four
     points.  For fixed (alpha, beta) the system is linear in the lambdas;
     the outer search over (alpha, beta) is a direct simplex seeded at the
-    theoretical (1, 1/2), with alpha > beta enforced."""
+    theoretical (1, 1/2), with alpha > beta enforced.  The design is
+    built from x = (1/p) / max(1/p) and the fit made to log Pi in units
+    of 2^e (_unit), so no power, product or square overflows at any k;
+    each lambda of that fit is rescaled at the end, in logarithms, by
+    2^e max(1/p)^-exponent."""
     if len(data.rows) < 4:
         raise FitError("need at least four data points")
     rows = data.rows[-4:]
-    x = np.array([2.0 ** k for k, _ in rows])   # 1/p
+    k_max = rows[-1][0]
+    x = np.array([2.0 ** (k - k_max) for k, _ in rows])   # (1/p) / max(1/p)
     y = np.array([v for _, v in rows])
+    e, y_unit = _unit(y)
 
     def lambdas(ab):
         a, b = ab
         design = np.column_stack([x ** a, -(x ** b)])
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        resid = design @ sol - y
-        return sol, float(np.sqrt(np.sum(resid ** 2)))
+        sol, *_ = np.linalg.lstsq(design, y_unit, rcond=None)
+        resid = design @ sol - y_unit
+        return sol, math.ldexp(float(np.sqrt(np.sum(resid ** 2))), e)
 
     def objective(ab):
         a, b = ab
@@ -209,6 +228,14 @@ def fit_four_param(data: PiDataset) -> dict:
     if not math.isfinite(val):
         raise FitError("four-parameter solver did not converge")
     (l1, l2), resid = lambdas(best)
+
+    def unscaled(lam, exponent):
+        if lam == 0.0:
+            return 0.0
+        return math.copysign(math.exp(math.log(abs(lam)) + (
+            e - exponent * k_max) * math.log(2.0)), lam)
+
+    l1, l2 = unscaled(l1, best[0]), unscaled(l2, best[1])
     scale = float(np.max(np.abs(y)))
     if resid > 1e-6 * scale:
         raise FitError(f"four-parameter residual too large: {resid:g}")

@@ -6,7 +6,9 @@ The suites take no arguments: seeds, sizes and draw order are those of
 the acceptance criteria (2 oracle, 3 stochasticity, 4 constants,
 6 traversability, 7 matrix, 8a lattice, 8b bridge), so `bpdp verify` runs
 exactly the checks the tests gate on.  `variational` is a suite of its
-own with no criterion behind it.
+own with no criterion behind it; tests/test_cli.py gates it, as it does
+three criterion suites, by running `bpdp verify --suite variational` and
+asserting that each of its four checks passes.
 
 The other criteria stay in tests/test_acceptance.py: 1 (the published
 table) and 9b (the thread speedup) are standing failures, each with its

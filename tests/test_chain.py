@@ -8,8 +8,8 @@ from bpdp.chain import (BRUTE_FORCE_MAX_L, ChainParams, FRAME_BUFFERS,
                         TWO_NEIGHBOUR_STATES, TWO_NEIGHBOUR_TABLE,
                         brute_force_hit_prob, compute_pi,
                         compute_two_neighbour_lower_bound, default_threshold,
-                        frobose_transitions, sample_trajectory,
-                        two_neighbour_transitions)
+                        TransitionRule, frobose_transitions,
+                        sample_trajectory, two_neighbour_transitions)
 from bpdp.chain import engine
 from bpdp.special_functions import ModelParams, f
 
@@ -317,9 +317,9 @@ class TestTwoNeighbourLowerBound:
 
 
 def plain_edges(plan):
-    """Indices of the plan's lumped edges that its gauge makes plain adds."""
-    return [i for i, fi in enumerate(plan.into_factor)
-            if fi is not None and plan.factors[fi] == (engine._UNIT, (), ())]
+    """The plan's edges that its gauge makes plain adds."""
+    return [e for e in plan.edges
+            if plan.factors[e[5]] == (engine._UNIT, (), ())]
 
 
 class TestLumping:
@@ -330,14 +330,14 @@ class TestLumping:
         assert plan.blocks == (("0",), ("1", "1'"), ("1''",), ("2", "2'"),
                                ("3",), ("4",))
         assert plan.rows == ("0", "1", "1''", "2", "3")
-        assert sum(len(edges) for _, edges in plan.into) == 17
-        assert len(plan.crossing) == 13
+        assert len(plan.edges) == 17
+        assert sum(e[0] > 0 for e in plan.edges) == 13
 
     def test_two_neighbour_is_not_lumped(self):
         # 1 and 1' loop with e^{-2q} and e^{-4q}
         plan = engine._TWO_NEIGHBOUR_PLAN
         assert plan.blocks == tuple((s,) for s in TWO_NEIGHBOUR_STATES)
-        assert all(len(members) == 1 for members, *_ in plan.lumped)
+        assert all(len(e[6]) == 1 for e in plan.edges)
 
     def test_frobose_shared_terms_and_plain_edges(self):
         # Every moving rule out of a Frobose row carries the chance that
@@ -350,10 +350,9 @@ class TestLumping:
         assert plan.shared == (height, width, height, height, width)
         plain = plain_edges(plan)
         assert len(plain) == 11
-        assert all(plan.lumped[i][1] > 0 for i in plain)
-        scaled = {(plan.rows[e[2]], plan.rows[e[3]])
-                  for i, e in enumerate(plan.lumped)
-                  if e[1] > 0 and i not in plain}
+        assert all(e[0] > 0 for e in plain)
+        scaled = {(plan.rows[e[1]], plan.rows[e[4]]) for e in plan.edges
+                  if e[0] > 0 and e not in plain}
         assert scaled == {("3", "1''"), ("3", "0")}
 
     def test_frobose_gauge(self):
@@ -378,7 +377,7 @@ class TestLumping:
         # nu_0 = 1 / lam
         plan = engine._TWO_NEIGHBOUR_PLAN
         assert [any(terms) for terms in plan.shared] == [True] + [False] * 5
-        assert [plan.lumped[i][1:4] for i in plain_edges(plan)] == [(1, 0, 0)]
+        assert [(e[0], e[1], e[4]) for e in plain_edges(plan)] == [(1, 0, 0)]
         assert plan.nu[0] == engine._monomial({"lam": -1})
         assert set(plan.kappa + plan.nu[1:]) == {engine._UNIT}
 
@@ -421,17 +420,18 @@ class TestEnginePlan:
         # A level's rows are filled as X_s = kappa_s F_s and stored as
         # G_s = conv_s X_s, conv_s = nu_s f_s, where F is the mass over
         # lam^(phi - 2).  So a moving edge's factor times conv_s, or a
-        # rank-up edge's factor alone, times kappa_s / kappa_t, and a
-        # crossing edge's hit factor times conv_s kappa_s, are each the
-        # summed probability of the lumped edge's member rules at source
-        # (w, h), over lam^dphi.  At p = 1e-60 the lam-free constants leave
-        # their range and the Frobose levels are stored over lam = p.
+        # rank-up edge's factor alone, times kappa_s / kappa_t, and the
+        # hit fold's flow, the same factor times 1 / kappa_t, times
+        # conv_s kappa_s, are each the summed probability of the edge's
+        # member rules at source (w, h), over lam^dphi.  At p = 1e-60 the
+        # lam-free constants leave their range and the Frobose levels are
+        # stored over lam = p.
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
         at_p = plan.base_is_p(mp)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
-        factors = engine._factor_vectors(plan, mp, N, at_p)
+        factors, unkappa = engine._factor_vectors(plan, mp, N, at_p)
         lam = p if at_p else 1.0
         bases = {base: engine._base(base, mp) for base in plan.bases}
         kappa = [engine._value(k, dict(bases, lam=lam)) for k in plan.kappa]
@@ -447,20 +447,28 @@ class TestEnginePlan:
             return out
 
         conv = {s: at(fi) for s, fi in plan.convert}
-        for i, (members, dphi, s, t, *_) in enumerate(plan.lumped):
+        for dphi, s, _, _, t, fi, members in plan.edges:
             want = np.vectorize(lambda w, h: math.fsum(
                 r.linear_prob(int(w), int(h), mp) for r in members))(W, H)
             source = conv.get(s, 1.0) if dphi else 1.0
-            if t is not None:
-                np.testing.assert_allclose(
-                    at(plan.into_factor[i]) * source * (kappa[s] / kappa[t])
-                    * lam ** dphi,
-                    want, rtol=1e-14, atol=0.0, err_msg=repr(members))
+            np.testing.assert_allclose(
+                at(fi) * source * (kappa[s] / kappa[t]) * lam ** dphi,
+                want, rtol=1e-14, atol=0.0, err_msg=repr(members))
             if dphi:
                 np.testing.assert_allclose(
-                    at(plan.hit_factor[i]) * conv.get(s, 1.0) * kappa[s]
+                    at(fi) * unkappa[t] * conv.get(s, 1.0) * kappa[s]
                     * lam ** dphi,
                     want, rtol=1e-14, atol=0.0, err_msg=repr(members))
+
+    def test_refuses_phi_raising_rule_into_unstored_row(self):
+        # The hit fold reads only edges into stored rows, so a rule that
+        # raises phi into a state no moving rule leaves would carry mass
+        # past L that no flow counts.
+        table = (
+            TransitionRule("0", "1", 0, 0, 1, 0, f_terms=(("b", 0),)),
+            TransitionRule("1", "1", 0, 0, 0, 0))
+        with pytest.raises(ValueError, match="no moving rule leaves"):
+            engine._Plan(table, ("0", "1"))
 
     def test_calls_share_no_state(self):
         # The plans are built once, at import; a call must leave nothing

@@ -18,6 +18,7 @@ import bpdp.cli
 import bpdp.verify
 from bpdp import __version__
 from bpdp.chain import PiResult
+from bpdp.fitting import LAMBDA1_F, LAMBDA2_F
 
 DATA = pathlib.Path(__file__).parent / "data" / "table3.csv"
 # the timed phases of a pi record's outputs
@@ -201,16 +202,33 @@ class TestNonFiniteResults:
         coords = strict_json(r.stdout)["outputs"]["coordinates"]
         assert coords["second_order"]["y_log_residual"][0] is None
 
+    def test_fit_near_the_largest_exponent_does_not_overflow(self, tmp_path):
+        # log Pi = lambda1 / p - lambda2 / sqrt(p) at k = 1020..1023: the
+        # regressions' squares and sums of 1/p and log Pi, and the
+        # four-parameter design's powers of 1/p, stay in the double range
+        table = tmp_path / "t.csv"
+        table.write_text("log2_inv_p,log_pi\n" + "".join(
+            f"{k},{LAMBDA1_F * 2.0 ** k - LAMBDA2_F * 2.0 ** (k / 2)!r}\n"
+            for k in range(1020, 1024)))
+        r = run_cli("fit", "--input", str(table))
+        assert r.returncode == 0, r.stderr
+        outputs = strict_json(r.stdout)["outputs"]
+        assert "overflow" not in r.stdout
+        assert outputs["first_order_fixed_alpha"]["lambda1"] == pytest.approx(
+            LAMBDA1_F, rel=1e-12)
+        assert outputs["four_param"]["alpha"] == pytest.approx(1.0, abs=1e-9)
+        assert outputs["four_param"]["lambda1"] == pytest.approx(
+            LAMBDA1_F, rel=1e-9)
 
     @pytest.mark.parametrize("rows, status, failed", [
         # 1 / p overflows from k = 1024 on, 2^k at k = 1024 in four_param
         ([(k, k - 1021) for k in range(1022, 1026)], 0,
          {"first_order_fixed_alpha", "second_order",
           "second_order_fixed_beta", "third_order", "four_param"}),
-        # the squares of the regressions overflow near k = 1023
+        # log Pi far below lambda1 / p: no positive third-order residual,
+        # and no four-parameter fit within its residual bound
         ([(k, k - 1019) for k in range(1020, 1024)], 0,
-         {"first_order_fixed_alpha", "second_order_fixed_beta",
-          "third_order", "four_param"}),
+         {"third_order", "four_param"}),
         # p >= 1
         ([(k, k + 4) for k in range(-3, 1)], 1, None),
         # log Pi < 0 has no log
@@ -447,7 +465,8 @@ class TestOtherCommands:
         assert "[pass]" in r.stdout
 
     @pytest.mark.parametrize("suite, checks", [
-        ("constants", 4), ("traversability", 4), ("bridge", 1)])
+        ("constants", 4), ("traversability", 4), ("bridge", 1),
+        ("variational", 4)])
     def test_verify_suite_on_its_own(self, suite, checks):
         r = run_cli("verify", "--suite", suite)
         assert r.returncode == 0
