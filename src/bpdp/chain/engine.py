@@ -29,8 +29,8 @@ import, into a _Plan: the lumping, the rows a level stores, one table
 of the edges into them, each with its factor, the order in which each
 target row reads them, the terms each row's moving edges share and the
 gauge below.  A row that no moving rule leaves (Frobose 4; two-neighbour
-1'', 2'' and 4) is never read, so it is not stored, filled, searched for
-the column maxima or flushed; the level storage and the ResourceCapError
+1'', 2'' and 4) is never read, so it is not stored, filled or searched
+for the column maxima; the level storage and the ResourceCapError
 estimate count only the stored rows.  A rule that raised phi into such a
 row would carry mass past L that the hit fold never reads, so _Plan
 refuses such a table; a rank-up into it (Frobose 3 to 4) only absorbs.
@@ -57,12 +57,17 @@ a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
 (4 - 3p) e^q / 2.  Rank-up edges read the current level before its
 conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
 level takes 23 ufunc calls (18 for the edges, 5 conversions) where
-multiplying every edge by a factor vector took 29.  A call computes each
-distinct term once, over all n, and each factor as its constant times
-its residual terms, the constant folded into the width vector, or into
-the height vector when the factor does not depend on the width; height
-vectors are stored reversed, so every edge reads contiguous slices.
-Every constant stays apart from the terms, so none underflows with them.
+multiplying every edge by a factor vector took 29.  A call evaluates
+every distinct term at once, as the rows of one array over n and over n
+reversed (f-terms in one expression, q-terms in another), and every
+factor as one product over those rows times its constant, folded into
+the width vector, or into the height vector when the factor does not
+depend on the width; height vectors are stored reversed, so every edge
+reads contiguous slices.  The constants are one product over a table of
+the powers base^e they use, each power taken once, and every product
+runs in the order of the one-at-a-time evaluation, so each value keeps
+its bits.  Every constant stays apart from the terms, so none underflows
+with them.
 
 kappa_s grows like p^depth (2 p^3 e^q for Frobose row 3), and at tiny p
 a level holds about p times the mass of the one before, so one gauge
@@ -87,28 +92,27 @@ columns (Rabiner, Proc. IEEE 1989), but every level in the ring shares
 one scale, whose logarithm is kept beside the ring.  A level's gauged
 rows G are divided by their largest entry only when that entry leaves
 the band [e^-16, 1], and the levels that later levels still read are
-divided (and flushed) with it, so an edge never multiplies by a ratio of
-scales.
+divided with it, so an edge never multiplies by a ratio of scales.
 
-Each ring slot records the contiguous width range [lo, hi) that survived
-its flush, and a level is filled only over the union of its sources'
-ranges shifted by 0 .. max dw, clipped to [1, phi); what the slot's
-previous level left outside that range is cleared first.  The column
-maxima of G after the fill give both the level's largest entry and its
-range.  The sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at
-p = 2^-9 (PiResult.cells_swept); a skipped cell would only sum zeros.
+Each ring slot records a contiguous width range [lo, hi), and a level is
+filled only over the union of its sources' ranges shifted by
+0 .. max dw, clipped to [1, phi); what the slot's previous level left
+outside that range is cleared first.  The column maxima of G after the
+fill give both the level's largest entry and its range: the columns at
+either end whose entries all lie below the smallest normal double are
+dropped from the range and zeroed, so every slot is zero outside its
+range, as a fill that reads a source past its range needs.  The sweep
+fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
+(PiResult.cells_swept); a skipped cell would only sum zeros.
 
-Entries of G below the smallest normal double are flushed to zero every
-level, which also keeps slow subnormal numbers out of the sweep; as a
-level's largest entry lies in [e^-16, 1], a flushed entry is at most
-about e^-692 below it.  Counted over all levels as the share of each
-level's live-window entries that lie below the smallest normal double
-after its fill, the sweep flushes 0.34% at p = 2^-8 and 0.33% at
-p = 2^-9, and log_pi stayed within 1.1e-13 relative of a log-domain
-sweep that flushes nothing (k = 2..9).  At long thresholds about half
-flush (46% at p = 0.5, L = 2000; 51% at p = 0.9, L = 800), and
-log_hit_prob stayed within 4e-14 absolute of that sweep.  The flushed
-mass is measured, not bounded.
+No entry is flushed: inside the range an entry below the smallest normal
+double stays, as a subnormal or zero, and later levels read it.  Only
+the dropped columns lose mass, each entry at most about e^-692 below the
+level's largest (which lies in [e^-16, 1]); that loss is measured, not
+bounded.  Flushing every such entry to zero, as the sweep once did, gave
+the same log_hit_prob to the bit at every point checked (Frobose,
+k = 2..10 and p from 0.9 down to 1e-150, L up to 2000) and cost a
+compare and a masked copy per level.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
@@ -119,10 +123,13 @@ edges that raise phi out of the last max-jump levels, each stated once:
 the fold reads the factor _fill uses for the same edge, times one scalar
 per target row, 1 / kappa_t.  So the flow along an edge is that factor's
 constant times the sum of its source row of G over the live widths, or,
-where residual terms are left (the two-neighbour excerpt), one dot
-product with them; the flows are summed at once, as those levels share
-the ring's scale.  The Frobose fold takes no dot product, so BLAS starts
-no threads there.
+where residual terms are left (the two-neighbour excerpt), the sum of
+the row times them.  Index arrays built at import list, per source
+level, the edges that cross L; a level takes one row sum of its live
+block for the bare edges and one batched multiply-and-reduce (einsum)
+for the others, and the flows are summed at once by math.fsum, as those
+levels share the ring's scale.  The fold takes no dot product, so BLAS
+starts no threads in it.
 """
 
 from __future__ import annotations
@@ -149,6 +156,9 @@ _BAND_LOW = math.exp(-16.0)
 # The level base lam is 1 while the gauge's row constants at lam = 1 lie
 # within 2^+-_GAUGE_BITS, else p (_Plan.base_is_p)
 _GAUGE_BITS = 100
+# The hit fold gathers its rows this many widths at a time: whole rows made
+# the k = 11 two-neighbour fold take 0.03-0.05 s instead of 0.007-0.009 s
+_FOLD_WIDTHS = 2048
 _LOG2 = math.log(2.0)
 
 
@@ -295,14 +305,6 @@ def _base(name: str, params: ModelParams) -> float:
     return -math.expm1(-params.q * int(name[1:]))
 
 
-def _value(mono: tuple, bases: dict) -> float:
-    """The monomial at the base values bases."""
-    out = 1.0
-    for base, e in mono:
-        out *= bases[base] ** e
-    return out
-
-
 def _shared(term_lists: list) -> tuple:
     """The terms that every list holds, as often as each holds them, in
     the order of the first list."""
@@ -378,9 +380,21 @@ class _Plan:
     their (dphi, source row, dw), for one add that writes both, and where
     only the first is, it swaps places with the second, so that the row's
     first write is a multiply; pair is None otherwise.  convert: (row,
-    factor index) per converted row.  bases: the bases the constants
-    name.  bounds: the distinct kappa_s and nu_s kappa_s at lam = 1,
-    which base_is_p checks.
+    factor index) per converted row.
+
+    The stacked forms a call evaluates, with no Python loop per term,
+    factor, monomial or edge: bases, the bases the constants name, in
+    order; bound_bases and bound_powers: the bases of the distinct
+    kappa_s and nu_s kappa_s at lam = 1 and their powers in each, which
+    base_is_p checks.  powers[at_p] and monomials[at_p]: the (base,
+    power) pairs the constants use and, per constant (the factors',
+    1 / kappa_t per row, then 1), its row of indices into
+    [1, base^power per pair].  n_f, shift, q_coeff: the term
+    rows (f-terms first), as _factor_vectors evaluates them.  ab_terms,
+    ab_const: the stack of width vectors, then height vectors, each as
+    the term rows it multiplies and the index of its constant; layout:
+    per factor, the stack rows of its width and height vectors, or None.
+    bare, fold_*: the hit fold's index arrays (see hits()).
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -457,13 +471,70 @@ class _Plan:
                                for lam in lams)
         self.unkappa = tuple(tuple(_put_lam(_times(_UNIT, k, -1), lam)
                                    for k in kappa) for lam in lams)
-        self.bases = {base for monos in self.constants + self.unkappa
-                      for mono in monos for base, _ in mono}
-        self.bounds = {_put_lam(mono, _UNIT)
-                       for mono in kappa + list(map(_times, nu, kappa))}
-        self.terms = tuple(dict.fromkeys(
-            term for _, a_terms, b_terms in self.factors
-            for term in a_terms + b_terms))
+        bounds = {_put_lam(mono, _UNIT)
+                  for mono in kappa + list(map(_times, nu, kappa))}
+        self.bases = tuple(sorted({base for mono in set().union(
+            *self.constants, *self.unkappa) for base, _ in mono}))
+        self.bound_bases = sorted({b for mono in bounds for b, _ in mono})
+        self.bound_powers = np.array([[dict(mono).get(b, 0.0) for b in
+                                       self.bound_bases] for mono in bounds])
+        # every constant of a call (the factors', 1 / kappa_t per row,
+        # then 1) as a row of indices into [1, base^power per pair]
+        self.powers, self.monomials = [], []
+        for consts, unkappa in zip(self.constants, self.unkappa):
+            monos = consts + unkappa + (_UNIT,)
+            self.powers.append(sorted(set().union(*monos)))
+            index = {p: i for i, p in enumerate(self.powers[-1], 1)}
+            self.monomials.append(np.array([[index.get((base, dict(mono).get(
+                base)), 0) for base in self.bases] for mono in monos], int))
+        # the terms as rows, f-terms first, then a row of ones, over n and
+        # over n reversed: the shift per term and the coefficient per q-term
+        terms = sorted({t: 0 for _, a, b in self.factors for t in a + b},
+                       key=lambda term: term[0] == "q")
+        self.n_f = sum(term[0] == "f" for term in terms)
+        self.shift, self.q_coeff = (
+            np.array(column, float).reshape(-1, 1, 1) for column in (
+                [term[1] for term in terms], [t[2] for t in terms[self.n_f:]]))
+        # the stack of vectors: the width vectors, then the height vectors,
+        # each as the rows it multiplies, over n (over n reversed for a
+        # height vector) and padded with the row of ones, and the constant
+        # it takes: its factor's, or 1 for a height vector whose factor has
+        # a width vector; the last of each kind is all ones (None)
+        stack = [(dim, i) for dim in (1, 2) for i in [
+            i for i, key in enumerate(self.factors) if key[dim]] + [None]]
+        width = max(len(key[dim]) for key in self.factors for dim in (1, 2))
+        self.ab_terms = tuple(np.array([[
+            2 * (terms + [None]).index(t) + dim - 1 for t in (
+                (self.factors[i][dim] if i is not None else ())
+                + (None,) * width)[:width or 1]]
+            for dim, i in stack], dtype=int).T)
+        self.ab_const = np.array([
+            [len(monos) - 1 if i is None or dim == 2 and self.factors[i][1]
+             else i] for dim, i in stack])
+
+        def at(dim, i):     # the stack row of i's vector, or of the ones
+            return stack.index((dim, i) if (dim, i) in stack else (dim, None))
+
+        self.layout = tuple(tuple(at(dim, i) if (dim, i) in stack else None
+                                  for dim in (1, 2))
+                            for i in range(len(self.factors)))
+        # the hit fold: per j = 1 .. max_dphi the edges that cross L out of
+        # level L - j (dphi >= j), as (j - 1, source row, factor, target
+        # row, dphi - j, width row, height row), the bare ones (a constant
+        # factor) first; fold_kept: per j, the positions of those with
+        # residual terms, and their source, width and height rows
+        ones = (at(1, None), at(2, None))
+        crossing = sorted((
+            (j, s, fi, t, dphi - j - 1, at(1, fi), at(2, fi))
+            for j in range(self.max_dphi) for dphi, s, _, _, t, fi, _
+            in self.edges if dphi > j), key=lambda c: c[5:] != ones)
+        self.bare = sum(c[5:] == ones for c in crossing)
+        fold = np.array(crossing, dtype=int).reshape(-1, 7).T
+        self.fold_j, self.fold_src, self.fold_fi = fold[:3, :self.bare]
+        (self.fold_t, self.fold_k), self.fold_exact = fold[3:5], fold[4] == 0
+        self.fold_kept = [(pos, *fold[[1, 5, 6]][:, pos]) for pos in (
+            self.bare + np.flatnonzero(fold[0, self.bare:] == j)
+            for j in range(self.max_dphi))]
         edges = self.edges
         plain = [key == (_UNIT, (), ()) for key in self.factors]
         canonical = sorted(range(len(edges)), key=lambda i: (
@@ -491,9 +562,9 @@ class _Plan:
         """Whether a call at params stores its levels over lam = p: where
         some kappa_s or nu_s kappa_s at lam = 1 leaves 2^+-_GAUGE_BITS
         (Frobose: p below about 7e-11), else lam = 1."""
-        return any(abs(sum(e * math.log(_base(base, params))
-                           for base, e in mono)) > _GAUGE_BITS * _LOG2
-                   for mono in self.bounds)
+        logs = [math.log(_base(base, params)) for base in self.bound_bases]
+        return bool(np.abs(self.bound_powers @ np.array(logs)).max()
+                    > _GAUGE_BITS * _LOG2)
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
@@ -508,42 +579,39 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
     (w, h), where a factor the product does not depend on is None and w
     is folded into a, or into b_rev when a is None.  w is None for a
     factor that is exactly 1.  Dummies (1) at non-positive arguments are
-    harmless because those positions only ever meet zero source entries."""
+    harmless because those positions only ever meet zero source entries.
+
+    Also returns every constant (the factors', then 1 / kappa_t per row,
+    then 1) as one vector, and the stack whose rows a and b_rev are, the
+    width vectors, then the height vectors, each kind ending in a row of
+    ones.  Each power base^e is taken once, by Python's pow, and each
+    product runs left to right, a monomial's in its base order, so every
+    value has the bits of the product taken one factor at a time."""
     q = params.q
     bases = {base: _base(base, params) for base in plan.bases}
+    powers = np.array([1.0] + [bases[b] ** e for b, e in plan.powers[at_p]])
+    consts = np.multiply.reduce(powers[plan.monomials[at_p]], axis=1)
+    # every term over n and, for the height vectors, over n reversed;
+    # f-terms are 1 - e^{-q(n + shift)}, 1 where n + shift <= 0
     n = np.arange(-_PAD, N - _PAD, dtype=float)
-    terms = {}
-    for term in plan.terms:
-        if term[0] == "f":
-            arg = (n + term[1]) * q
-            terms[term] = np.where(arg > 0.0, -np.expm1(-np.maximum(arg, q)),
-                                   1.0)
-        else:
-            terms[term] = np.exp(-q * term[2] * np.maximum(n + term[1], 0.0))
-
-    def product(keys):
-        if not keys:
-            return None
-        out = terms[keys[0]]
-        for key in keys[1:]:
-            out = out * terms[key]
-        return out
-
-    factors = []
-    for (_, a_keys, b_keys), mono in zip(plan.factors, plan.constants[at_p]):
-        if not a_keys and not b_keys:
-            factors.append((None if mono == _UNIT else _value(mono, bases),
-                            None, None))
-            continue
-        const = _value(mono, bases)
-        a, b = product(a_keys), product(b_keys)
-        if a is None:
-            factors.append((None, None, b[::-1] * const))
-            continue
-        if const != 1.0:
-            a = a * const
-        factors.append((None, a, None if b is None else b[::-1].copy()))
-    return factors, [_value(mono, bases) for mono in plan.unkappa[at_p]]
+    terms = np.empty((len(plan.shift) + 1, 2, N))
+    f, e = terms[:plan.n_f], terms[plan.n_f:-1]
+    np.add([n, n[::-1]], plan.shift, out=terms[:-1])
+    f[f <= 0.0] = np.inf        # 1 - e^{-q inf} = 1
+    np.negative(np.expm1(f * -q, out=f), out=f)
+    np.exp(np.maximum(e, 0.0) * (-q * plan.q_coeff), out=e)
+    terms[-1] = 1.0
+    rows = terms.reshape(-1, N)
+    vectors = rows[plan.ab_terms[0]]
+    for column in plan.ab_terms[1:]:
+        vectors *= rows[column]
+    vectors *= consts[plan.ab_const]
+    stack, c = list(vectors), consts.tolist()
+    factors = [(c[i] if ai is bi is None and c[i] != 1.0 else None,
+                None if ai is None else stack[ai],
+                None if bi is None else stack[bi])
+               for i, (ai, bi) in enumerate(plan.layout)]
+    return factors, consts[len(plan.factors):-1], consts, vectors
 
 
 class _Engine:
@@ -565,8 +633,8 @@ class _Engine:
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         at_p = plan.base_is_p(params)
         self.lam = params.p if at_p else 1.0
-        self._factors, self._unkappa = _factor_vectors(
-            plan, params, self.N, at_p)
+        self._factors, self._unkappa, self._consts, self._vectors = (
+            _factor_vectors(plan, params, self.N, at_p))
         self._edges = [e[:4] + self._factors[e[5]] for e in plan.edges]
         # the conversions by width and by height vector (a row whose
         # shared terms hold both is in both lists)
@@ -681,18 +749,19 @@ class _Engine:
                 # the ring keeps one scale
                 for d in range(1, window - 1):
                     s = (phi - d) % window
-                    held = levels[s][:, los[s] + _PAD:his[s] + _PAD]
-                    held *= inv
-                    np.copyto(held, 0.0, where=held < _TINY)
-            np.copyto(live, 0.0, where=live < _TINY)
-            # the surviving columns, found by a scan from both ends: the
-            # flushed tails are a few columns, and a boolean temporary of a
-            # new length every level would grow numpy's small-buffer cache
+                    levels[s][:, los[s] + _PAD:his[s] + _PAD] *= inv
+            # the surviving columns, those holding a normal double, found
+            # by a scan from both ends: the dropped tails are a few
+            # columns, and a boolean temporary of a new length every level
+            # would grow numpy's small-buffer cache; the dropped columns
+            # are zeroed, so every slot is zero outside its range
             a, b = 0, hi - lo
             while a < b and colmax[a] < _TINY:
                 a += 1
             while b > a and colmax[b - 1] < _TINY:
                 b -= 1
+            if a or b < hi - lo:
+                live[:, :a] = live[:, b:] = 0.0
             los[slot], his[slot] = lo + a, lo + b
 
     def hits(self):
@@ -703,43 +772,40 @@ class _Engine:
         L .. L+max_dphi-1, an exact hit when T = L.  The flow along an
         edge is the flow _fill would add into X_t, read off the same
         (w, a, b_rev) factor: w times the sum of the source row over the
-        live widths, or, where residual terms are left, one dot product
-        with them; times 1 / kappa_t it is the mass F that enters row t.
-        The levels share one scale, so the flows are summed once, each
-        into a level T past L times lam^(T - L), and (L - 2) log lam is
-        added to the log; math.fsum rounds the sum once, whatever the
-        order of its terms."""
-        L, N, window = self.L, self.N, self.window
+        live widths, or, where residual terms are left, the sum of the
+        row times them; times 1 / kappa_t it is the mass F that enters
+        row t.  Per source level L - j the rows are summed at once over
+        the live block, and the edges with residual terms
+        (_Plan.fold_kept) take one einsum over their gathered rows and
+        vectors per _FOLD_WIDTHS widths.  The levels share one scale, so
+        the flows are summed once, each into a level T past L times
+        lam^(T - L), and (L - 2) log lam is added to the log; math.fsum
+        rounds the sum once, whatever the order of its terms."""
+        L, N, plan = self.L, self.N, self.plan
         if L == 2:
             return 0.0, 0.0
-        on_L, past_L = [], []
-        for sphi in range(max(2, L - self.plan.max_dphi), L):
-            slot = sphi % window
-            rows, lo = self._rows[slot], self._los[slot]
-            cnt = self._his[slot] - lo
-            la, lb = lo + _PAD, N - 1 - _PAD - sphi + lo
-            sums = {}      # per source row, shared by its bare edges
-            for dphi, s, _, _, t, fi, _ in self.plan.edges:
-                if sphi + dphi < L:
-                    continue
-                w, a, b_rev = self._factors[fi]
-                vals = rows[s][la:la + cnt]
-                if a is not None:
-                    if b_rev is None:
-                        flow = vals.dot(a[la:la + cnt])
-                    else:
-                        flow = (vals * a[la:la + cnt]).dot(b_rev[lb:lb + cnt])
-                elif b_rev is not None:
-                    flow = vals.dot(b_rev[lb:lb + cnt])
-                else:
-                    if s not in sums:
-                        sums[s] = float(np.add.reduce(vals))
-                    flow = sums[s] if w is None else w * sums[s]
-                (on_L if sphi + dphi == L else past_L).append(
-                    flow * self._unkappa[t] * self.lam ** (sphi + dphi - L))
+        sums = np.zeros((plan.max_dphi, len(plan.rows)))
+        flows = np.zeros(len(plan.fold_t))
+        for j in range(1, min(plan.max_dphi, L - 2) + 1):
+            slot = (L - j) % self.window
+            lo, hi = self._los[slot], self._his[slot]
+            la, lb, cnt = lo + _PAD, N - 1 - _PAD - L + j + lo, hi - lo
+            block = self._levels[slot][:, la:la + cnt]
+            block.sum(axis=1, out=sums[j - 1])
+            at, s, a, b = plan.fold_kept[j - 1]
+            for c in range(0, cnt if len(at) else 0, _FOLD_WIDTHS):
+                w = min(_FOLD_WIDTHS, cnt - c)
+                flows[at] += np.einsum("ij,ij,ij->i", block[s, c:c + w],
+                                       self._vectors[a, la + c:la + c + w],
+                                       self._vectors[b, lb + c:lb + c + w])
+        np.multiply(sums[plan.fold_j, plan.fold_src],
+                    self._consts[plan.fold_fi], out=flows[:plan.bare])
+        flows *= self._unkappa[plan.fold_t]
+        flows *= np.array([self.lam ** k for k in range(plan.max_dphi)])[
+            plan.fold_k]
         scale = self.scale + (L - 2) * math.log(self.lam)
-        return (_log_scaled(math.fsum(on_L), scale),
-                _log_scaled(math.fsum(on_L + past_L), scale))
+        return (_log_scaled(math.fsum(flows[plan.fold_exact]), scale),
+                _log_scaled(math.fsum(flows), scale))
 
 
 def _log_scaled(total: float, scale: float) -> float:
@@ -753,7 +819,7 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
     # every rule has a positive probability, so an overflow (the levels or
     # the constants at a subnormal p span more than a double holds) or a
     # NaN makes the result wrong, not small; underflow stays ignored, as
-    # the flush below _TINY relies on it
+    # entries fall to subnormals or zero
     try:
         with np.errstate(over="raise", invalid="raise", under="ignore"):
             eng = _Engine(plan, params.model, params.threshold,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every subcommand prints one self-describing JSON record (or CSV where a
-table is the natural shape).  JSON numbers use Python's shortest
+table is the natural shape), with the tool version and the host it ran
+on (`host`: CPU count, Python and numpy versions, machine).  JSON numbers use Python's shortest
 round-trip repr and CSV cells 17 significant digits, so binary64 values
 round-trip either way.  Configuration precedence is flags, then
 BPDP_-prefixed environment variables, then defaults.
@@ -37,6 +38,7 @@ import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from typing import Optional
@@ -72,6 +74,9 @@ def _emit_record(command: str, parameters: dict, outputs: dict,
         "outputs": outputs,
         "wall_time_seconds": wall_time_seconds,
         "tool_version": __version__,
+        "host": {"cpu_count": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "numpy": np.__version__, "machine": platform.machine()},
     }
     if seed is not None:
         record["seed"] = seed

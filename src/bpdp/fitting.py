@@ -153,6 +153,12 @@ def fit_third_order(data: PiDataset) -> dict:
 # stopping rule of the simplex: spread of its values, iteration budget
 _SIMPLEX_TOL = 1e-12
 _SIMPLEX_MAX_ITER = 2000
+# fit_four_param's lambda2 counts as identified when its term exceeds this
+# many roundings (2^-52) of the largest log Pi.  On rows lambda1 2^k -
+# lambda2 2^(k/2) the fitted lambda2 errs by about 2^9 .. 2^11 roundings
+# over the term (beta is fitted too), so the fits kept err by about 1% at
+# most; from about k = 72 on the term is smaller and the fit is refused
+_RESOLVED_ULPS = 2.0 ** 16
 
 
 def _nelder_mead_2d(fn, x0):
@@ -202,7 +208,10 @@ def fit_four_param(data: PiDataset) -> dict:
     built from x = (1/p) / max(1/p) and the fit made to log Pi in units
     of 2^e (_unit), so no power, product or square overflows at any k;
     each lambda of that fit is rescaled at the end, in logarithms, by
-    2^e max(1/p)^-exponent."""
+    2^e max(1/p)^-exponent.  FitError when the residual exceeds 1e-6 of
+    the largest log Pi, or when the second-order term stays within
+    _RESOLVED_ULPS roundings of it, so that lambda2 is not identified
+    (rows lambda1 2^k - lambda2 2^(k/2) from about k = 72 on)."""
     if len(data.rows) < 4:
         raise FitError("need at least four data points")
     rows = data.rows[-4:]
@@ -235,10 +244,18 @@ def fit_four_param(data: PiDataset) -> dict:
         return math.copysign(math.exp(math.log(abs(lam)) + (
             e - exponent * k_max) * math.log(2.0)), lam)
 
+    # the second-order term, at its largest over the rows, against the
+    # rounding of the largest log Pi (2^-52 of it), in the fit's units
+    term = float(np.max(np.abs(l2 * x ** best[1])))
+    resolved = term > _RESOLVED_ULPS * 2.0 ** -52 * float(
+        np.max(np.abs(y_unit)))
     l1, l2 = unscaled(l1, best[0]), unscaled(l2, best[1])
     scale = float(np.max(np.abs(y)))
     if resid > 1e-6 * scale:
         raise FitError(f"four-parameter residual too large: {resid:g}")
+    if not resolved:
+        raise FitError("four-parameter second-order term within the rounding "
+                       "of log Pi: lambda2 not identified")
     return {"alpha": float(best[0]), "lambda1": float(l1),
             "beta": float(best[1]), "lambda2": float(l2),
             "residual": resid}

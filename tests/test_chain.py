@@ -204,9 +204,11 @@ def test_pinned_log_pi(convention, k, want):
 
 # Regression values of log_hit_prob at thresholds far above the default,
 # where about half the live-window entries of the levels are below the
-# smallest normal double after their fill and are flushed to zero (46% at
-# p = 0.5, L = 2000, 51% at p = 0.9, L = 800).  The values are those of the log-domain sweep,
-# which flushes nothing.  They are near 0, so the bound is 1e-12 absolute.
+# smallest normal double after their fill (46% at p = 0.5, L = 2000, 51%
+# at p = 0.9, L = 800); the sweep keeps them, and zeroes only the columns
+# at a window's ends that hold nothing else.  The values are those of a
+# log-domain sweep, which drops nothing.  They are near 0, so the bound is
+# 1e-12 absolute.
 PINNED_LONG_LOG_HIT = [
     (compute_pi, 0.5, 2000, "exact", -0.12517933060712483),
     (compute_pi, 0.5, 2000, "at-least", -0.12481643474071319),
@@ -260,8 +262,9 @@ def test_tiny_p_scaling_law():
 
 
 def test_cells_swept():
-    # Up to L = 12 nothing is flushed, so every level is filled over all its
-    # widths; at p = 0.9, L = 800 the flushed tails leave 63% of the cells.
+    # Up to L = 12 no column falls below the smallest normal double, so
+    # every level is filled over all its widths; at p = 0.9, L = 800 the
+    # dropped tails leave 63% of the cells.
     for fn in (compute_pi, compute_two_neighbour_lower_bound):
         for L in (2, 3, 7, 12):
             r = fn(ChainParams.from_p(0.3, threshold=L))
@@ -431,10 +434,11 @@ class TestEnginePlan:
         N = L + 2 * engine._PAD + 4
         at_p = plan.base_is_p(mp)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
-        factors, unkappa = engine._factor_vectors(plan, mp, N, at_p)
+        factors, unkappa, *_ = engine._factor_vectors(plan, mp, N, at_p)
         lam = p if at_p else 1.0
         bases = {base: engine._base(base, mp) for base in plan.bases}
-        kappa = [engine._value(k, dict(bases, lam=lam)) for k in plan.kappa]
+        kappa = [math.prod(dict(bases, lam=lam)[base] ** e for base, e in k)
+                 for k in plan.kappa]
         W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
 
         def at(fi):
@@ -497,3 +501,80 @@ class TestEnginePlan:
             assert min(phases) >= 0.0
             assert sum(phases) <= r.wall_time_seconds
             assert r.levels == L - 2
+
+
+def swept_engine(plan, p, L):
+    """An engine for plan at p and threshold L (the default when None),
+    after its sweep."""
+    cp = ChainParams.from_p(p, threshold=L)
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        eng = engine._Engine(plan, cp.model, cp.threshold, 8 << 30)
+        eng.sweep()
+    return eng
+
+
+def reference_fold(eng):
+    """(log P(exact hit), log P(at-least hit)) folded one edge at a time:
+    per source level below L and edge of the plan that crosses L, the
+    flow is the factor's constant times the pairwise sum of its source
+    row over the live widths, or, where residual terms are left, the
+    math.fsum of their products with it; times 1 / kappa_t and
+    lam^(T - L), summed by math.fsum."""
+    L, N, pad = eng.L, eng.N, engine._PAD
+    on_L, past_L = [], []
+    for sphi in range(max(2, L - eng.plan.max_dphi), L):
+        slot = sphi % eng.window
+        lo, hi = eng._los[slot], eng._his[slot]
+        la, lb, cnt = lo + pad, N - 1 - pad - sphi + lo, hi - lo
+        for dphi, s, _, _, t, fi, _ in eng.plan.edges:
+            if sphi + dphi < L:
+                continue
+            w, a, b_rev = eng._factors[fi]
+            vals = eng._levels[slot][s][la:la + cnt]
+            if a is None and b_rev is None:
+                flow = float(np.add.reduce(vals)) * (1.0 if w is None else w)
+            else:
+                if a is not None:
+                    vals = vals * a[la:la + cnt]
+                if b_rev is not None:
+                    vals = vals * b_rev[lb:lb + cnt]
+                flow = math.fsum(vals)
+            (on_L if sphi + dphi == L else past_L).append(
+                flow * eng._unkappa[t] * eng.lam ** (sphi + dphi - L))
+    scale = eng.scale + (L - 2) * math.log(eng.lam)
+    return tuple(math.log(math.fsum(flows)) + scale
+                 for flows in (on_L, on_L + past_L))
+
+
+class TestHitFold:
+    @pytest.mark.parametrize("L", [3, 12, 40])
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 1e-60])
+    @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
+                                      engine._TWO_NEIGHBOUR_PLAN],
+                             ids=["frobose", "two_neighbour"])
+    def test_equals_the_fold_one_edge_at_a_time(self, plan, p, L):
+        # Both conventions.  The Frobose flows are the same products of
+        # the same row sums, so math.fsum gives the same bits; the
+        # two-neighbour flows with residual terms are reduced in another
+        # order.
+        eng = swept_engine(plan, p, L)
+        got, want = eng.hits(), reference_fold(eng)
+        if plan is engine._FROBOSE_PLAN:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("plan, p, L", [
+        (engine._FROBOSE_PLAN, 0.5, 2000),
+        (engine._TWO_NEIGHBOUR_PLAN, 0.5, 2000),
+        (engine._FROBOSE_PLAN, 2.0 ** -8, None)],
+        ids=["frobose-long", "two_neighbour-long", "frobose-k8"])
+    def test_ring_is_zero_outside_each_slot_range(self, plan, p, L):
+        # Entries below the smallest normal double are kept, and the
+        # columns a level's window drops are zeroed; a fill reads its
+        # sources beyond their ranges, so they must hold zeros there.
+        eng = swept_engine(plan, p, L)
+        for level, lo, hi in zip(eng._levels, eng._los, eng._his):
+            outside = np.ones(eng.N, dtype=bool)
+            outside[lo + engine._PAD:hi + engine._PAD] = False
+            assert not level[:, outside].any(), (lo, hi)

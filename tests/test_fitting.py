@@ -153,3 +153,13 @@ class TestErrors:
     def test_four_param_needs_four_rows(self):
         with pytest.raises(FitError):
             fit_four_param(PiDataset(((2, 1.0), (3, 2.0), (4, 4.0))))
+
+    @pytest.mark.parametrize("first_k", [500, 1020])
+    def test_four_param_refuses_unidentified_lambda2(self, first_k):
+        # log Pi = lambda1 2^k - lambda2 2^(k/2): from k = 500 on the second
+        # term is below 2^-250 of log Pi, far within its rounding, so the
+        # rows determine no lambda2 (the fit found -5.7e57 and -3.1e132)
+        rows = tuple((k, LAMBDA1_F * 2.0 ** k - LAMBDA2_F * 2.0 ** (k / 2))
+                     for k in range(first_k, first_k + 4))
+        with pytest.raises(FitError, match="lambda2 not identified"):
+            fit_four_param(PiDataset(rows))
