@@ -63,11 +63,8 @@ reversed (f-terms in one expression, q-terms in another), and every
 factor as one product over those rows times its constant, folded into
 the width vector, or into the height vector when the factor does not
 depend on the width; height vectors are stored reversed, so every edge
-reads contiguous slices.  The constants are one product over a table of
-the powers base^e they use, each power taken once, and every product
-runs in the order of the one-at-a-time evaluation, so each value keeps
-its bits.  Every constant stays apart from the terms, so none underflows
-with them.
+reads contiguous slices.  Every constant stays apart from the terms, so
+none underflows with them.
 
 kappa_s grows like p^depth (2 p^3 e^q for Frobose row 3), and at tiny p
 a level holds about p times the mass of the one before, so one gauge
@@ -109,10 +106,13 @@ No entry is flushed: inside the range an entry below the smallest normal
 double stays, as a subnormal or zero, and later levels read it.  Only
 the dropped columns lose mass, each entry at most about e^-692 below the
 level's largest (which lies in [e^-16, 1]); that loss is measured, not
-bounded.  Flushing every such entry to zero, as the sweep once did, gave
-the same log_hit_prob to the bit at every point checked (Frobose,
-k = 2..10 and p from 0.9 down to 1e-150, L up to 2000) and cost a
-compare and a masked copy per level.
+bounded.  Few kept entries are subnormal: 0.17% of the live entries at
+p = 2^-8, 0.27% at p = 2^-10 and 1.5% at p = 0.5, L = 2000 (there 46%
+lie below the smallest normal double, nearly all of them zeros).
+Flushing every such entry to zero, as the sweep once did, gave the same
+log_hit_prob to the bit at every point checked (Frobose, k = 2..10 and
+p from 0.9 down to 1e-150, L up to 2000) and cost a compare and a
+masked copy per level.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
@@ -156,9 +156,6 @@ _BAND_LOW = math.exp(-16.0)
 # The level base lam is 1 while the gauge's row constants at lam = 1 lie
 # within 2^+-_GAUGE_BITS, else p (_Plan.base_is_p)
 _GAUGE_BITS = 100
-# The hit fold gathers its rows this many widths at a time: whole rows made
-# the k = 11 two-neighbour fold take 0.03-0.05 s instead of 0.007-0.009 s
-_FOLD_WIDTHS = 2048
 _LOG2 = math.log(2.0)
 
 
@@ -305,6 +302,14 @@ def _base(name: str, params: ModelParams) -> float:
     return -math.expm1(-params.q * int(name[1:]))
 
 
+def _value(mono: tuple, bases: dict) -> float:
+    """The monomial at the base values bases."""
+    out = 1.0
+    for base, e in mono:
+        out *= bases[base] ** e
+    return out
+
+
 def _shared(term_lists: list) -> tuple:
     """The terms that every list holds, as often as each holds them, in
     the order of the first list."""
@@ -380,21 +385,18 @@ class _Plan:
     their (dphi, source row, dw), for one add that writes both, and where
     only the first is, it swaps places with the second, so that the row's
     first write is a multiply; pair is None otherwise.  convert: (row,
-    factor index) per converted row.
+    factor index) per converted row.  bases: the bases the constants
+    name.  bounds: the distinct kappa_s and nu_s kappa_s at lam = 1,
+    which base_is_p checks.
 
     The stacked forms a call evaluates, with no Python loop per term,
-    factor, monomial or edge: bases, the bases the constants name, in
-    order; bound_bases and bound_powers: the bases of the distinct
-    kappa_s and nu_s kappa_s at lam = 1 and their powers in each, which
-    base_is_p checks.  powers[at_p] and monomials[at_p]: the (base,
-    power) pairs the constants use and, per constant (the factors',
-    1 / kappa_t per row, then 1), its row of indices into
-    [1, base^power per pair].  n_f, shift, q_coeff: the term
-    rows (f-terms first), as _factor_vectors evaluates them.  ab_terms,
-    ab_const: the stack of width vectors, then height vectors, each as
-    the term rows it multiplies and the index of its constant; layout:
-    per factor, the stack rows of its width and height vectors, or None.
-    bare, fold_*: the hit fold's index arrays (see hits()).
+    factor or edge: n_f, shift, q_coeff: the term rows (f-terms first),
+    as _factor_vectors evaluates them.  ab_terms, ab_const: the stack of
+    width vectors, then height vectors, each as the term rows it
+    multiplies and the index of its constant among the call's constants
+    (the factors', 1 / kappa_t per row, then 1); layout: per factor, the
+    stack rows of its width and height vectors, or None.  bare, fold_*:
+    the hit fold's index arrays (see hits()).
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -471,22 +473,10 @@ class _Plan:
                                for lam in lams)
         self.unkappa = tuple(tuple(_put_lam(_times(_UNIT, k, -1), lam)
                                    for k in kappa) for lam in lams)
-        bounds = {_put_lam(mono, _UNIT)
-                  for mono in kappa + list(map(_times, nu, kappa))}
-        self.bases = tuple(sorted({base for mono in set().union(
-            *self.constants, *self.unkappa) for base, _ in mono}))
-        self.bound_bases = sorted({b for mono in bounds for b, _ in mono})
-        self.bound_powers = np.array([[dict(mono).get(b, 0.0) for b in
-                                       self.bound_bases] for mono in bounds])
-        # every constant of a call (the factors', 1 / kappa_t per row,
-        # then 1) as a row of indices into [1, base^power per pair]
-        self.powers, self.monomials = [], []
-        for consts, unkappa in zip(self.constants, self.unkappa):
-            monos = consts + unkappa + (_UNIT,)
-            self.powers.append(sorted(set().union(*monos)))
-            index = {p: i for i, p in enumerate(self.powers[-1], 1)}
-            self.monomials.append(np.array([[index.get((base, dict(mono).get(
-                base)), 0) for base in self.bases] for mono in monos], int))
+        self.bases = {base for monos in self.constants + self.unkappa
+                      for mono in monos for base, _ in mono}
+        self.bounds = {_put_lam(mono, _UNIT)
+                       for mono in kappa + list(map(_times, nu, kappa))}
         # the terms as rows, f-terms first, then a row of ones, over n and
         # over n reversed: the shift per term and the coefficient per q-term
         terms = sorted({t: 0 for _, a, b in self.factors for t in a + b},
@@ -498,8 +488,9 @@ class _Plan:
         # the stack of vectors: the width vectors, then the height vectors,
         # each as the rows it multiplies, over n (over n reversed for a
         # height vector) and padded with the row of ones, and the constant
-        # it takes: its factor's, or 1 for a height vector whose factor has
-        # a width vector; the last of each kind is all ones (None)
+        # it takes: its factor's, or the last constant, 1, for a height
+        # vector whose factor has a width vector; the last of each kind is
+        # all ones (None)
         stack = [(dim, i) for dim in (1, 2) for i in [
             i for i, key in enumerate(self.factors) if key[dim]] + [None]]
         width = max(len(key[dim]) for key in self.factors for dim in (1, 2))
@@ -508,9 +499,10 @@ class _Plan:
                 (self.factors[i][dim] if i is not None else ())
                 + (None,) * width)[:width or 1]]
             for dim, i in stack], dtype=int).T)
+        one = len(self.factors) + len(kappa)    # the index of the 1
         self.ab_const = np.array([
-            [len(monos) - 1 if i is None or dim == 2 and self.factors[i][1]
-             else i] for dim, i in stack])
+            [one if i is None or dim == 2 and self.factors[i][1] else i]
+            for dim, i in stack])
 
         def at(dim, i):     # the stack row of i's vector, or of the ones
             return stack.index((dim, i) if (dim, i) in stack else (dim, None))
@@ -531,7 +523,7 @@ class _Plan:
         self.bare = sum(c[5:] == ones for c in crossing)
         fold = np.array(crossing, dtype=int).reshape(-1, 7).T
         self.fold_j, self.fold_src, self.fold_fi = fold[:3, :self.bare]
-        (self.fold_t, self.fold_k), self.fold_exact = fold[3:5], fold[4] == 0
+        self.fold_t, self.fold_k = fold[3:5]
         self.fold_kept = [(pos, *fold[[1, 5, 6]][:, pos]) for pos in (
             self.bare + np.flatnonzero(fold[0, self.bare:] == j)
             for j in range(self.max_dphi))]
@@ -562,9 +554,9 @@ class _Plan:
         """Whether a call at params stores its levels over lam = p: where
         some kappa_s or nu_s kappa_s at lam = 1 leaves 2^+-_GAUGE_BITS
         (Frobose: p below about 7e-11), else lam = 1."""
-        logs = [math.log(_base(base, params)) for base in self.bound_bases]
-        return bool(np.abs(self.bound_powers @ np.array(logs)).max()
-                    > _GAUGE_BITS * _LOG2)
+        return any(abs(sum(e * math.log(_base(base, params))
+                           for base, e in mono)) > _GAUGE_BITS * _LOG2
+                   for mono in self.bounds)
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
@@ -572,8 +564,8 @@ _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
 def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
-    """(w, a, b_rev) per factor of the plan and 1 / kappa_t per row, at
-    lam = p if at_p else at lam = 1, the vectors over
+    """(w, a, b_rev) per factor of the plan, at lam = p if at_p else at
+    lam = 1, the vectors over
     n = -_PAD .. N - _PAD - 1:
     w * a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the factor at source
     (w, h), where a factor the product does not depend on is None and w
@@ -584,13 +576,11 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
     Also returns every constant (the factors', then 1 / kappa_t per row,
     then 1) as one vector, and the stack whose rows a and b_rev are, the
     width vectors, then the height vectors, each kind ending in a row of
-    ones.  Each power base^e is taken once, by Python's pow, and each
-    product runs left to right, a monomial's in its base order, so every
-    value has the bits of the product taken one factor at a time."""
+    ones."""
     q = params.q
     bases = {base: _base(base, params) for base in plan.bases}
-    powers = np.array([1.0] + [bases[b] ** e for b, e in plan.powers[at_p]])
-    consts = np.multiply.reduce(powers[plan.monomials[at_p]], axis=1)
+    consts = np.array([_value(mono, bases) for mono in (
+        plan.constants[at_p] + plan.unkappa[at_p] + (_UNIT,))])
     # every term over n and, for the height vectors, over n reversed;
     # f-terms are 1 - e^{-q(n + shift)}, 1 where n + shift <= 0
     n = np.arange(-_PAD, N - _PAD, dtype=float)
@@ -611,7 +601,7 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
                 None if ai is None else stack[ai],
                 None if bi is None else stack[bi])
                for i, (ai, bi) in enumerate(plan.layout)]
-    return factors, consts[len(plan.factors):-1], consts, vectors
+    return factors, consts, vectors
 
 
 class _Engine:
@@ -633,8 +623,8 @@ class _Engine:
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         at_p = plan.base_is_p(params)
         self.lam = params.p if at_p else 1.0
-        self._factors, self._unkappa, self._consts, self._vectors = (
-            _factor_vectors(plan, params, self.N, at_p))
+        self._factors, self._consts, self._vectors = _factor_vectors(
+            plan, params, self.N, at_p)
         self._edges = [e[:4] + self._factors[e[5]] for e in plan.edges]
         # the conversions by width and by height vector (a row whose
         # shared terms hold both is in both lists)
@@ -777,7 +767,7 @@ class _Engine:
         row t.  Per source level L - j the rows are summed at once over
         the live block, and the edges with residual terms
         (_Plan.fold_kept) take one einsum over their gathered rows and
-        vectors per _FOLD_WIDTHS widths.  The levels share one scale, so
+        vectors.  The levels share one scale, so
         the flows are summed once, each into a level T past L times
         lam^(T - L), and (L - 2) log lam is added to the log; math.fsum
         rounds the sum once, whatever the order of its terms."""
@@ -793,18 +783,17 @@ class _Engine:
             block = self._levels[slot][:, la:la + cnt]
             block.sum(axis=1, out=sums[j - 1])
             at, s, a, b = plan.fold_kept[j - 1]
-            for c in range(0, cnt if len(at) else 0, _FOLD_WIDTHS):
-                w = min(_FOLD_WIDTHS, cnt - c)
-                flows[at] += np.einsum("ij,ij,ij->i", block[s, c:c + w],
-                                       self._vectors[a, la + c:la + c + w],
-                                       self._vectors[b, lb + c:lb + c + w])
+            if len(at):
+                flows[at] = np.einsum("ij,ij,ij->i", block[s],
+                                      self._vectors[a, la:la + cnt],
+                                      self._vectors[b, lb:lb + cnt])
         np.multiply(sums[plan.fold_j, plan.fold_src],
                     self._consts[plan.fold_fi], out=flows[:plan.bare])
-        flows *= self._unkappa[plan.fold_t]
+        flows *= self._consts[len(plan.factors) + plan.fold_t]
         flows *= np.array([self.lam ** k for k in range(plan.max_dphi)])[
             plan.fold_k]
         scale = self.scale + (L - 2) * math.log(self.lam)
-        return (_log_scaled(math.fsum(flows[plan.fold_exact]), scale),
+        return (_log_scaled(math.fsum(flows[plan.fold_k == 0]), scale),
                 _log_scaled(math.fsum(flows), scale))
 
 

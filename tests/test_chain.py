@@ -205,7 +205,8 @@ def test_pinned_log_pi(convention, k, want):
 # Regression values of log_hit_prob at thresholds far above the default,
 # where about half the live-window entries of the levels are below the
 # smallest normal double after their fill (46% at p = 0.5, L = 2000, 51%
-# at p = 0.9, L = 800); the sweep keeps them, and zeroes only the columns
+# at p = 0.9, L = 800, nearly all of them zeros: 1.5% and 1.1% of the
+# entries are subnormal); the sweep keeps them, and zeroes only the columns
 # at a window's ends that hold nothing else.  The values are those of a
 # log-domain sweep, which drops nothing.  They are near 0, so the bound is
 # 1e-12 absolute.
@@ -434,11 +435,11 @@ class TestEnginePlan:
         N = L + 2 * engine._PAD + 4
         at_p = plan.base_is_p(mp)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
-        factors, unkappa, *_ = engine._factor_vectors(plan, mp, N, at_p)
+        factors, consts, _ = engine._factor_vectors(plan, mp, N, at_p)
+        unkappa = consts[len(plan.factors):-1]
         lam = p if at_p else 1.0
         bases = {base: engine._base(base, mp) for base in plan.bases}
-        kappa = [math.prod(dict(bases, lam=lam)[base] ** e for base, e in k)
-                 for k in plan.kappa]
+        kappa = [engine._value(k, dict(bases, lam=lam)) for k in plan.kappa]
         W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
 
         def at(fi):
@@ -540,7 +541,8 @@ def reference_fold(eng):
                     vals = vals * b_rev[lb:lb + cnt]
                 flow = math.fsum(vals)
             (on_L if sphi + dphi == L else past_L).append(
-                flow * eng._unkappa[t] * eng.lam ** (sphi + dphi - L))
+                flow * eng._consts[len(eng.plan.factors) + t]
+                * eng.lam ** (sphi + dphi - L))
     scale = eng.scale + (L - 2) * math.log(eng.lam)
     return tuple(math.log(math.fsum(flows)) + scale
                  for flows in (on_L, on_L + past_L))

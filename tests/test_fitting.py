@@ -130,6 +130,19 @@ class TestSyntheticRecovery:
         assert r["beta"] == pytest.approx(b, abs=1e-8)
         assert r["lambda2"] == pytest.approx(l2, rel=1e-8)
 
+    def test_four_param_recovers_exact_model_at_large_k(self):
+        # at k = 60..63 the fit's lambdas are rescaled in logarithms by
+        # 2^(63 alpha) and 2^(63 beta); the second term is 2^-30 of log Pi,
+        # resolved to only a few thousand roundings, so beta and lambda2
+        # are loose
+        rows = tuple((k, LAMBDA1_F * 2.0 ** k - LAMBDA2_F * 2.0 ** (k / 2))
+                     for k in range(60, 64))
+        r = fit_four_param(PiDataset(rows))
+        assert r["alpha"] == pytest.approx(1.0, abs=1e-8)
+        assert r["lambda1"] == pytest.approx(LAMBDA1_F, rel=1e-8)
+        assert r["beta"] == pytest.approx(0.5, abs=1e-2)
+        assert r["lambda2"] == pytest.approx(LAMBDA2_F, rel=1e-2)
+
     def test_four_param_permutation_safe(self):
         d = load_table3()
         shuffled = PiDataset(tuple(reversed(d.rows)))
