@@ -500,6 +500,10 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
     step the cells of rect.expand(2) not loaded yet are looked up in
     ``infected`` with Python-int coordinates, so its sites may be tuples
     of numpy integers, and sites outside that region are never read.
+    The loaded region is a rectangle that only grows, so the new cells
+    are the new columns beside its rows, looked up one column at a time,
+    and then the new full rows above and below it; no cell is looked up
+    twice.
     Each step's key says which lines and corners of the one-cell ring
     around the rectangle hold unrevealed infections; a row's crossing holds
     when every line it grows holds one or is joined to one that does by
@@ -539,13 +543,14 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
             break
         if a < 2 or b < 2 or c + 2 > width or d + 2 > height:
             break  # censored at the box boundary
-        for y in range(b - 2, d + 2):
-            if lb <= y < ld:
-                xs = (*range(a - 2, la), *range(lc, c + 2))
-            else:
-                xs = range(a - 2, c + 2)
+        for x in (*range(a - 2, la), *range(lc, c + 2)):
+            xx = x + x0
+            for y in range(lb, ld):
+                if (xx, y + y0) in infected:
+                    board |= 1 << (y * stride + x)
+        for y in (*range(b - 2, lb), *range(ld, d + 2)):
             row, yy = y * stride, y + y0
-            for x in xs:
+            for x in range(a - 2, c + 2):
                 if (x + x0, yy) in infected:
                     board |= 1 << (row + x)
         la, lb, lc, ld = a - 2, b - 2, c + 2, d + 2

@@ -10,7 +10,7 @@ from bpdp.chain import (BRUTE_FORCE_MAX_L, ChainParams, FRAME_BUFFERS,
                         compute_two_neighbour_lower_bound, default_threshold,
                         TransitionRule, frobose_transitions,
                         sample_trajectory, two_neighbour_transitions)
-from bpdp.chain import engine
+from bpdp.chain import engine, oracle
 from bpdp.special_functions import ModelParams, f
 
 
@@ -311,6 +311,66 @@ class TestSampleTrajectory:
         want = math.exp(-ModelParams(p).q)   # = 1 - p
         se = math.sqrt(want * (1 - want) / n)
         assert abs(hits / n - want) <= 3 * se
+
+
+def reference_trajectory(params, seed):
+    """The sampler as a plain loop: one rng.random() per step, and the
+    first rule whose running sum of linear_prob exceeds it."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    w, h, s = 1, 1, "0"
+    out = [(w, h, s)]
+    while s != "4" and w + h < params.threshold:
+        u = rng.random()
+        acc = 0.0
+        for rule in frobose_transitions(s):
+            acc += rule.linear_prob(w, h, params.model)
+            if u < acc:
+                break
+        else:
+            break   # float dust
+        w, h, s = w + rule.dw, h + rule.dh, rule.dst
+        out.append((w, h, s))
+    return out
+
+
+class TestSampleTrajectoryTable:
+    """The tabulated sampler against the plain loop, bit for bit."""
+
+    def test_matches_reference_loop(self):
+        # (0.3, 60) runs past one and two 16-draw blocks; the calls
+        # alternate between models so the per-model rows cannot mix
+        cases = [ChainParams.from_p(p, threshold=L)
+                 for p, L in ((0.3, 10), (0.05, 60), (0.9, 6), (0.3, 60))]
+        longest = 0
+        for seed in range(5000):
+            for cp in cases:
+                got = sample_trajectory(cp, seed)
+                assert got == reference_trajectory(cp, seed), (cp, seed)
+                longest = max(longest, len(got) - 1)
+        assert longest > 32
+
+    def test_full_table_is_emptied(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_ROWS_PER_MODEL", 4)
+        oracle._running_sums.cache_clear()   # rows other tests built
+        cp = ChainParams.from_p(0.3, threshold=60)
+        for seed in range(200):
+            assert sample_trajectory(cp, seed) == reference_trajectory(cp, seed)
+        assert len(oracle._running_sums(cp.model)) <= 4
+
+    def test_pinned_trajectories(self):
+        cp = ChainParams.from_p(0.3, threshold=10)
+        assert [sample_trajectory(cp, seed) for seed in range(5)] == [
+            [(1, 1, "0"), (1, 1, "1"), (1, 1, "2"), (1, 1, "3"), (1, 1, "4")],
+            [(1, 1, "0"), (1, 1, "1"), (1, 1, "2"), (1, 1, "3"), (1, 2, "3"),
+             (1, 2, "4")],
+            [(1, 1, "0"), (1, 1, "1"), (1, 2, "1"), (1, 3, "1"), (1, 4, "1"),
+             (1, 4, "2"), (2, 4, "2"), (2, 4, "3"), (2, 5, "3"), (2, 5, "4")],
+            [(1, 1, "0"), (1, 1, "1"), (1, 1, "2"), (1, 1, "3"),
+             (3, 2, "1''"), (4, 3, "0"), (5, 3, "0"), (6, 3, "0"),
+             (7, 3, "0")],
+            [(1, 1, "0"), (1, 1, "1"), (1, 2, "1"), (2, 3, "0"), (3, 3, "0"),
+             (4, 3, "0"), (5, 3, "0"), (6, 3, "0"), (7, 3, "0")],
+        ]
 
 
 class TestTwoNeighbourLowerBound:

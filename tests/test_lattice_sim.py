@@ -362,6 +362,29 @@ class TestExploreAgainstSets:
                 want = explore(plain, Rectangle(0, 0, 1, 1), box, cap)
                 assert explore(wide, Rectangle(0, 0, 1, 1), box, cap) == want
 
+    def test_each_site_looked_up_once(self):
+        # the board is loaded over rect.expand(2) of each step's rectangle,
+        # and a cell already loaded is never looked up again
+        class Counting(set):
+            def __contains__(self, site):
+                looked.append(site)
+                return super().__contains__(site)
+
+        rng = np.random.default_rng(np.random.Philox(34))
+        box = Rectangle(-12, -12, 13, 13)
+        cells = sorted(box.cells() - {(0, 0)})
+        for cap in (10, None):
+            for _ in range(500):
+                A = {c for c, m in zip(cells, rng.random(len(cells)) < 0.3)
+                     if m}
+                A.add((0, 0))
+                looked = []
+                traj = explore(Counting(A), Rectangle(0, 0, 1, 1), box, cap)
+                assert len(set(looked)) == len(looked)
+                assert set(looked) <= traj[-1].rect.expand(2).cells()
+                # the last rectangle stops the walk before it loads
+                assert set(looked) == traj[-2].rect.expand(2).cells()
+
 
 class TestEstimators:
     def test_mc_occupied(self):
