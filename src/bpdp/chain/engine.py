@@ -57,12 +57,12 @@ a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
 (4 - 3p) e^q / 2.  Rank-up edges read the current level before its
 conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
 level takes 23 ufunc calls (18 for the edges, 5 conversions) where
-multiplying every edge by a factor vector took 29.  A call evaluates
-every distinct term at once, as the rows of one array over n and over n
-reversed (f-terms in one expression, q-terms in another), and every
+multiplying every edge by a factor vector took 29; a two-neighbour level
+takes 82.  A call evaluates every distinct term once, as the rows of one
+array over n (f-terms in one expression, q-terms in another), and every
 factor as one product over those rows times its constant, folded into
 the width vector, or into the height vector when the factor does not
-depend on the width; height vectors are stored reversed, so every edge
+depend on the width; the height vectors are then reversed, so every edge
 reads contiguous slices.  Every constant stays apart from the terms, so
 none underflows with them.
 
@@ -93,14 +93,17 @@ divided with it, so an edge never multiplies by a ratio of scales.
 
 Each ring slot records a contiguous width range [lo, hi), and a level is
 filled only over the union of its sources' ranges shifted by
-0 .. max dw, clipped to [1, phi); what the slot's previous level left
-outside that range is cleared first.  The column maxima of G after the
+0 .. max dw, clipped to [1, phi), rounded out to a block of whole
+multiples of _BLOCK = 32 columns; what the slot's previous level left
+outside that block is cleared first.  The column maxima of G after the
 fill give both the level's largest entry and its range: the columns at
 either end whose entries all lie below the smallest normal double are
 dropped from the range and zeroed, so every slot is zero outside its
-range, as a fill that reads a source past its range needs.  The sweep
-fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
-(PiResult.cells_swept); a skipped cell would only sum zeros.
+range, as a fill that reads a source past its range needs.  So the
+block's extra columns read only zeros, and compute exact zeros.  The
+sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
+(PiResult.cells_swept counts [lo, hi), not the block); a skipped cell
+would only sum zeros.
 
 No entry is flushed: inside the range an entry below the smallest normal
 double stays, as a subnormal or zero, and later levels read it.  Only
@@ -118,10 +121,17 @@ One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
 source state order; where a row's first edge is a plain add, it trades
 places with the second, which leaves their sum unchanged), so the result
-is bit-identical from run to run.  The hit probabilities come from the
-edges that raise phi out of the last max-jump levels, each stated once:
-the fold reads the factor _fill uses for the same edge, times one scalar
-per target row, 1 / kappa_t.  So the flow along an edge is that factor's
+is bit-identical from run to run.  A level runs one flat program, a
+tuple of (ufunc, operand, operand, out) calls in that order, compiled at
+import per stage and ring phase (_Plan._program) over an operand table:
+the views of the ring rows and width vectors that a block reads, built
+once per block position (every ~32 levels at p = 2^-9, once per call
+where L <= 32), and the height vectors, which move with phi and are
+sliced per level.  There is no branch per edge and no other kernel.  The
+hit probabilities come from the edges that raise phi out of the last
+max-jump levels, each stated once: the fold reads the factor the
+programs use for the same edge, times one scalar per target row,
+1 / kappa_t.  So the flow along an edge is that factor's
 constant times the sum of its source row of G over the live widths, or,
 where residual terms are left (the two-neighbour excerpt), the sum of
 the row times them.  Index arrays built at import list, per source
@@ -149,7 +159,13 @@ from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK, TWO_NEIGHBOUR_STATES,
 __all__ = ["ChainParams", "PiResult", "ResourceCapError", "default_threshold",
            "compute_pi", "compute_two_neighbour_lower_bound"]
 
-_PAD = 6
+# A level is filled over its width range rounded out to multiples of
+# _BLOCK, so the operand views of its program last as long as that block;
+# _PAD covers the over-reach, up to _BLOCK - 1 columns past phi read
+# through a height vector at dh <= _PAD - _BLOCK + 2 (_Plan refuses larger
+# steps)
+_BLOCK = 32
+_PAD = _BLOCK + 4
 _TINY = np.finfo(float).tiny
 # A level is rescaled when its largest entry leaves [_BAND_LOW, 1]
 _BAND_LOW = math.exp(-16.0)
@@ -210,6 +226,7 @@ class PiResult:
     sweep_seconds: float = 0.0     # the level sweep
     hits_seconds: float = 0.0      # the hit fold out of the last levels
     levels: int = 0                # levels swept, L - 2
+    level_bytes: int = 0           # bytes of the allocated level ring
 
 
 def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
@@ -392,11 +409,21 @@ class _Plan:
     The stacked forms a call evaluates, with no Python loop per term,
     factor or edge: n_f, shift, q_coeff: the term rows (f-terms first),
     as _factor_vectors evaluates them.  ab_terms, ab_const: the stack of
-    width vectors, then height vectors, each as the term rows it
-    multiplies and the index of its constant among the call's constants
-    (the factors', 1 / kappa_t per row, then 1); layout: per factor, the
-    stack rows of its width and height vectors, or None.  bare, fold_*:
-    the hit fold's index arrays (see hits()).
+    the n_width width vectors, then the height vectors, each as the term
+    rows it multiplies and the index of its constant among the call's
+    constants (the factors', 1 / kappa_t per row, then 1); layout: per
+    factor, the stack rows of its width and height vectors, or None.
+    bare, fold_*: the hit fold's index arrays (see hits()).
+
+    The sweep's programs (_program): programs[phase], the full stage's
+    calls at phi % window == phase; openings[m], stage m's at
+    phi = m + 2 < window + 1.  A call is (ufunc, operand, operand, out),
+    each operand an index into the operand table, whose keys, operands,
+    are those the programs read: the constants ("c"), from fixed_at the
+    views that last a block ("row", "tmp", "a"), from heights_at the
+    height vectors ("b"), sliced per level.  block_spans, level_spans: per
+    operand from fixed_at and from heights_at, the index of the array it
+    slices among the engine's _bases, and the shift it reads at.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -433,6 +460,8 @@ class _Plan:
                           const, a, b))
         self.max_dphi = max(e[0] for e in edges)
         self.max_dw = max(e[2] for e in edges)
+        if self.max_dw > _PAD or max(e[3] for e in edges) > _PAD - _BLOCK + 2:
+            raise ValueError("a rule's step reaches past the level padding")
         self.shared = tuple(
             tuple(_shared([e[dim] for e in edges if e[1] == s and e[0] > 0])
                   for dim in (7, 8))
@@ -477,25 +506,25 @@ class _Plan:
                       for mono in monos for base, _ in mono}
         self.bounds = {_put_lam(mono, _UNIT)
                        for mono in kappa + list(map(_times, nu, kappa))}
-        # the terms as rows, f-terms first, then a row of ones, over n and
-        # over n reversed: the shift per term and the coefficient per q-term
+        # the terms as rows over n, f-terms first, then a row of ones: the
+        # shift per term and the coefficient per q-term
         terms = sorted({t: 0 for _, a, b in self.factors for t in a + b},
                        key=lambda term: term[0] == "q")
         self.n_f = sum(term[0] == "f" for term in terms)
         self.shift, self.q_coeff = (
-            np.array(column, float).reshape(-1, 1, 1) for column in (
+            np.array(column, float).reshape(-1, 1) for column in (
                 [term[1] for term in terms], [t[2] for t in terms[self.n_f:]]))
-        # the stack of vectors: the width vectors, then the height vectors,
-        # each as the rows it multiplies, over n (over n reversed for a
-        # height vector) and padded with the row of ones, and the constant
-        # it takes: its factor's, or the last constant, 1, for a height
-        # vector whose factor has a width vector; the last of each kind is
-        # all ones (None)
+        # the stack of vectors: the n_width width vectors, then the height
+        # vectors, each as the rows it multiplies, padded with the row of
+        # ones, and the constant it takes: its factor's, or the last
+        # constant, 1, for a height vector whose factor has a width vector;
+        # the last of each kind is all ones (None)
         stack = [(dim, i) for dim in (1, 2) for i in [
             i for i, key in enumerate(self.factors) if key[dim]] + [None]]
+        self.n_width = sum(dim == 1 for dim, _ in stack)
         width = max(len(key[dim]) for key in self.factors for dim in (1, 2))
         self.ab_terms = tuple(np.array([[
-            2 * (terms + [None]).index(t) + dim - 1 for t in (
+            (terms + [None]).index(t) for t in (
                 (self.factors[i][dim] if i is not None else ())
                 + (None,) * width)[:width or 1]]
             for dim, i in stack], dtype=int).T)
@@ -549,6 +578,78 @@ class _Plan:
             return tuple(out)
 
         self.stages = tuple(stage(most) for most in range(self.max_dphi + 1))
+        window = self.max_dphi + 1
+        raw = [self._program(self.max_dphi, phase) for phase in range(window)]
+        raw += [self._program(most, (most + 2) % window)
+                for most in range(self.max_dphi)]
+        kind = {"c": 0, "row": 1, "tmp": 1, "a": 1, "b": 2}
+        self.operands = tuple(sorted(dict.fromkeys(
+            key for prog in raw for call in prog for key in call[1:]),
+            key=lambda key: kind[key[0]]))
+        self.fixed_at, self.heights_at = (
+            sum(kind[key[0]] < k for key in self.operands) for k in (1, 2))
+        at = {key: i for i, key in enumerate(self.operands)}
+        raw = [tuple((f, *map(at.get, keys)) for f, *keys in prog)
+               for prog in raw]
+        self.programs, self.openings = tuple(raw[:window]), tuple(raw[window:])
+        # per operand past the constants, the engine's array it slices (the
+        # ring's rows, slot by slot, then the stack's vectors, then tmp)
+        # and the shift it reads at
+        ring = window * len(self.rows)
+        spans = tuple(
+            (key[1] * len(self.rows) + key[2], key[3]) if key[0] == "row" else
+            (ring + len(self.ab_const), 0) if key[0] == "tmp" else
+            (ring + key[1], key[2]) for key in self.operands[self.fixed_at:])
+        self.block_spans = spans[:self.heights_at - self.fixed_at]
+        self.level_spans = spans[self.heights_at - self.fixed_at:]
+
+    def _program(self, most: int, phase: int) -> list:
+        """The calls (ufunc, operand, operand, out) that fill a level at
+        phi % window == phase from the edges of stages[most] and convert
+        its rows, on symbolic operands: ("row", slot, row, dw), a ring row
+        read dw widths to the left; ("tmp",); ("a", stack row, dw), a width
+        vector read the same way; ("b", stack row, dh), a height vector
+        read dh heights up, which moves with phi; ("c", factor), the
+        factor's constant.  Per target row in stage order: the first write
+        overwrites the row (a pair of plain edges as one add, a plain edge
+        alone as a product by its constant 1), and each later edge is
+        multiplied into tmp and added, or, plain, added directly; then the
+        conversions, by width vector, then by height vector."""
+        mul, add = np.multiply, np.add
+        window, tmp, out = self.max_dphi + 1, ("tmp",), []
+
+        def src(dphi, s, dw):
+            return ("row", (phase - dphi) % window, s, dw)
+
+        for t, pair, order in self.stages[most]:
+            row = to = src(0, t, 0)
+            if pair:
+                out.append((add, src(*pair[0]), src(*pair[1]), row))
+                to = tmp
+            for i in order:
+                dphi, s, dw, dh, _, fi, _ = self.edges[i]
+                vals = src(dphi, s, dw)
+                a, b = self.layout[fi]
+                if a is not None:
+                    out.append((mul, vals, ("a", a, dw), to))
+                    if b is not None:
+                        out.append((mul, to, ("b", b, dh), to))
+                elif b is not None:
+                    out.append((mul, vals, ("b", b, dh), to))
+                elif to == tmp and self.factors[fi] == (_UNIT, (), ()):
+                    out.append((add, row, vals, row))    # a plain shifted add
+                    continue
+                else:       # a scalar, or a first write that copies (x 1)
+                    out.append((mul, vals, ("c", fi), to))
+                if to == tmp:
+                    out.append((add, row, tmp, row))
+                to = tmp
+        for dim, name in enumerate("ab"):
+            for t, fi in self.convert:
+                if self.layout[fi][dim] is not None:
+                    row = src(0, t, 0)
+                    out.append((mul, row, (name, self.layout[fi][dim], 0), row))
+        return out
 
     def base_is_p(self, params: ModelParams) -> bool:
         """Whether a call at params stores its levels over lam = p: where
@@ -581,21 +682,21 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
     bases = {base: _base(base, params) for base in plan.bases}
     consts = np.array([_value(mono, bases) for mono in (
         plan.constants[at_p] + plan.unkappa[at_p] + (_UNIT,))])
-    # every term over n and, for the height vectors, over n reversed;
-    # f-terms are 1 - e^{-q(n + shift)}, 1 where n + shift <= 0
+    # every term over n; f-terms are 1 - e^{-q(n + shift)}, 1 where
+    # n + shift <= 0
     n = np.arange(-_PAD, N - _PAD, dtype=float)
-    terms = np.empty((len(plan.shift) + 1, 2, N))
+    terms = np.empty((len(plan.shift) + 1, N))
     f, e = terms[:plan.n_f], terms[plan.n_f:-1]
-    np.add([n, n[::-1]], plan.shift, out=terms[:-1])
+    np.add(n, plan.shift, out=terms[:-1])
     f[f <= 0.0] = np.inf        # 1 - e^{-q inf} = 1
     np.negative(np.expm1(f * -q, out=f), out=f)
     np.exp(np.maximum(e, 0.0) * (-q * plan.q_coeff), out=e)
     terms[-1] = 1.0
-    rows = terms.reshape(-1, N)
-    vectors = rows[plan.ab_terms[0]]
+    vectors = terms[plan.ab_terms[0]]
     for column in plan.ab_terms[1:]:
-        vectors *= rows[column]
+        vectors *= terms[column]
     vectors *= consts[plan.ab_const]
+    vectors[plan.n_width:] = vectors[plan.n_width:, ::-1]
     stack, c = list(vectors), consts.tolist()
     factors = [(c[i] if ai is bi is None and c[i] != 1.0 else None,
                 None if ai is None else stack[ai],
@@ -625,111 +726,76 @@ class _Engine:
         self.lam = params.p if at_p else 1.0
         self._factors, self._consts, self._vectors = _factor_vectors(
             plan, params, self.N, at_p)
-        self._edges = [e[:4] + self._factors[e[5]] for e in plan.edges]
-        # the conversions by width and by height vector (a row whose
-        # shared terms hold both is in both lists)
-        convert = [(t, self._factors[fi]) for t, fi in plan.convert]
-        self._convert_a = [(t, a) for t, (_, a, _) in convert if a is not None]
-        self._convert_b = [(t, b) for t, (_, _, b) in convert if b is not None]
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
-        self._rows = [list(level) for level in self._levels]  # 1-D row views
-        self._tmp = np.empty(self.N)
+        # the arrays the programs' views slice (_Plan.block_spans and
+        # level_spans), and their operand table: the constants, then the
+        # views that last a block, then the height vectors, sliced per level
+        self._bases = [*self._levels.reshape(-1, self.N), *self._vectors,
+                       np.empty(self.N)]
+        consts = self._consts.tolist()
+        self._ops = [consts[key[1]] for key in plan.operands[:plan.fixed_at]]
+        self._ops += [None] * (len(plan.operands) - plan.fixed_at)
         self._los, self._his = [1] * self.window, [1] * self.window
         self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = 0
 
-    # -- per-level kernel -----------------------------------------------------
-    def _fill(self, phi: int, lo: int, hi: int, into):
-        """Flow along the edges of into into target widths [lo, hi) of
-        level phi, then convert its rows to gauged growth masses, now that
-        the rank-up edges have read them.  The first write into a row
-        overwrites [lo, hi), so those entries are not cleared: a slot is
-        fresh (zeros) until phi = 2 + window, and below phi = 1 + window
-        into holds only the edges out of levels 2 .. phi, so none
-        overwrites the seed; from there on every edge has a source, so
-        every stored row with an incoming edge is overwritten.  sweep()
-        clears the slot outside [lo, hi)."""
-        rows, window = self._rows, self.window
-        mul, add = np.multiply, np.add     # positional out: cheaper calls
-        cur = rows[phi % window]
-        src = [rows[(phi - d) % window] for d in range(window)]
-        cnt = hi - lo
-        tmp = self._tmp[:cnt]
-        # an edge reads source widths from la - dw and its reversed height
-        # factor from lb + dh, where the source height is phi - dphi - w + dw
-        la = lo + _PAD
-        lb = self.N - 1 - _PAD - phi + lo
-        for t, pair, edges in into:
-            row = cur[t][la:la + cnt]
-            out = row           # the first write goes to the row directly
-            if pair:
-                (d0, s0, w0), (d1, s1, w1) = pair
-                add(src[d0][s0][la - w0:la - w0 + cnt],
-                    src[d1][s1][la - w1:la - w1 + cnt], row)
-                out = tmp
-            for dphi, s, dw, dh, w, a, b_rev in edges:
-                s0 = la - dw
-                vals = src[dphi][s][s0:s0 + cnt]
-                if a is not None:
-                    mul(vals, a[s0:s0 + cnt], out)
-                    if b_rev is not None:
-                        r0 = lb + dh
-                        mul(out, b_rev[r0:r0 + cnt], out)
-                elif b_rev is not None:
-                    r0 = lb + dh
-                    mul(vals, b_rev[r0:r0 + cnt], out)
-                elif w is not None:
-                    mul(vals, w, out)
-                elif out is tmp:       # a plain shifted add
-                    add(row, vals, row)
-                    continue
-                else:
-                    np.copyto(row, vals)
-                if out is tmp:
-                    add(row, tmp, row)
-                out = tmp
-        for t, a in self._convert_a:
-            row = cur[t][la:la + cnt]
-            mul(row, a[la:la + cnt], row)
-        for t, b_rev in self._convert_b:
-            row = cur[t][la:la + cnt]
-            mul(row, b_rev[lb:lb + cnt], row)
-
     # -- main loop ------------------------------------------------------------
     def sweep(self):
-        """Fill levels 2 .. L - 1 into the ring."""
-        L, window = self.L, self.window
+        """Fill levels 2 .. L - 1 into the ring.
+
+        Each level runs its program (_Plan._program) over target widths
+        [lo, hi) rounded out to the block [blo, bhi) of multiples of
+        _BLOCK.  The rounded columns compute exact zeros, as every slot is
+        zero outside its range, and leave the slot so.  The program's
+        operand views are rebuilt only when the block moves; per level
+        only the height vectors are sliced.  A program's first write into
+        a row overwrites the block, so the block is not cleared: a slot is
+        fresh (zeros) until phi = 2 + window, and the openings (phi <=
+        max_dphi + 1) hold only the edges out of levels 2 .. phi, so none
+        overwrites the seed; from there on every stored row with an
+        incoming edge is overwritten.  What the slot's previous level left
+        outside the block is cleared first."""
+        L, N, window, plan = self.L, self.N, self.window, self.plan
         levels, los, his = self._levels, self._los, self._his
-        max_dw = self.plan.max_dw
+        ops, bases = self._ops, self._bases
+        at, end = plan.fixed_at, plan.heights_at
+        max_dw, openings = plan.max_dw, len(plan.openings)
+        peak = np.maximum.reduce
+        block = None
         for phi in range(2, L):
             slot = phi % window
             cur = levels[slot]
             # fill the union of the source levels' ranges shifted by
             # 0 .. max dw (the other slots hold the sources, or are fresh
             # with an empty range; this slot's previous level is marked
-            # empty), and clear what that level left outside it
+            # empty), and clear what that level left outside its block
             old_lo, old_hi = los[slot], his[slot]
             los[slot], his[slot] = L, 0
             lo, hi = min(los), min(phi, max(his) + max_dw)
-            if old_lo < lo:
-                cur[:, old_lo + _PAD:lo + _PAD] = 0.0
-            if hi < old_hi:
-                cur[:, hi + _PAD:old_hi + _PAD] = 0.0
+            blo, bhi = lo - lo % _BLOCK, hi + -hi % _BLOCK
+            if block != (blo, bhi):
+                block, la, cnt = (blo, bhi), blo + _PAD, bhi - blo
+                ops[at:end] = [bases[i][la - d:la - d + cnt]
+                               for i, d in plan.block_spans]
+            if old_lo < blo:
+                cur[:, old_lo + _PAD:blo + _PAD] = 0.0
+            if bhi < old_hi:
+                cur[:, bhi + _PAD:old_hi + _PAD] = 0.0
             if phi == 2:
                 # the seed: X = kappa F, and kappa is 1 at the seed row
-                cur[self.plan.seed_row, 1 + _PAD] = 1.0
-            if phi <= window + 1:
-                # below phi = 1 + window no level lies below the seed:
-                # skip the edges out of those slots (which would only add
-                # zeros), so that none overwrites the seed; from there on
-                # into holds every edge (_Plan.stages)
-                into = [(t, pair, [self._edges[i] for i in order])
-                        for t, pair, order in self.plan.stages[phi - 2]]
-            self._fill(phi, lo, hi, into)
+                cur[plan.seed_row, 1 + _PAD] = 1.0
+            # a height vector reads source height phi - dphi - w + dw
+            # reversed, from lb + dh
+            lb = N - 1 - _PAD - phi + blo
+            ops[end:] = [bases[i][lb + d:lb + d + cnt]
+                         for i, d in plan.level_spans]
+            for f, x, y, out in (plan.openings[phi - 2] if phi - 2 < openings
+                                 else plan.programs[slot]):
+                f(ops[x], ops[y], ops[out])
             self.cells += hi - lo
             live = cur[:, lo + _PAD:hi + _PAD]
-            colmax = live.max(axis=0)
-            top = colmax.max()
+            colmax = peak(live, 0)      # live.max(axis=0), without its wrapper
+            top = peak(colmax)
             if top > 1.0 or 0.0 < top < _BAND_LOW:
                 inv = 1.0 / top
                 live *= inv
@@ -760,7 +826,7 @@ class _Engine:
         phi only increases, so every path leaves the levels below L
         exactly once, along an edge that raises phi into a level T in
         L .. L+max_dphi-1, an exact hit when T = L.  The flow along an
-        edge is the flow _fill would add into X_t, read off the same
+        edge is the flow the sweep adds into X_t, read off the same
         (w, a, b_rev) factor: w times the sum of the source row over the
         live widths, or, where residual terms are left, the sum of the
         row times them; times 1 / kappa_t it is the mass F that enters
@@ -830,7 +896,7 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
         wall_time_seconds=time.perf_counter() - t0, model=model_name,
         cells_swept=eng.cells, prepare_seconds=t1 - t0,
         sweep_seconds=t2 - t1, hits_seconds=t3 - t2,
-        levels=params.threshold - 2,
+        levels=params.threshold - 2, level_bytes=eng._levels.nbytes,
     )
 
 

@@ -144,6 +144,7 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes):
         "convention": result.convention,
         "log_hit_prob": result.log_hit_prob, "log_pi": result.log_pi,
         "levels": result.levels, "cells_swept": result.cells_swept,
+        "level_bytes": result.level_bytes,
         "prepare_seconds": result.prepare_seconds,
         "sweep_seconds": result.sweep_seconds,
         "hits_seconds": result.hits_seconds,

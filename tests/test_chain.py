@@ -535,6 +535,14 @@ class TestEnginePlan:
         with pytest.raises(ValueError, match="no moving rule leaves"):
             engine._Plan(table, ("0", "1"))
 
+    def test_refuses_step_past_the_padding(self):
+        # A level's block reaches up to _BLOCK - 1 columns past phi, where
+        # a height vector read dh heights up must still lie inside it.
+        step = engine._PAD - engine._BLOCK + 3
+        with pytest.raises(ValueError, match="past the level padding"):
+            engine._Plan((TransitionRule("0", "0", 0, 0, 0, step),), ("0",))
+        engine._Plan((TransitionRule("0", "0", 0, 0, 0, step - 1),), ("0",))
+
     def test_calls_share_no_state(self):
         # The plans are built once, at import; a call must leave nothing
         # behind that changes a later call, in whatever order they come.
@@ -574,6 +582,87 @@ def swept_engine(plan, p, L):
     return eng
 
 
+def reference_sweep(eng):
+    """Fill levels 2 .. L - 1 of eng's ring one edge at a time, over
+    target widths [lo, hi) alone: per target row in stage order, per edge,
+    its source row times its width vector, height vector or constant,
+    written into the row or added to it, then the conversions; the ring's
+    rescales and window as in _Engine.sweep."""
+    plan, L, N, window, pad = eng.plan, eng.L, eng.N, eng.window, engine._PAD
+    levels, los, his = eng._levels, eng._los, eng._his
+    rows = [list(level) for level in levels]
+    edges = [e[:4] + eng._factors[e[5]] for e in plan.edges]
+    convert = [(t, eng._factors[fi]) for t, fi in plan.convert]
+    convert_a = [(t, a) for t, (_, a, _) in convert if a is not None]
+    convert_b = [(t, b) for t, (_, _, b) in convert if b is not None]
+    tmp = np.empty(N)
+    for phi in range(2, L):
+        slot = phi % window
+        cur = levels[slot]
+        old_lo, old_hi = los[slot], his[slot]
+        los[slot], his[slot] = L, 0
+        lo, hi = min(los), min(phi, max(his) + plan.max_dw)
+        if old_lo < lo:
+            cur[:, old_lo + pad:lo + pad] = 0.0
+        if hi < old_hi:
+            cur[:, hi + pad:old_hi + pad] = 0.0
+        if phi == 2:
+            cur[plan.seed_row, 1 + pad] = 1.0
+        into = plan.stages[min(phi - 2, plan.max_dphi)]
+        src = [rows[(phi - d) % window] for d in range(window)]
+        cnt = hi - lo
+        la, lb = lo + pad, N - 1 - pad - phi + lo
+        for t, pair, order in into:
+            row = out = rows[slot][t][la:la + cnt]
+            if pair:
+                (d0, s0, w0), (d1, s1, w1) = pair
+                np.add(src[d0][s0][la - w0:la - w0 + cnt],
+                       src[d1][s1][la - w1:la - w1 + cnt], row)
+                out = tmp[:cnt]
+            for dphi, s, dw, dh, w, a, b_rev in (edges[i] for i in order):
+                s0, r0 = la - dw, lb + dh
+                vals = src[dphi][s][s0:s0 + cnt]
+                if a is not None:
+                    np.multiply(vals, a[s0:s0 + cnt], out)
+                    if b_rev is not None:
+                        np.multiply(out, b_rev[r0:r0 + cnt], out)
+                elif b_rev is not None:
+                    np.multiply(vals, b_rev[r0:r0 + cnt], out)
+                elif w is not None:
+                    np.multiply(vals, w, out)
+                elif out is not row:
+                    np.add(row, vals, row)
+                    continue
+                else:
+                    np.copyto(row, vals)
+                if out is not row:
+                    np.add(row, out, row)
+                out = tmp[:cnt]
+        for t, a in convert_a:
+            cur[t][la:la + cnt] *= a[la:la + cnt]
+        for t, b_rev in convert_b:
+            cur[t][la:la + cnt] *= b_rev[lb:lb + cnt]
+        eng.cells += cnt
+        live = cur[:, la:la + cnt]
+        colmax = live.max(axis=0)
+        top = colmax.max()
+        if top > 1.0 or 0.0 < top < engine._BAND_LOW:
+            inv = 1.0 / top
+            live *= inv
+            colmax *= inv
+            eng.scale -= math.log(inv)
+            for d in range(1, window - 1):
+                s = (phi - d) % window
+                levels[s][:, los[s] + pad:his[s] + pad] *= inv
+        a, b = 0, cnt
+        while a < b and colmax[a] < engine._TINY:
+            a += 1
+        while b > a and colmax[b - 1] < engine._TINY:
+            b -= 1
+        live[:, :a] = live[:, b:] = 0.0
+        los[slot], his[slot] = lo + a, lo + b
+
+
 def reference_fold(eng):
     """(log P(exact hit), log P(at-least hit)) folded one edge at a time:
     per source level below L and edge of the plan that crosses L, the
@@ -606,6 +695,39 @@ def reference_fold(eng):
     scale = eng.scale + (L - 2) * math.log(eng.lam)
     return tuple(math.log(math.fsum(flows)) + scale
                  for flows in (on_L, on_L + past_L))
+
+
+class TestSweep:
+    @pytest.mark.parametrize("p, L", [
+        (p, L) for p in (0.1, 0.5, 0.9, 1e-60) for L in (3, 7, 12, 40, 200)]
+        + [(0.5, 2000)])
+    @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
+                                      engine._TWO_NEIGHBOUR_PLAN],
+                             ids=["frobose", "two_neighbour"])
+    def test_programs_equal_the_sweep_one_edge_at_a_time(self, plan, p, L):
+        # The programs run the same calls in the same order over a block
+        # rounded out past [lo, hi), whose extra columns compute zeros; the
+        # ring (every slot, at every width), its ranges, its scale and the
+        # cells swept are the same bits.  The points take in the openings
+        # (L = 3, 7), lam = p (1e-60), rescales and block moves.
+        got = swept_engine(plan, p, L)
+        cp = ChainParams.from_p(p, threshold=L)
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            want = engine._Engine(plan, cp.model, cp.threshold, 8 << 30)
+            reference_sweep(want)
+        assert got._levels.tobytes() == want._levels.tobytes()
+        assert (got._los, got._his) == (want._los, want._his)
+        assert got.scale == want.scale and got.cells == want.cells
+
+    def test_full_stage_program_lengths(self):
+        # A Frobose level past the openings takes 23 ufunc calls (18 for
+        # the edges, 5 conversions), a two-neighbour level 82 (77 and 1);
+        # a program per ring phase
+        for plan, calls, converts in ((engine._FROBOSE_PLAN, 23, 5),
+                                      (engine._TWO_NEIGHBOUR_PLAN, 82, 1)):
+            assert [len(prog) for prog in plan.programs] == (
+                [calls] * (plan.max_dphi + 1))
+            assert len(plan.convert) == converts
 
 
 class TestHitFold:

@@ -82,10 +82,12 @@ class TestPi:
                                           "convention"}
         assert set(rec["outputs"]) == {
             "p", "q", "L", "convention", "log_hit_prob", "log_pi", "levels",
-            "cells_swept", "prepare_seconds", "sweep_seconds",
-            "hits_seconds"}
+            "cells_swept", "level_bytes", "prepare_seconds",
+            "sweep_seconds", "hits_seconds"}
         out = rec["outputs"]
         assert out["levels"] == out["L"] - 2 == 32
+        # 5 slots of 5 Frobose rows of L + 2 * 36 + 4 doubles
+        assert out["level_bytes"] == 5 * 5 * (34 + 76) * 8
         assert 0 < out["cells_swept"] <= (out["L"] - 1) * (out["L"] - 2) // 2
         phases = [out[key] for key in PHASE_KEYS]
         assert min(phases) >= 0.0
