@@ -58,13 +58,14 @@ a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
 conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
 level takes 23 ufunc calls (18 for the edges, 5 conversions) where
 multiplying every edge by a factor vector took 29; a two-neighbour level
-takes 82.  A call evaluates every distinct term once, as the rows of one
-array over n (f-terms in one expression, q-terms in another), and every
-factor as one product over those rows times its constant, folded into
-the width vector, or into the height vector when the factor does not
-depend on the width; the height vectors are then reversed, so every edge
-reads contiguous slices.  Every constant stays apart from the terms, so
-none underflows with them.
+takes 82.  A call evaluates every constant once, into one vector, and
+every distinct term once, as the rows of one array over n (f-terms in
+one expression, q-terms in another).  A factor's vectors, products of
+term rows with its constant folded into the width vector (or the height
+vector where it has none), are rows of one stack (_Plan.layout), the
+height ones reversed so every edge reads contiguous slices; a factor
+with no terms is its constant.  The level base lam below keeps all of
+these in the double range at tiny p.
 
 kappa_s grows like p^depth (2 p^3 e^q for Frobose row 3), and at tiny p
 a level holds about p times the mass of the one before, so one gauge
@@ -157,7 +158,8 @@ from .rules import (FROBOSE_STATES, FROBOSE_TABLE, RANK, TWO_NEIGHBOUR_STATES,
                     TWO_NEIGHBOUR_TABLE, TransitionRule)
 
 __all__ = ["ChainParams", "PiResult", "ResourceCapError", "default_threshold",
-           "compute_pi", "compute_two_neighbour_lower_bound"]
+           "DEFAULT_MEMORY_CAP_BYTES", "compute_pi",
+           "compute_two_neighbour_lower_bound"]
 
 # A level is filled over its width range rounded out to multiples of
 # _BLOCK, so the operand views of its program last as long as that block;
@@ -173,6 +175,8 @@ _BAND_LOW = math.exp(-16.0)
 # within 2^+-_GAUGE_BITS, else p (_Plan.base_is_p)
 _GAUGE_BITS = 100
 _LOG2 = math.log(2.0)
+# The level storage a call may allocate unless told otherwise, 8 GiB
+DEFAULT_MEMORY_CAP_BYTES = 8 << 30
 
 
 class ResourceCapError(RuntimeError):
@@ -665,19 +669,15 @@ _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
 def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
-    """(w, a, b_rev) per factor of the plan, at lam = p if at_p else at
-    lam = 1, the vectors over
-    n = -_PAD .. N - _PAD - 1:
-    w * a[w + _PAD] * b_rev[N - 1 - (h + _PAD)] is the factor at source
-    (w, h), where a factor the product does not depend on is None and w
-    is folded into a, or into b_rev when a is None.  w is None for a
-    factor that is exactly 1.  Dummies (1) at non-positive arguments are
-    harmless because those positions only ever meet zero source entries.
+    """(consts, vectors) of the plan at lam = p if at_p else at lam = 1.
 
-    Also returns every constant (the factors', then 1 / kappa_t per row,
-    then 1) as one vector, and the stack whose rows a and b_rev are, the
-    width vectors, then the height vectors, each kind ending in a row of
-    ones."""
+    consts: the factors' constants, then 1 / kappa_t per row, then 1.
+    vectors: the stack of width vectors, then height vectors, each kind
+    ending in a row of ones, over n = -_PAD .. N - _PAD - 1, the height
+    vectors reversed: with (a, b) = plan.layout[i], factor i at source
+    (w, h) is vectors[a][w + _PAD] * vectors[b][N - 1 - (h + _PAD)], a
+    None left out, or consts[i] where both are None.  Dummies (1) at
+    non-positive arguments only ever meet zero source entries."""
     q = params.q
     bases = {base: _base(base, params) for base in plan.bases}
     consts = np.array([_value(mono, bases) for mono in (
@@ -697,12 +697,7 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
         vectors *= terms[column]
     vectors *= consts[plan.ab_const]
     vectors[plan.n_width:] = vectors[plan.n_width:, ::-1]
-    stack, c = list(vectors), consts.tolist()
-    factors = [(c[i] if ai is bi is None and c[i] != 1.0 else None,
-                None if ai is None else stack[ai],
-                None if bi is None else stack[bi])
-               for i, (ai, bi) in enumerate(plan.layout)]
-    return factors, consts, vectors
+    return consts, vectors
 
 
 class _Engine:
@@ -724,9 +719,11 @@ class _Engine:
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         at_p = plan.base_is_p(params)
         self.lam = params.p if at_p else 1.0
-        self._factors, self._consts, self._vectors = _factor_vectors(
-            plan, params, self.N, at_p)
+        self._consts, self._vectors = _factor_vectors(plan, params, self.N,
+                                                      at_p)
         self._levels = np.zeros((self.window, len(plan.rows), self.N))
+        # the seed: X = kappa F at (1, 1), and kappa is 1 at the seed row
+        self._levels[2 % self.window, plan.seed_row, 1 + _PAD] = 1.0
         # the arrays the programs' views slice (_Plan.block_spans and
         # level_spans), and their operand table: the constants, then the
         # views that last a block, then the height vectors, sliced per level
@@ -750,11 +747,12 @@ class _Engine:
         operand views are rebuilt only when the block moves; per level
         only the height vectors are sliced.  A program's first write into
         a row overwrites the block, so the block is not cleared: a slot is
-        fresh (zeros) until phi = 2 + window, and the openings (phi <=
-        max_dphi + 1) hold only the edges out of levels 2 .. phi, so none
-        overwrites the seed; from there on every stored row with an
-        incoming edge is overwritten.  What the slot's previous level left
-        outside the block is cleared first."""
+        fresh (zeros, but for the seed __init__ wrote) until phi = 2 +
+        window, and the openings (phi <= max_dphi + 1) hold only the edges
+        out of levels 2 .. phi, so none writes the seed's row at phi = 2;
+        from there on every stored row with an incoming edge is
+        overwritten.  What the slot's previous level left outside the
+        block is cleared first."""
         L, N, window, plan = self.L, self.N, self.window, self.plan
         levels, los, his = self._levels, self._los, self._his
         ops, bases = self._ops, self._bases
@@ -781,9 +779,6 @@ class _Engine:
                 cur[:, old_lo + _PAD:blo + _PAD] = 0.0
             if bhi < old_hi:
                 cur[:, bhi + _PAD:old_hi + _PAD] = 0.0
-            if phi == 2:
-                # the seed: X = kappa F, and kappa is 1 at the seed row
-                cur[plan.seed_row, 1 + _PAD] = 1.0
             # a height vector reads source height phi - dphi - w + dw
             # reversed, from lb + dh
             lb = N - 1 - _PAD - phi + blo
@@ -827,10 +822,11 @@ class _Engine:
         exactly once, along an edge that raises phi into a level T in
         L .. L+max_dphi-1, an exact hit when T = L.  The flow along an
         edge is the flow the sweep adds into X_t, read off the same
-        (w, a, b_rev) factor: w times the sum of the source row over the
-        live widths, or, where residual terms are left, the sum of the
-        row times them; times 1 / kappa_t it is the mass F that enters
-        row t.  Per source level L - j the rows are summed at once over
+        factor (_Plan.layout): its constant times the sum of the source
+        row over the live widths, or, where residual terms are left, the
+        sum of the row times its width and height vectors; times
+        1 / kappa_t it is the mass F that enters row t.  Per source level
+        L - j the rows are summed at once over
         the live block, and the edges with residual terms
         (_Plan.fold_kept) take one einsum over their gathered rows and
         vectors.  The levels share one scale, so
@@ -869,7 +865,7 @@ def _log_scaled(total: float, scale: float) -> float:
 
 
 def _run(plan: _Plan, params: ChainParams, model_name: str,
-         memory_cap_bytes: int = 8 << 30) -> PiResult:
+         memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> PiResult:
     t0 = time.perf_counter()
     # every rule has a positive probability, so an overflow (the levels or
     # the constants at a subnormal p span more than a double holds) or a
@@ -901,7 +897,8 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
 
 
 def compute_pi(params: ChainParams, threads: int = 1,
-               memory_cap_bytes: int = 8 << 30) -> PiResult:
+               memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES
+               ) -> PiResult:
     """Growth scale of the local Frobose model.
 
     log_pi = -log P(chain from (1,1,state 0) hits semi-perimeter L) / 2,

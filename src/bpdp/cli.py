@@ -47,7 +47,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .chain import ChainParams, ResourceCapError, compute_pi
+from .chain import (DEFAULT_MEMORY_CAP_BYTES, ChainParams, ResourceCapError,
+                    compute_pi)
 from .fitting import (LAMBDA1_F, LAMBDA2_F, FitError, PiDataset,
                       fit_first_order, fit_first_order_fixed_alpha,
                       fit_four_param, fit_second_order,
@@ -119,7 +120,7 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
 @click.option("--convention", type=click.Choice(["exact", "at-least"]),
               default="exact", show_default=True)
 @click.option("--memory-cap-bytes", type=click.IntRange(min=1),
-              default=8 << 30, show_default=True,
+              default=DEFAULT_MEMORY_CAP_BYTES, show_default=True,
               help="Abort before starting if the level "
               "storage estimate exceeds this.")
 def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes):

@@ -176,6 +176,23 @@ class TestComputePi:
             r = compute_pi(ChainParams.from_p(p, threshold=L))
             assert math.isfinite(r.log_hit_prob) and r.log_hit_prob < -1000
 
+    @pytest.mark.parametrize("p, L, fails", [
+        (1e-200, 6, True), (1e-300, 12, True),
+        (1e-200, 5, False), (1e-150, 12, False)])
+    def test_two_neighbour_tiny_p_fails_loudly(self, p, L, fails):
+        # A known defect: the excerpt's levels fall by about sqrt(q) per
+        # phi, which neither level base flattens, so at p = 1e-200 from
+        # L = 6 on they leave the double range.  That must be an error
+        # naming p and L, never a wrong number; pinned values replace the
+        # failing points once the levels stay in range.
+        cp = ChainParams.from_p(p, threshold=L)
+        if fails:
+            with pytest.raises(ArithmeticError, match=f"p={p!r}, L={L}"):
+                compute_two_neighbour_lower_bound(cp)
+        else:
+            r = compute_two_neighbour_lower_bound(cp)
+            assert math.isfinite(r.log_hit_prob)
+
     def test_thread_counts_bit_identical(self):
         cp = ChainParams.from_p(2.0 ** -4)
         vals = {compute_pi(cp, threads=t).log_pi for t in (1, 2, 8)}
@@ -495,7 +512,7 @@ class TestEnginePlan:
         N = L + 2 * engine._PAD + 4
         at_p = plan.base_is_p(mp)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
-        factors, consts, _ = engine._factor_vectors(plan, mp, N, at_p)
+        consts, vectors = engine._factor_vectors(plan, mp, N, at_p)
         unkappa = consts[len(plan.factors):-1]
         lam = p if at_p else 1.0
         bases = {base: engine._base(base, mp) for base in plan.bases}
@@ -503,12 +520,12 @@ class TestEnginePlan:
         W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
 
         def at(fi):
-            w, a, b_rev = factors[fi]
-            out = np.full(W.shape, 1.0 if w is None else w)
+            a, b = plan.layout[fi]
+            out = np.full(W.shape, consts[fi] if a is b is None else 1.0)
             if a is not None:
-                out = out * a[W + engine._PAD]
-            if b_rev is not None:
-                out = out * b_rev[N - 1 - (H + engine._PAD)]
+                out = out * vectors[a][W + engine._PAD]
+            if b is not None:
+                out = out * vectors[b][N - 1 - (H + engine._PAD)]
             return out
 
         conv = {s: at(fi) for s, fi in plan.convert}
@@ -577,7 +594,8 @@ def swept_engine(plan, p, L):
     after its sweep."""
     cp = ChainParams.from_p(p, threshold=L)
     with np.errstate(over="raise", invalid="raise", under="ignore"):
-        eng = engine._Engine(plan, cp.model, cp.threshold, 8 << 30)
+        eng = engine._Engine(plan, cp.model, cp.threshold,
+                             engine.DEFAULT_MEMORY_CAP_BYTES)
         eng.sweep()
     return eng
 
@@ -586,15 +604,17 @@ def reference_sweep(eng):
     """Fill levels 2 .. L - 1 of eng's ring one edge at a time, over
     target widths [lo, hi) alone: per target row in stage order, per edge,
     its source row times its width vector, height vector or constant,
-    written into the row or added to it, then the conversions; the ring's
-    rescales and window as in _Engine.sweep."""
+    looked up through the plan's layout, written into the row or added to
+    it, then the conversions; the ring's rescales and window as in
+    _Engine.sweep."""
     plan, L, N, window, pad = eng.plan, eng.L, eng.N, eng.window, engine._PAD
     levels, los, his = eng._levels, eng._los, eng._his
+    vectors, consts = eng._vectors, eng._consts.tolist()
     rows = [list(level) for level in levels]
-    edges = [e[:4] + eng._factors[e[5]] for e in plan.edges]
-    convert = [(t, eng._factors[fi]) for t, fi in plan.convert]
-    convert_a = [(t, a) for t, (_, a, _) in convert if a is not None]
-    convert_b = [(t, b) for t, (_, _, b) in convert if b is not None]
+    convert_a, convert_b = ([(t, vectors[plan.layout[fi][dim]])
+                             for t, fi in plan.convert
+                             if plan.layout[fi][dim] is not None]
+                            for dim in (0, 1))
     tmp = np.empty(N)
     for phi in range(2, L):
         slot = phi % window
@@ -619,17 +639,18 @@ def reference_sweep(eng):
                 np.add(src[d0][s0][la - w0:la - w0 + cnt],
                        src[d1][s1][la - w1:la - w1 + cnt], row)
                 out = tmp[:cnt]
-            for dphi, s, dw, dh, w, a, b_rev in (edges[i] for i in order):
+            for dphi, s, dw, dh, _, fi, _ in (plan.edges[i] for i in order):
                 s0, r0 = la - dw, lb + dh
                 vals = src[dphi][s][s0:s0 + cnt]
+                a, b = plan.layout[fi]
                 if a is not None:
-                    np.multiply(vals, a[s0:s0 + cnt], out)
-                    if b_rev is not None:
-                        np.multiply(out, b_rev[r0:r0 + cnt], out)
-                elif b_rev is not None:
-                    np.multiply(vals, b_rev[r0:r0 + cnt], out)
-                elif w is not None:
-                    np.multiply(vals, w, out)
+                    np.multiply(vals, vectors[a][s0:s0 + cnt], out)
+                    if b is not None:
+                        np.multiply(out, vectors[b][r0:r0 + cnt], out)
+                elif b is not None:
+                    np.multiply(vals, vectors[b][r0:r0 + cnt], out)
+                elif consts[fi] != 1.0:
+                    np.multiply(vals, consts[fi], out)
                 elif out is not row:
                     np.add(row, vals, row)
                     continue
@@ -640,8 +661,8 @@ def reference_sweep(eng):
                 out = tmp[:cnt]
         for t, a in convert_a:
             cur[t][la:la + cnt] *= a[la:la + cnt]
-        for t, b_rev in convert_b:
-            cur[t][la:la + cnt] *= b_rev[lb:lb + cnt]
+        for t, b in convert_b:
+            cur[t][la:la + cnt] *= b[lb:lb + cnt]
         eng.cells += cnt
         live = cur[:, la:la + cnt]
         colmax = live.max(axis=0)
@@ -668,9 +689,11 @@ def reference_fold(eng):
     per source level below L and edge of the plan that crosses L, the
     flow is the factor's constant times the pairwise sum of its source
     row over the live widths, or, where residual terms are left, the
-    math.fsum of their products with it; times 1 / kappa_t and
-    lam^(T - L), summed by math.fsum."""
+    math.fsum of their products with it, each factor looked up through
+    the plan's layout; times 1 / kappa_t and lam^(T - L), summed by
+    math.fsum."""
     L, N, pad = eng.L, eng.N, engine._PAD
+    vectors, consts = eng._vectors, eng._consts.tolist()
     on_L, past_L = [], []
     for sphi in range(max(2, L - eng.plan.max_dphi), L):
         slot = sphi % eng.window
@@ -679,15 +702,15 @@ def reference_fold(eng):
         for dphi, s, _, _, t, fi, _ in eng.plan.edges:
             if sphi + dphi < L:
                 continue
-            w, a, b_rev = eng._factors[fi]
+            a, b = eng.plan.layout[fi]
             vals = eng._levels[slot][s][la:la + cnt]
-            if a is None and b_rev is None:
-                flow = float(np.add.reduce(vals)) * (1.0 if w is None else w)
+            if a is None and b is None:
+                flow = float(np.add.reduce(vals)) * consts[fi]
             else:
                 if a is not None:
-                    vals = vals * a[la:la + cnt]
-                if b_rev is not None:
-                    vals = vals * b_rev[lb:lb + cnt]
+                    vals = vals * vectors[a][la:la + cnt]
+                if b is not None:
+                    vals = vals * vectors[b][lb:lb + cnt]
                 flow = math.fsum(vals)
             (on_L if sphi + dphi == L else past_L).append(
                 flow * eng._consts[len(eng.plan.factors) + t]
@@ -713,7 +736,8 @@ class TestSweep:
         got = swept_engine(plan, p, L)
         cp = ChainParams.from_p(p, threshold=L)
         with np.errstate(over="raise", invalid="raise", under="ignore"):
-            want = engine._Engine(plan, cp.model, cp.threshold, 8 << 30)
+            want = engine._Engine(plan, cp.model, cp.threshold,
+                                  engine.DEFAULT_MEMORY_CAP_BYTES)
             reference_sweep(want)
         assert got._levels.tobytes() == want._levels.tobytes()
         assert (got._los, got._his) == (want._los, want._his)
