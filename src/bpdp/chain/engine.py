@@ -25,17 +25,15 @@ brute-force oracle, the trajectory sampler and the lattice bridge keep
 the full table.
 
 Everything about a table that does not depend on p is derived once, at
-import, into a _Plan: the lumping, the rows a level stores, one table
-of the edges into them, each with its factor, the order in which each
-target row reads them, the terms each row's moving edges share and the
-gauge below.  A row that no moving rule leaves (Frobose 4; two-neighbour
-1'', 2'' and 4) is never read, so it is not stored, filled or searched
-for the column maxima; the level storage and the ResourceCapError
-estimate count only the stored rows.  A rule that raised phi into such a
-row would carry mass past L that the hit fold never reads, so _Plan
-refuses such a table; a rank-up into it (Frobose 3 to 4) only absorbs.
-Frobose stores 5 rows with 17 edges into them (13 raise phi), against 7,
-26 and 20 unlumped; the two-neighbour plan stores 6 rows with 41 edges.
+import, into a _Plan.  A row that no moving rule leaves (Frobose 4;
+two-neighbour 1'', 2'' and 4) is never read, so it is not stored, filled
+or searched for the column maxima; the level storage and the
+ResourceCapError estimate count only the stored rows.  A rule that
+raised phi into such a row would carry mass past L that the hit fold
+never reads, so _Plan refuses such a table; a rank-up into it (Frobose 3
+to 4) only absorbs.  Frobose stores 5 rows with 17 edges into them (13
+raise phi), against 7, 26 and 20 unlumped; the two-neighbour plan stores
+6 rows with 41 edges.
 
 A rule's probability at source (w, h) is a constant (a monomial in p,
 4 - 3p, e^{-q} and small integers) times a few terms in one integer
@@ -47,15 +45,14 @@ rows only 0 shares one.  So a level's rows are filled as X_s = kappa_s F_s,
 F the probability mass, and once the level is filled each row is
 converted in place to its gauged growth mass G_s = nu_s f_s X_s, which
 the later levels read.  nu_s is the constant of the row's self-loop and
-kappa_s a per-row gauge, set at import by one walk from the seed: each
-edge whose constant is a bare monomial asks kappa_t / kappa_s to equal
-it, and the walk meets every ask that reaches a row it has not yet set,
-so those edge constants become exactly 1.  A moving edge s -> t with
-probability c f_s r then adds (c kappa_t / (nu_s kappa_s)) r G_s into
-X_t: for Frobose 11 of the 13 moving edges become plain shifted adds of
-a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the scalar
-(4 - 3p) e^q / 2.  Rank-up edges read the current level before its
-conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
+kappa_s a per-row gauge, set at import by one walk from the seed
+(_walk_gauge) that makes exactly 1 the constant of each edge whose
+constant is a bare monomial and that it reaches.  A moving edge s -> t
+with probability c f_s r then adds (c kappa_t / (nu_s kappa_s)) r G_s
+into X_t: for Frobose 11 of the 13 moving edges become plain shifted
+adds of a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the
+scalar (4 - 3p) e^q / 2.  Rank-up edges read the current level before
+its conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
 level takes 23 ufunc calls (18 for the edges, 5 conversions) where
 multiplying every edge by a factor vector took 29; a two-neighbour level
 takes 82.  A call evaluates every constant once, into one vector, and
@@ -120,27 +117,18 @@ masked copy per level.
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
-source state order; where a row's first edge is a plain add, it trades
-places with the second, which leaves their sum unchanged), so the result
-is bit-identical from run to run.  A level runs one flat program, a
-tuple of (ufunc, operand, operand, out) calls in that order, compiled at
-import per stage and ring phase (_Plan._program) over an operand table:
-the views of the ring rows and width vectors that a block reads, built
-once per block position (every ~32 levels at p = 2^-9, once per call
-where L <= 32), and the height vectors, which move with phi and are
-sliced per level.  There is no branch per edge and no other kernel.  The
-hit probabilities come from the edges that raise phi out of the last
-max-jump levels, each stated once: the fold reads the factor the
-programs use for the same edge, times one scalar per target row,
-1 / kappa_t.  So the flow along an edge is that factor's
-constant times the sum of its source row of G over the live widths, or,
-where residual terms are left (the two-neighbour excerpt), the sum of
-the row times them.  Index arrays built at import list, per source
-level, the edges that cross L; a level takes one row sum of its live
-block for the bare edges and one batched multiply-and-reduce (einsum)
-for the others, and the flows are summed at once by math.fsum, as those
-levels share the ring's scale.  The fold takes no dot product, so BLAS
-starts no threads in it.
+source state order; where a row's first edge is a plain add and its
+second is not, they trade places, which leaves their sum unchanged and
+makes the row's first write a multiply), so the result is bit-identical
+from run to run.  A level runs one flat program, a tuple of (ufunc,
+operand, operand, out) calls in that order, compiled at import per stage
+and ring phase (_Plan._program) over an operand table: the views of the
+ring rows and width vectors that a block reads, built once per block
+position (every ~32 levels at p = 2^-9, once per call where L <= 32),
+and the height vectors, which move with phi and are sliced per level.
+There is no branch per edge and no other kernel.  The hit probabilities
+are folded out of the last max-jump levels through the same factors
+(_Engine.hits).
 """
 
 from __future__ import annotations
@@ -234,16 +222,10 @@ class PiResult:
 
 
 def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
-    """The blocks of the coarsest partition of states, finer than RANK's,
-    in which all states of a block have the same multiset of (block of
-    dst, dw, dh, factor kind) over their moves, (src, dst, dw, dh, kind)
-    per table rule with kind an int naming the rule's factor key.  Each
-    state of a block then moves into each block at each (dw, dh) with the
-    same probability, at every (w, h) and p, so the chain on
-    (w, h, block) is a strong lumping of the chain on (w, h, state)
-    (Kemeny & Snell, Finite Markov Chains, 1960, 6.3) and has the same
-    hit probabilities.  Found by partition refinement: split every block
-    by that multiset until nothing splits."""
+    """The blocks of the coarsest strong lumping finer than RANK's
+    classes, of the moves (src, dst, dw, dh, factor key) per table rule:
+    starting from RANK, split every block by its states' multisets of
+    (block of dst, dw, dh, key) until nothing splits."""
     out = {s: [] for s in states}
     for src, *move in moves:
         out[src].append(move)
@@ -251,7 +233,7 @@ def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
     while True:
         ids = {}
         split = {s: ids.setdefault((block[s], tuple(sorted(
-            (block[dst], dw, dh, kind) for dst, dw, dh, kind in out[s]))),
+            (block[dst], dw, dh, key) for dst, dw, dh, key in out[s]))),
             len(ids)) for s in states}
         if len(ids) == count:
             break
@@ -384,43 +366,39 @@ class _Plan:
     per edge of the quotient into a stored row; the members are the
     moving rules (all but the absorbing self-loop) out of the block's
     first state into one block at one (dw, dh) with one factor key, in
-    table order.  An edge into a row no moving rule leaves is dropped,
-    and one that raises phi is refused: the hit fold reads only edges
-    into stored rows.  shared: per row, the (width, height) terms f_s
-    that all its edges with dphi > 0 share, which their factors leave out.
+    table order.  shared: per row, the (width, height) terms f_s that
+    all its edges with dphi > 0 share, which their factors leave out.
 
     nu: per row, the constant of its first self-loop that the shared
-    terms leave bare (1 where it shares none); kappa: the gauge that a
-    walk from the seed along the bare edges sets (_walk_gauge).  factors:
-    the distinct (monomial, width terms, height terms) of the flows into
-    target rows and of the conversions (see the module docstring);
+    terms leave bare (1 where it shares none); kappa: the gauge
+    (_walk_gauge).  factors: the distinct (monomial, width terms, height
+    terms) of the flows into target rows and of the conversions;
     (1, (), ()) is a plain shifted add.  An edge's probability is lam^dphi
     times its flow factor times kappa_s / kappa_t and, when dphi > 0,
-    nu_s f_s.  constants[at_p]: the factors' monomials at lam = 1, or at
-    lam = p with at_p; unkappa[at_p]: 1 / kappa_t per row, the same way.
-    stages[m]: (target row, pair, edge indices) per stored row in stage
-    (rank) order, over the edges with dphi <= m (all that has a source at
-    phi = m + 2), in canonical order: source phi ascending (dphi
-    descending), source w ascending (dw descending), source state order;
-    except that where a row's first two edges are plain adds, pair holds
-    their (dphi, source row, dw), for one add that writes both, and where
-    only the first is, it swaps places with the second, so that the row's
-    first write is a multiply; pair is None otherwise.  convert: (row,
-    factor index) per converted row.  bases: the bases the constants
-    name.  bounds: the distinct kappa_s and nu_s kappa_s at lam = 1,
-    which base_is_p checks.
+    nu_s f_s.  monomials[at_p]: a call's constants in the order
+    _factor_vectors evaluates them, at lam = 1, or at lam = p with at_p:
+    the factors' monomials, then 1 / kappa_t per row, then 1.  bases:
+    the bases they name.  bounds: the distinct kappa_s and nu_s kappa_s
+    at lam = 1, which base_is_p checks.  stages[m]: (target row, pair,
+    edge indices) per stored row in stage (rank) order, over the edges
+    with dphi <= m (all that has a source at phi = m + 2), in the
+    module docstring's canonical order; pair holds the (dphi, source row,
+    dw) of the row's first two edges where both are plain adds, for one
+    add that writes both, else None.  convert: (row, factor index) per
+    converted row.
 
     The stacked forms a call evaluates, with no Python loop per term,
-    factor or edge: n_f, shift, q_coeff: the term rows (f-terms first),
-    as _factor_vectors evaluates them.  ab_terms, ab_const: the stack of
-    the n_width width vectors, then the height vectors, each as the term
-    rows it multiplies and the index of its constant among the call's
-    constants (the factors', 1 / kappa_t per row, then 1); layout: per
-    factor, the stack rows of its width and height vectors, or None.
-    bare, fold_*: the hit fold's index arrays (see hits()).
+    factor or edge: n_f, shift, q_coeff: the term rows (f-terms first).
+    ab_terms, ab_const: the stack of the n_width width vectors, then the
+    height vectors, each as the term rows it multiplies and the position
+    of its constant in monomials; layout: per factor, the stack rows of
+    its width and height vectors, or None.  bare, fold_*: the hit fold's
+    index arrays (_Engine.hits), fold_unkappa the position of 1 / kappa_t
+    in monomials per crossing edge.
 
-    The sweep's programs (_program): programs[phase], the full stage's
-    calls at phi % window == phase; openings[m], stage m's at
+    The sweep's programs (_program), over a ring of window = max_dphi + 1
+    level slots: programs[phase], the full stage's calls at
+    phi % window == phase; openings[m], stage m's at
     phi = m + 2 < window + 1.  A call is (ufunc, operand, operand, out),
     each operand an index into the operand table, whose keys, operands,
     are those the programs read: the constants ("c"), from fixed_at the
@@ -431,33 +409,28 @@ class _Plan:
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
-        keys = [_factor_key(r) for r in table]
-        kinds = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-        moves = [(r.src, r.dst, r.dw, r.dh, kinds[key])
-                 for r, key in zip(table, keys)]
+        moves = [(r.src, r.dst, r.dw, r.dh, _factor_key(r)) for r in table]
         self.blocks = _coarsest_lumping(states, moves)
         name = {s: block[0] for block in self.blocks for s in block}
         merged = {}     # the quotient's edges, each with its member rules
-        for r, (src, dst, dw, dh, kind) in zip(table, moves):
+        for r, (src, dst, dw, dh, key) in zip(table, moves):
             if name[src] == src and not (src == dst and dw + dh == 0):
-                merged.setdefault((src, name[dst], dw, dh, kind),
+                merged.setdefault((src, name[dst], dw, dh, key),
                                   []).append(r)
         sources = {src for src, *_ in merged}
         self.rows = tuple(s for s in states if s in sources)
         row = {s: i for i, s in enumerate(self.rows)}
         self.seed_row = row["0"]
-        key_of = list(kinds)
         # (dphi, s, dw, dh, t, members, constant, width terms, height
         # terms); self.edges keeps the first five, then the factor index
         # that the last three resolve to, then the members
         edges = []
-        for (src, dst, dw, dh, kind), rules in merged.items():
+        for (src, dst, dw, dh, (const, a, b)), rules in merged.items():
             if dst not in row:
                 if dw + dh:
                     raise ValueError(f"a rule raises phi from {src} into "
                                      f"{dst}, which no moving rule leaves")
                 continue
-            const, a, b = key_of[kind]
             const = _times(const, (("lam", -dw - dh),) + (
                 ((str(len(rules)), 1),) if len(rules) > 1 else ()))
             edges.append((dw + dh, row[src], dw, dh, row[dst], tuple(rules),
@@ -500,14 +473,12 @@ class _Plan:
                              for s in range(len(self.rows))
                              if any(self.shared[s]))
         self.factors = tuple(index)
-        lams = (_UNIT, (("p", 1),))
-        self.constants = tuple(tuple(_put_lam(mono, lam)
-                                     for mono, _, _ in self.factors)
-                               for lam in lams)
-        self.unkappa = tuple(tuple(_put_lam(_times(_UNIT, k, -1), lam)
-                                   for k in kappa) for lam in lams)
-        self.bases = {base for monos in self.constants + self.unkappa
-                      for mono in monos for base, _ in mono}
+        monomials = ([mono for mono, _, _ in self.factors]
+                     + [_times(_UNIT, k, -1) for k in kappa] + [_UNIT])
+        self.monomials = tuple(tuple(_put_lam(mono, lam) for mono in monomials)
+                               for lam in (_UNIT, (("p", 1),)))
+        self.bases = {base for monos in self.monomials for mono in monos
+                      for base, _ in mono}
         self.bounds = {_put_lam(mono, _UNIT)
                        for mono in kappa + list(map(_times, nu, kappa))}
         # the terms as rows over n, f-terms first, then a row of ones: the
@@ -532,9 +503,8 @@ class _Plan:
                 (self.factors[i][dim] if i is not None else ())
                 + (None,) * width)[:width or 1]]
             for dim, i in stack], dtype=int).T)
-        one = len(self.factors) + len(kappa)    # the index of the 1
         self.ab_const = np.array([
-            [one if i is None or dim == 2 and self.factors[i][1] else i]
+            [-1 if i is None or dim == 2 and self.factors[i][1] else i]
             for dim, i in stack])
 
         def at(dim, i):     # the stack row of i's vector, or of the ones
@@ -556,7 +526,7 @@ class _Plan:
         self.bare = sum(c[5:] == ones for c in crossing)
         fold = np.array(crossing, dtype=int).reshape(-1, 7).T
         self.fold_j, self.fold_src, self.fold_fi = fold[:3, :self.bare]
-        self.fold_t, self.fold_k = fold[3:5]
+        self.fold_unkappa, self.fold_k = len(self.factors) + fold[3], fold[4]
         self.fold_kept = [(pos, *fold[[1, 5, 6]][:, pos]) for pos in (
             self.bare + np.flatnonzero(fold[0, self.bare:] == j)
             for j in range(self.max_dphi))]
@@ -582,7 +552,7 @@ class _Plan:
             return tuple(out)
 
         self.stages = tuple(stage(most) for most in range(self.max_dphi + 1))
-        window = self.max_dphi + 1
+        self.window = window = self.max_dphi + 1
         raw = [self._program(self.max_dphi, phase) for phase in range(window)]
         raw += [self._program(most, (most + 2) % window)
                 for most in range(self.max_dphi)]
@@ -620,10 +590,10 @@ class _Plan:
         multiplied into tmp and added, or, plain, added directly; then the
         conversions, by width vector, then by height vector."""
         mul, add = np.multiply, np.add
-        window, tmp, out = self.max_dphi + 1, ("tmp",), []
+        tmp, out = ("tmp",), []
 
         def src(dphi, s, dw):
-            return ("row", (phase - dphi) % window, s, dw)
+            return ("row", (phase - dphi) % self.window, s, dw)
 
         for t, pair, order in self.stages[most]:
             row = to = src(0, t, 0)
@@ -671,7 +641,7 @@ _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
     """(consts, vectors) of the plan at lam = p if at_p else at lam = 1.
 
-    consts: the factors' constants, then 1 / kappa_t per row, then 1.
+    consts: plan.monomials[at_p], evaluated.
     vectors: the stack of width vectors, then height vectors, each kind
     ending in a row of ones, over n = -_PAD .. N - _PAD - 1, the height
     vectors reversed: with (a, b) = plan.layout[i], factor i at source
@@ -680,8 +650,7 @@ def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
     non-positive arguments only ever meet zero source entries."""
     q = params.q
     bases = {base: _base(base, params) for base in plan.bases}
-    consts = np.array([_value(mono, bases) for mono in (
-        plan.constants[at_p] + plan.unkappa[at_p] + (_UNIT,))])
+    consts = np.array([_value(mono, bases) for mono in plan.monomials[at_p]])
     # every term over n; f-terms are 1 - e^{-q(n + shift)}, 1 where
     # n + shift <= 0
     n = np.arange(-_PAD, N - _PAD, dtype=float)
@@ -707,9 +676,8 @@ class _Engine:
                  memory_cap_bytes: int):
         self.plan = plan
         self.L = threshold
-        self.window = plan.max_dphi + 1
         self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
-        est = self.window * len(plan.rows) * self.N * 8
+        est = plan.window * len(plan.rows) * self.N * 8
         if est > memory_cap_bytes:
             # Decimal, as an explicit threshold can put est past the
             # double range; imported here to keep it off the import path
@@ -721,9 +689,9 @@ class _Engine:
         self.lam = params.p if at_p else 1.0
         self._consts, self._vectors = _factor_vectors(plan, params, self.N,
                                                       at_p)
-        self._levels = np.zeros((self.window, len(plan.rows), self.N))
+        self._levels = np.zeros((plan.window, len(plan.rows), self.N))
         # the seed: X = kappa F at (1, 1), and kappa is 1 at the seed row
-        self._levels[2 % self.window, plan.seed_row, 1 + _PAD] = 1.0
+        self._levels[2 % plan.window, plan.seed_row, 1 + _PAD] = 1.0
         # the arrays the programs' views slice (_Plan.block_spans and
         # level_spans), and their operand table: the constants, then the
         # views that last a block, then the height vectors, sliced per level
@@ -732,28 +700,23 @@ class _Engine:
         consts = self._consts.tolist()
         self._ops = [consts[key[1]] for key in plan.operands[:plan.fixed_at]]
         self._ops += [None] * (len(plan.operands) - plan.fixed_at)
-        self._los, self._his = [1] * self.window, [1] * self.window
+        self._los, self._his = [1] * plan.window, [1] * plan.window
         self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = 0
 
     # -- main loop ------------------------------------------------------------
     def sweep(self):
-        """Fill levels 2 .. L - 1 into the ring.
+        """Fill levels 2 .. L - 1 into the ring, each by its program over
+        its block [blo, bhi) (module docstring).
 
-        Each level runs its program (_Plan._program) over target widths
-        [lo, hi) rounded out to the block [blo, bhi) of multiples of
-        _BLOCK.  The rounded columns compute exact zeros, as every slot is
-        zero outside its range, and leave the slot so.  The program's
-        operand views are rebuilt only when the block moves; per level
-        only the height vectors are sliced.  A program's first write into
-        a row overwrites the block, so the block is not cleared: a slot is
-        fresh (zeros, but for the seed __init__ wrote) until phi = 2 +
-        window, and the openings (phi <= max_dphi + 1) hold only the edges
-        out of levels 2 .. phi, so none writes the seed's row at phi = 2;
-        from there on every stored row with an incoming edge is
-        overwritten.  What the slot's previous level left outside the
-        block is cleared first."""
-        L, N, window, plan = self.L, self.N, self.window, self.plan
+        A program's first write into a row overwrites the block, so the
+        block is not cleared: a slot is fresh (zeros, but for the seed
+        __init__ wrote) until phi = 2 + window, and the openings
+        (phi <= max_dphi + 1) hold only the edges out of levels 2 .. phi,
+        so none writes the seed's row at phi = 2; from there on every
+        stored row with an incoming edge is overwritten."""
+        L, N, plan = self.L, self.N, self.plan
+        window = plan.window
         levels, los, his = self._levels, self._los, self._his
         ops, bases = self._ops, self._bases
         at, end = plan.fixed_at, plan.heights_at
@@ -826,20 +789,20 @@ class _Engine:
         row over the live widths, or, where residual terms are left, the
         sum of the row times its width and height vectors; times
         1 / kappa_t it is the mass F that enters row t.  Per source level
-        L - j the rows are summed at once over
-        the live block, and the edges with residual terms
-        (_Plan.fold_kept) take one einsum over their gathered rows and
-        vectors.  The levels share one scale, so
-        the flows are summed once, each into a level T past L times
-        lam^(T - L), and (L - 2) log lam is added to the log; math.fsum
-        rounds the sum once, whatever the order of its terms."""
+        L - j the rows are summed at once over the live block, and the
+        edges with residual terms (_Plan.fold_kept) take one einsum over
+        their gathered rows and vectors; no dot product, so BLAS starts
+        no threads here.  The levels share one scale, so the flows are
+        summed once, each into a level T past L times lam^(T - L), and
+        (L - 2) log lam is added to the log; math.fsum rounds the sum
+        once, whatever the order of its terms."""
         L, N, plan = self.L, self.N, self.plan
         if L == 2:
             return 0.0, 0.0
         sums = np.zeros((plan.max_dphi, len(plan.rows)))
-        flows = np.zeros(len(plan.fold_t))
+        flows = np.zeros(len(plan.fold_k))
         for j in range(1, min(plan.max_dphi, L - 2) + 1):
-            slot = (L - j) % self.window
+            slot = (L - j) % plan.window
             lo, hi = self._los[slot], self._his[slot]
             la, lb, cnt = lo + _PAD, N - 1 - _PAD - L + j + lo, hi - lo
             block = self._levels[slot][:, la:la + cnt]
@@ -851,7 +814,7 @@ class _Engine:
                                       self._vectors[b, lb:lb + cnt])
         np.multiply(sums[plan.fold_j, plan.fold_src],
                     self._consts[plan.fold_fi], out=flows[:plan.bare])
-        flows *= self._consts[len(plan.factors) + plan.fold_t]
+        flows *= self._consts[plan.fold_unkappa]
         flows *= np.array([self.lam ** k for k in range(plan.max_dphi)])[
             plan.fold_k]
         scale = self.scale + (L - 2) * math.log(self.lam)

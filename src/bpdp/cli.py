@@ -34,6 +34,7 @@ subnormal p, or at least one failed `scan` row; `scan` then ends with
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -132,28 +133,28 @@ def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes):
     except ValueError as exc:
         raise click.UsageError(f"no valid default threshold for p={pv!r} "
                                f"({exc}); give --threshold") from None
+    result = _checked_pi(params, memory_cap_bytes=memory_cap_bytes)
+    outputs = dataclasses.asdict(result)
+    outputs["L"] = outputs.pop("threshold")
+    del outputs["model"], outputs["wall_time_seconds"]
+    _emit_record("pi", {
+        "p": pv, "log2_inv_p": log2_inv_p, "threshold": params.threshold,
+        "convention": convention,
+    }, outputs, result.wall_time_seconds)
+
+
+def _checked_pi(params: ChainParams, **kwargs):
+    """compute_pi(params, **kwargs), with an ArithmeticError or a log_pi
+    that is not finite raised as ComputationFailure."""
     try:
-        result = compute_pi(params, memory_cap_bytes=memory_cap_bytes)
+        result = compute_pi(params, **kwargs)
     except ArithmeticError as exc:
         raise ComputationFailure(str(exc)) from None
     if not math.isfinite(result.log_pi):
         raise ComputationFailure(
             f"log_pi is not finite (log_hit_prob={result.log_hit_prob!r}): "
             "the hit probability underflowed to 0")
-    outputs = {
-        "p": result.p, "q": result.q, "L": result.threshold,
-        "convention": result.convention,
-        "log_hit_prob": result.log_hit_prob, "log_pi": result.log_pi,
-        "levels": result.levels, "cells_swept": result.cells_swept,
-        "level_bytes": result.level_bytes,
-        "prepare_seconds": result.prepare_seconds,
-        "sweep_seconds": result.sweep_seconds,
-        "hits_seconds": result.hits_seconds,
-    }
-    _emit_record("pi", {
-        "p": pv, "log2_inv_p": log2_inv_p, "threshold": params.threshold,
-        "convention": convention,
-    }, outputs, result.wall_time_seconds)
+    return result
 
 
 _HEADER = "log2_inv_p,log_pi"
@@ -285,11 +286,8 @@ def cmd_scan(krange, convention, output, resume):
         failed = 0
         for k in todo:
             try:
-                params = ChainParams.from_p(2.0 ** -k, convention=convention)
-                result = compute_pi(params)
-                if not math.isfinite(result.log_pi):
-                    raise ArithmeticError(
-                        f"log_pi is not finite ({result.log_pi!r})")
+                result = _checked_pi(ChainParams.from_p(2.0 ** -k,
+                                                        convention=convention))
             except Exception as exc:  # per-row failures recorded, scan continues
                 click.echo(f"# k={k} failed: {exc}", err=True)
                 failed += 1

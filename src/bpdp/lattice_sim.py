@@ -135,6 +135,15 @@ _2N_CORNERS = {
 }
 
 
+def _is_frobose(model: str) -> bool:
+    """Whether model names the Frobose rule rather than the two-neighbour
+    one; ValueError for any other name."""
+    if model not in ("frobose", "two-neighbour"):
+        raise ValueError(f"unknown model {model!r} (want 'frobose' or "
+                         "'two-neighbour')")
+    return model == "frobose"
+
+
 @dataclass(frozen=True)
 class FramedRectangle:
     """Rectangle plus the frame state naming its revealed-empty buffers.
@@ -148,12 +157,13 @@ class FramedRectangle:
 
     def frame_cells(self, model: str = "frobose") -> Set[Site]:
         keys = FRAME_BUFFERS[self.state]
-        if model == "frobose" and self.state == "2''":
+        frobose = _is_frobose(model)
+        if frobose and self.state == "2''":
             raise ValueError("frame state 2'' exists only for the "
                              "two-neighbour model")
-        bufs = _buffers(self.rect, 1 if model == "frobose" else 2)
+        bufs = _buffers(self.rect, 1 if frobose else 2)
         out: Set[Site] = set().union(*(bufs[key] for key in keys))
-        if model != "frobose":
+        if not frobose:
             out |= {corner(self.rect) for pair, corner in _2N_CORNERS.items()
                     if pair <= set(keys)}
         return out
@@ -235,7 +245,7 @@ def _rect_distance(r1: Rectangle, r2: Rectangle) -> int:
 def rectangles_process_closure(infected: Iterable[Site], model: str) -> Set[Site]:
     """Closure via iterated merging of rectangles at graph distance <= 2
     (two-neighbour) or <= 1 (Frobose)."""
-    maxdist = {"two-neighbour": 2, "frobose": 1}[model]
+    maxdist = 1 if _is_frobose(model) else 2
     rects: List[Rectangle] = [Rectangle(x, y, x + 1, y + 1) for x, y in set(infected)]
     merged = True
     while merged:
@@ -259,7 +269,7 @@ def rectangles_process_closure(infected: Iterable[Site], model: str) -> Set[Site
     return out
 
 
-def _local_closure(infected, germs, queue, box, model) -> Set[Site]:
+def _local_closure(infected, germs, queue, box, frobose) -> Set[Site]:
     """Worklist engine shared by the local closures and crossings.
 
     Every cell enters the queue at most once, when it becomes a germ, and
@@ -272,7 +282,6 @@ def _local_closure(infected, germs, queue, box, model) -> Set[Site]:
         xc = yc = 1 << 60
     else:
         xa, ya, xc, yc = box.a, box.b, box.c, box.d
-    frobose = model == "frobose"
     while queue:
         gx, gy = queue.pop()
         for dx, dy in _NEIGHBOURS:
@@ -321,7 +330,7 @@ def local_closure_two_neighbour(infected: Iterable[Site], germ: Site,
     inf = set(infected)
     if germ not in inf:
         raise ValueError("germ must be infected")
-    return _local_closure(inf, {germ}, [germ], box, "two-neighbour")
+    return _local_closure(inf, {germ}, [germ], box, False)
 
 
 def local_closure_frobose(infected: Iterable[Site], germ: Site,
@@ -331,7 +340,7 @@ def local_closure_frobose(infected: Iterable[Site], germ: Site,
     inf = set(infected)
     if germ not in inf:
         raise ValueError("germ must be infected")
-    return _local_closure(inf, {germ}, [germ], box, "frobose")
+    return _local_closure(inf, {germ}, [germ], box, True)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +353,7 @@ def occupied(cells: Iterable[Site], infected: Set[Site]) -> bool:
 
 def internally_filled(rect: Rectangle, infected: Set[Site], model: str) -> bool:
     inside = {s for s in infected if s in rect}
-    closure = (closure_frobose if model == "frobose"
+    closure = (closure_frobose if _is_frobose(model)
                else closure_two_neighbour)(inside, rect)
     return len(closure) == rect.width * rect.height
 
@@ -352,7 +361,7 @@ def internally_filled(rect: Rectangle, infected: Set[Site], model: str) -> bool:
 def locally_internally_filled(rect: Rectangle, infected: Set[Site],
                               model: str) -> bool:
     inside = {s for s in infected if s in rect}
-    local = (local_closure_frobose if model == "frobose"
+    local = (local_closure_frobose if _is_frobose(model)
              else local_closure_two_neighbour)
     full = rect.width * rect.height
     for germ in inside:
@@ -365,6 +374,7 @@ def crossing(small: Rectangle, big: Rectangle, infected: Set[Site],
              model: str) -> bool:
     """A filled small rectangle plus the infections inside big fills big,
     under the local dynamics seeded in the small rectangle."""
+    frobose = _is_frobose(model)
     if not big.contains_rect(small):
         raise ValueError("need small contained in big")
     available = {s for s in big.cells() if s in infected}
@@ -380,7 +390,7 @@ def crossing(small: Rectangle, big: Rectangle, infected: Set[Site],
                 or (y == small.b and big.b < small.b)
                 or (y == small.d - 1 and big.d > small.d)):
             queue.append((x, y))
-    out = _local_closure(available, germs, queue, big, model)
+    out = _local_closure(available, germs, queue, big, frobose)
     return len(out) == big.width * big.height
 
 

@@ -607,7 +607,8 @@ def reference_sweep(eng):
     looked up through the plan's layout, written into the row or added to
     it, then the conversions; the ring's rescales and window as in
     _Engine.sweep."""
-    plan, L, N, window, pad = eng.plan, eng.L, eng.N, eng.window, engine._PAD
+    plan, L, N, window, pad = (eng.plan, eng.L, eng.N, eng.plan.window,
+                               engine._PAD)
     levels, los, his = eng._levels, eng._los, eng._his
     vectors, consts = eng._vectors, eng._consts.tolist()
     rows = [list(level) for level in levels]
@@ -696,7 +697,7 @@ def reference_fold(eng):
     vectors, consts = eng._vectors, eng._consts.tolist()
     on_L, past_L = [], []
     for sphi in range(max(2, L - eng.plan.max_dphi), L):
-        slot = sphi % eng.window
+        slot = sphi % eng.plan.window
         lo, hi = eng._los[slot], eng._his[slot]
         la, lb, cnt = lo + pad, N - 1 - pad - sphi + lo, hi - lo
         for dphi, s, _, _, t, fi, _ in eng.plan.edges:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -92,6 +93,27 @@ class TestPi:
         phases = [out[key] for key in PHASE_KEYS]
         assert min(phases) >= 0.0
         assert sum(phases) <= rec["wall_time_seconds"]
+
+    @pytest.mark.parametrize("args", [
+        ("--log2-inv-p", "3"),
+        ("--p", "0.3", "--threshold", "40", "--convention", "at-least")],
+        ids=["k3", "p0.3-L40-at-least"])
+    def test_outputs_are_the_result(self, monkeypatch, args):
+        # PiResult's fields, threshold as L, without model and the wall
+        # time, which is a top-level key
+        real, results = bpdp.cli.compute_pi, []
+
+        def spy(params, **kwargs):
+            results.append(real(params, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bpdp.cli, "compute_pi", spy)
+        rec = json.loads(run_cli("pi", *args).stdout)
+        want = dataclasses.asdict(results[0])
+        want["L"] = want.pop("threshold")
+        del want["model"]
+        assert rec["wall_time_seconds"] == want.pop("wall_time_seconds")
+        assert rec["outputs"] == want
 
     def test_trivial_threshold(self):
         r = run_cli("pi", "--p", "0.9", "--threshold", "2")

@@ -128,6 +128,23 @@ class TestEvents:
         with pytest.raises(ValueError):
             event_holds("nope", rect, set())
 
+    @pytest.mark.parametrize("call", [
+        lambda m: internally_filled(Rectangle(0, 0, 2, 2), {(0, 0)}, m),
+        lambda m: locally_internally_filled(Rectangle(0, 0, 2, 2), {(0, 0)},
+                                            m),
+        lambda m: crossing(Rectangle(0, 0, 1, 1), Rectangle(0, 0, 2, 2),
+                           {(0, 0)}, m),
+        lambda m: FramedRectangle(Rectangle(0, 0, 2, 2), "2").frame_cells(m),
+        lambda m: rectangles_process_closure({(0, 0)}, m),
+    ], ids=["internally_filled", "locally_internally_filled", "crossing",
+            "frame_cells", "rectangles_process_closure"])
+    def test_unknown_model_is_refused(self, call):
+        # a misspelled name is refused, not run as the two-neighbour rule
+        call("frobose")
+        call("two-neighbour")
+        with pytest.raises(ValueError, match="'Frobose'"):
+            call("Frobose")
+
     def test_stacking_crossings(self):
         rng = np.random.default_rng(12)
         S = Rectangle(0, 0, 2, 2)
