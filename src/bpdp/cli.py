@@ -2,9 +2,10 @@
 
 Every subcommand prints one self-describing JSON record (or CSV where a
 table is the natural shape), with the tool version and the host it ran
-on (`host`: CPU count, Python and numpy versions, machine).  JSON numbers use Python's shortest
-round-trip repr and CSV cells 17 significant digits, so binary64 values
-round-trip either way.  Configuration precedence is flags, then
+on (`host`: CPU count, Python and numpy versions, the name and version
+of numpy's BLAS, machine).  JSON numbers use Python's shortest round-trip
+repr and CSV cells 17 significant digits, so binary64 values round-trip
+either way.  Configuration precedence is flags, then
 BPDP_-prefixed environment variables, then defaults.
 
 JSON is written with allow_nan=False, so a record never carries NaN or
@@ -68,6 +69,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.25 has no mode="dicts"
+        return "unknown"
+    return f"{blas['name']} {blas['version']}"
+
+
 def _emit_record(command: str, parameters: dict, outputs: dict,
                  wall_time_seconds: float, seed: Optional[int] = None):
     record = {
@@ -78,7 +88,8 @@ def _emit_record(command: str, parameters: dict, outputs: dict,
         "tool_version": __version__,
         "host": {"cpu_count": os.cpu_count(),
                  "python": platform.python_version(),
-                 "numpy": np.__version__, "machine": platform.machine()},
+                 "numpy": np.__version__, "blas": _blas(),
+                 "machine": platform.machine()},
     }
     if seed is not None:
         record["seed"] = seed

@@ -12,9 +12,12 @@ transitions are the rows of ``FROBOSE_TABLE``, the chain's own table.
 ``explore`` runs on a bitboard: the box is one Python int, cell (x, y) at
 bit (y - box.b) * stride + (x - box.a) with stride box.width + 1, so an
 always-empty guard column keeps x-shifts from wrapping between rows.  The
-board is loaded lazily, cell by cell from the caller's set, over
-rect.expand(2) of each step's rectangle, the only cells a step reads.
-Frame tests are masks ANDed with the unrevealed infections.
+board is loaded lazily from the caller's set, over rect.expand(2) of each
+step's rectangle, the only cells a step reads: each cell is looked up
+once, and the new cells of each row go onto the board with one OR.
+Frame tests are masks ANDed with the unrevealed infections, and each
+step's output is built by ``_framed``, which skips the public
+constructors' degeneracy check: a step only grows a valid rectangle.
 
 Crossings need no fixpoint.  Every Frobose row grows each side by 0 or 1,
 so a crossing adds a one-cell ring to a rectangle whose cells are all
@@ -28,9 +31,11 @@ when an infected corner joins it to a line that fills; and a corner,
 whose one square is its two line ends and a rectangle cell, fills when
 both its lines do.  The crossing holds when every grown line fills: a
 function of 4 line bits and 4 corner bits, which ``_ring_crossings``
-tabulates per row at import.  The closures, ``crossing`` and the
-worklist ``_local_closure`` stay set-based: they are the independent
-oracle the bitboard is tested against.
+tabulates per row at import.  ``_EXPLORE_RULES`` turns those tables into
+the candidate rows of each frame state and key, so a step reads its
+candidates off one lookup.  The closures, ``crossing`` and the worklist
+``_local_closure`` stay set-based: they are the independent oracle the
+bitboard is tested against.
 """
 
 from __future__ import annotations
@@ -486,13 +491,41 @@ def _ring_crossings(rule) -> int:
     return keys
 
 
-# Candidate transitions out of each live frame state, in table row order:
-# the side offsets, the destination state, its side buffers and the keys
-# whose crossing holds.
-_EXPLORE_RULES = {s: tuple((r.alpha, r.beta, r.gamma, r.delta, r.dst,
-                            FRAME_BUFFERS[r.dst], _ring_crossings(r))
-                           for r in frobose_transitions(s))
-                  for s in FROBOSE_STATES if s != "4"}
+def _explore_rules():
+    """Candidate transitions by live frame state and step key, in table
+    row order: the rows whose crossing holds, as their side offsets, the
+    destination state and its right, up, left and down buffer flags.
+    The keys with the same candidates share one tuple."""
+    rules = {}
+    for s in FROBOSE_STATES:
+        if s == "4":
+            continue
+        table = frobose_transitions(s)
+        rows = [(r.alpha, r.beta, r.gamma, r.delta, r.dst,
+                 *(side in FRAME_BUFFERS[r.dst] for side in "ruld"))
+                for r in table]
+        # holds[key][i] is "1" when the crossing of row i holds for key
+        holds = list(zip(*(format(_ring_crossings(r), "0256b")[::-1]
+                           for r in table)))
+        candidates = {h: tuple(row for row, bit in zip(rows, h) if bit == "1")
+                      for h in set(holds)}
+        rules[s] = tuple(candidates[h] for h in holds)
+    return rules
+
+
+_EXPLORE_RULES = _explore_rules()
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _framed(a: int, b: int, c: int, d: int, state: str) -> FramedRectangle:
+    """FramedRectangle(Rectangle(a, b, c, d), state) for a < c and b < d,
+    built without the generated __init__s and the degeneracy check."""
+    rect = _new(Rectangle)
+    _set(rect, "__dict__", {"a": a, "b": b, "c": c, "d": d})
+    framed = _new(FramedRectangle)
+    _set(framed, "__dict__", {"rect": rect, "state": state})
+    return framed
 
 
 def explore(infected: Set[Site], seed_rect: Rectangle,
@@ -510,14 +543,21 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
     step the cells of rect.expand(2) not loaded yet are looked up in
     ``infected`` with Python-int coordinates, so its sites may be tuples
     of numpy integers, and sites outside that region are never read.
-    The loaded region is a rectangle that only grows, so the new cells
-    are the new columns beside its rows, looked up one column at a time,
-    and then the new full rows above and below it; no cell is looked up
-    twice.
+    The loaded region is a rectangle that only grows, so a row's new
+    cells are the new columns beside it if it was loaded before, and the
+    whole row otherwise.  They are looked up a row at a time, and the
+    row's infected cells, gathered into a small int, go onto the board
+    with one OR.  No cell is looked up twice, and a step that keeps the
+    rectangle's size looks up none.
     Each step's key says which lines and corners of the one-cell ring
     around the rectangle hold unrevealed infections; a row's crossing holds
     when every line it grows holds one or is joined to one that does by
-    infected corners (proof in the module docstring).
+    infected corners (proof in the module docstring).  The candidates are
+    ``_EXPLORE_RULES[state][key]``, the rows whose crossing holds for that
+    key in table order; each is then tested on its new frame, so
+    disjointness and exhaustiveness are checked on every step.  The steps
+    are built by ``_framed``, without the public constructors' check:
+    every step only grows the seed rectangle, so none is degenerate.
     """
     out = [FramedRectangle(seed_rect, "0")]
     x0, y0 = box.a, box.b
@@ -527,25 +567,12 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
     for h in range(tallest):
         column.append(column[-1] | 1 << (h * stride))
 
-    def frame(a, b, c, d, sides):
-        mask = 0
-        for side in sides:
-            if side == "r":
-                mask |= column[d - b] << (b * stride + c)
-            elif side == "l":
-                mask |= column[d - b] << (b * stride + a - 1)
-            elif side == "u":
-                mask |= ((1 << (c - a)) - 1) << (d * stride + a)
-            else:
-                mask |= ((1 << (c - a)) - 1) << ((b - 1) * stride + a)
-        return mask
-
     # board coordinates of the current rectangle, and the box size
     a, b = seed_rect.a - x0, seed_rect.b - y0
     c, d = seed_rect.c - x0, seed_rect.d - y0
     width, height = box.width, box.height
     board = 0                      # infections among the loaded cells
-    la, lb, lc, ld = a, b, a, b    # loaded region, empty so far
+    la, lb, lc, ld = a - 2, b, c + 2, b   # loaded region: no rows yet
     revealed = 0
     state = "0"
     while state != "4":
@@ -553,17 +580,17 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
             break
         if a < 2 or b < 2 or c + 2 > width or d + 2 > height:
             break  # censored at the box boundary
-        for x in (*range(a - 2, la), *range(lc, c + 2)):
-            xx = x + x0
-            for y in range(lb, ld):
-                if (xx, y + y0) in infected:
-                    board |= 1 << (y * stride + x)
-        for y in (*range(b - 2, lb), *range(ld, d + 2)):
-            row, yy = y * stride, y + y0
-            for x in range(a - 2, c + 2):
-                if (x + x0, yy) in infected:
-                    board |= 1 << (row + x)
-        la, lb, lc, ld = a - 2, b - 2, c + 2, d + 2
+        if (la, lb, lc, ld) != (a - 2, b - 2, c + 2, d + 2):
+            sides = (*range(a - 2, la), *range(lc, c + 2))
+            full = range(a - 2, c + 2)
+            for y in range(b - 2, d + 2):
+                yy, bits = y + y0, 0
+                for x in sides if lb <= y < ld else full:
+                    if (x + x0, yy) in infected:
+                        bits |= 1 << x
+                if bits:
+                    board |= bits << (y * stride)
+            la, lb, lc, ld = a - 2, b - 2, c + 2, d + 2
         run = ((1 << (c - a)) - 1) << a         # the columns of small
         span = column[d - b] << (b * stride)    # the rows of small
         revealed |= run * span                  # small itself
@@ -578,12 +605,22 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
                | (hidden >> (lo + a - 1) & 1) << 6
                | (hidden >> (lo + c) & 1) << 7)
         chosen = None
-        for alpha, beta, gamma, delta, dst, sides, crosses in \
-                _EXPLORE_RULES[state]:
-            if not crosses >> key & 1:
-                continue
+        for alpha, beta, gamma, delta, dst, right, up, left, down in \
+                _EXPLORE_RULES[state][key]:
             na, nb, nc, nd = a - alpha, b - beta, c + gamma, d + delta
-            buffers = frame(na, nb, nc, nd, sides)
+            buffers = 0
+            if right or left:
+                rows = column[nd - nb] << (nb * stride)
+                if right:
+                    buffers = rows << nc
+                if left:
+                    buffers |= rows << (na - 1)
+            if up or down:
+                cols = ((1 << (nc - na)) - 1) << na
+                if up:
+                    buffers |= cols << (nd * stride)
+                if down:
+                    buffers |= cols << ((nb - 1) * stride)
             if buffers & hidden:
                 continue
             if chosen is not None:
@@ -594,8 +631,7 @@ def explore(infected: Set[Site], seed_rect: Rectangle,
             raise AssertionError(f"no transition event holds at {out[-1]}")
         a, b, c, d, state, buffers = chosen
         revealed |= buffers
-        out.append(FramedRectangle(
-            Rectangle(a + x0, b + y0, c + x0, d + y0), state))
+        out.append(_framed(a + x0, b + y0, c + x0, d + y0, state))
     return out
 
 

@@ -75,9 +75,11 @@ class TestPi:
         rec = json.loads(run_cli("pi", "--log2-inv-p", "3").stdout)
         assert set(rec) == {"command", "parameters", "outputs",
                             "wall_time_seconds", "tool_version", "host"}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert rec["host"] == {"cpu_count": os.cpu_count(),
                                "python": platform.python_version(),
                                "numpy": np.__version__,
+                               "blas": f"{blas['name']} {blas['version']}",
                                "machine": platform.machine()}
         assert set(rec["parameters"]) == {"p", "log2_inv_p", "threshold",
                                           "convention"}

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -401,6 +402,48 @@ class TestExploreAgainstSets:
                 assert set(looked) <= traj[-1].rect.expand(2).cells()
                 # the last rectangle stops the walk before it loads
                 assert set(looked) == traj[-2].rect.expand(2).cells()
+
+
+def bridge_configurations(seed, n):
+    """Bernoulli(0.3) configurations on the lattice-bridge box, germ (0, 0)."""
+    rng = np.random.default_rng(np.random.Philox(seed))
+    box = Rectangle(-12, -12, 13, 13)
+    cells = sorted(box.cells() - {(0, 0)})
+    for _ in range(n):
+        A = {c for c, m in zip(cells, rng.random(len(cells)) < 0.3) if m}
+        A.add((0, 0))
+        yield A, box
+
+
+class TestExploreOutput:
+    """explore builds its steps without the public constructors' check."""
+
+    def test_steps_are_the_public_objects(self):
+        for i, (A, box) in enumerate(bridge_configurations(35, 400)):
+            for fr in explore(A, Rectangle(0, 0, 1, 1), box,
+                              10 if i % 2 else None):
+                r = fr.rect
+                assert type(fr) is FramedRectangle and type(r) is Rectangle
+                assert r.a < r.c and r.b < r.d
+                assert all(type(v) is int for v in (r.a, r.b, r.c, r.d))
+                public = FramedRectangle(Rectangle(r.a, r.b, r.c, r.d),
+                                         fr.state)
+                assert fr == public and hash(fr) == hash(public)
+                assert r == public.rect and hash(r) == hash(public.rect)
+                assert vars(fr) == vars(public)
+                assert vars(r) == vars(public.rect)
+
+    def test_trajectory_digest(self):
+        # SHA-256 of 500 capped lattice-bridge trajectories, as computed by
+        # the explore that built each step with the public constructors
+        digest = hashlib.sha256()
+        for A, box in bridge_configurations(36, 500):
+            for fr in explore(A, Rectangle(0, 0, 1, 1), box, 10):
+                r = fr.rect
+                digest.update(f"{r.a},{r.b},{r.c},{r.d},{fr.state};".encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == (
+            "8a3a4e38b737fbd7f681b656d48d76497c74ce234bdcc0c6244b3568b2d1dc66")
 
 
 class TestEstimators:
