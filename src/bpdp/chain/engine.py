@@ -53,16 +53,16 @@ into X_t: for Frobose 11 of the 13 moving edges become plain shifted
 adds of a stored row, 3 to 1'' keeps the scalar 1/2 and 3 to 0 the
 scalar (4 - 3p) e^q / 2.  Rank-up edges read the current level before
 its conversion, with the ratio kappa_t / kappa_s in their vector.  A Frobose
-level takes 23 ufunc calls (18 for the edges, 5 conversions) where
-multiplying every edge by a factor vector took 29; a two-neighbour level
-takes 82.  A call evaluates every constant once, into one vector, and
-every distinct term once, as the rows of one array over n (f-terms in
-one expression, q-terms in another).  A factor's vectors, products of
-term rows with its constant folded into the width vector (or the height
-vector where it has none), are rows of one stack (_Plan.layout), the
-height ones reversed so every edge reads contiguous slices; a factor
-with no terms is its constant.  The level base lam below keeps all of
-these in the double range at tiny p.
+level takes 23 ufunc calls (18 for the edges, 5 conversions), a
+two-neighbour level 82.  A call evaluates each base and each power of it
+once, every constant as a product of powers, and every distinct term
+once, as the rows of one array over n (f-terms in one expression,
+q-terms in another) and of its reversed copy.  A factor's vectors,
+products of those rows with its constant folded into the width vector
+(or the height vector where it has none), are rows of one stack
+(_Plan.layout), the height ones reversed so every edge reads contiguous
+slices; a factor with no terms is its constant.  The level base lam
+below keeps all of these in the double range at tiny p.
 
 kappa_s grows like p^depth (2 p^3 e^q for Frobose row 3), and at tiny p
 a level holds about p times the mass of the one before, so one gauge
@@ -105,15 +105,12 @@ would only sum zeros.
 
 No entry is flushed: inside the range an entry below the smallest normal
 double stays, as a subnormal or zero, and later levels read it.  Only
-the dropped columns lose mass, each entry at most about e^-692 below the
-level's largest (which lies in [e^-16, 1]); that loss is measured, not
-bounded.  Few kept entries are subnormal: 0.17% of the live entries at
-p = 2^-8, 0.27% at p = 2^-10 and 1.5% at p = 0.5, L = 2000 (there 46%
-lie below the smallest normal double, nearly all of them zeros).
-Flushing every such entry to zero, as the sweep once did, gave the same
-log_hit_prob to the bit at every point checked (Frobose, k = 2..10 and
-p from 0.9 down to 1e-150, L up to 2000) and cost a compare and a
-masked copy per level.
+the dropped columns (PiResult.cells_dropped) lose mass, each entry at
+most about e^-692 below the level's largest (which lies in [e^-16, 1]);
+that loss is measured, not bounded.  Few kept entries are subnormal:
+0.17% of the live entries at p = 2^-8, 0.27% at p = 2^-10 and 1.5% at
+p = 0.5, L = 2000 (there 46% lie below the smallest normal double,
+nearly all of them zeros).
 
 One sweep fills each level on one thread, and the edge vectors are added
 in a fixed canonical order (source phi ascending, source width ascending,
@@ -127,8 +124,8 @@ ring rows and width vectors that a block reads, built once per block
 position (every ~32 levels at p = 2^-9, once per call where L <= 32),
 and the height vectors, which move with phi and are sliced per level.
 There is no branch per edge and no other kernel.  The hit probabilities
-are folded out of the last max-jump levels through the same factors
-(_Engine.hits).
+are folded out of the last max-jump levels through the same factors,
+by row sums and one einsum (_Engine.hits).
 """
 
 from __future__ import annotations
@@ -219,6 +216,7 @@ class PiResult:
     hits_seconds: float = 0.0      # the hit fold out of the last levels
     levels: int = 0                # levels swept, L - 2
     level_bytes: int = 0           # bytes of the allocated level ring
+    cells_dropped: int = 0  # of those, the cells the live window dropped
 
 
 def _coarsest_lumping(states: Sequence[str], moves: Sequence[tuple]):
@@ -305,14 +303,6 @@ def _base(name: str, params: ModelParams) -> float:
     return -math.expm1(-params.q * int(name[1:]))
 
 
-def _value(mono: tuple, bases: dict) -> float:
-    """The monomial at the base values bases."""
-    out = 1.0
-    for base, e in mono:
-        out *= bases[base] ** e
-    return out
-
-
 def _shared(term_lists: list) -> tuple:
     """The terms that every list holds, as often as each holds them, in
     the order of the first list."""
@@ -375,11 +365,13 @@ class _Plan:
     terms) of the flows into target rows and of the conversions;
     (1, (), ()) is a plain shifted add.  An edge's probability is lam^dphi
     times its flow factor times kappa_s / kappa_t and, when dphi > 0,
-    nu_s f_s.  monomials[at_p]: a call's constants in the order
-    _factor_vectors evaluates them, at lam = 1, or at lam = p with at_p:
-    the factors' monomials, then 1 / kappa_t per row, then 1.  bases:
-    the bases they name.  bounds: the distinct kappa_s and nu_s kappa_s
-    at lam = 1, which base_is_p checks.  stages[m]: (target row, pair,
+    nu_s f_s.  monomials[at_p]: a call's constants in their order, at
+    lam = 1, or at lam = p with at_p: the factors' monomials, then
+    1 / kappa_t per row, then 1; powers, products: their distinct
+    (base, power), and the positions of 1 and of each one's powers among
+    those, flat, and where each starts.  bases: the bases they name.
+    bounds: the distinct kappa_s and nu_s kappa_s at lam = 1, which
+    base_is_p checks.  stages[m]: (target row, pair,
     edge indices) per stored row in stage (rank) order, over the edges
     with dphi <= m (all that has a source at phi = m + 2), in the
     module docstring's canonical order; pair holds the (dphi, source row,
@@ -389,12 +381,11 @@ class _Plan:
 
     The stacked forms a call evaluates, with no Python loop per term,
     factor or edge: n_f, shift, q_coeff: the term rows (f-terms first).
-    ab_terms, ab_const: the stack of the n_width width vectors, then the
-    height vectors, each as the term rows it multiplies and the position
-    of its constant in monomials; layout: per factor, the stack rows of
-    its width and height vectors, or None.  bare, fold_*: the hit fold's
-    index arrays (_Engine.hits), fold_unkappa the position of 1 / kappa_t
-    in monomials per crossing edge.
+    ab_terms, ab_more, ab_const: the stack of width vectors, then height
+    vectors, as the first term row each multiplies, the slice and rows of
+    each further term, and the position of its constant in monomials;
+    layout: per factor, the stack rows of its width and height vectors,
+    or None.  bare, fold_*: the hit fold's index arrays (_Engine.hits).
 
     The sweep's programs (_program), over a ring of window = max_dphi + 1
     level slots: programs[phase], the full stage's calls at
@@ -477,8 +468,13 @@ class _Plan:
                      + [_times(_UNIT, k, -1) for k in kappa] + [_UNIT])
         self.monomials = tuple(tuple(_put_lam(mono, lam) for mono in monomials)
                                for lam in (_UNIT, (("p", 1),)))
-        self.bases = {base for monos in self.monomials for mono in monos
-                      for base, _ in mono}
+        self.powers = tuple(tuple(dict.fromkeys(sum(monos, ())))
+                            for monos in self.monomials)
+        self.products = tuple((np.array([i for mono in monos for i in (
+            len(pw), *map(pw.index, mono))]), np.cumsum(
+                [0] + [len(mono) + 1 for mono in monos[:-1]]))
+            for monos, pw in zip(self.monomials, self.powers))
+        self.bases = {base for powers in self.powers for base, _ in powers}
         self.bounds = {_put_lam(mono, _UNIT)
                        for mono in kappa + list(map(_times, nu, kappa))}
         # the terms as rows over n, f-terms first, then a row of ones: the
@@ -489,20 +485,22 @@ class _Plan:
         self.shift, self.q_coeff = (
             np.array(column, float).reshape(-1, 1) for column in (
                 [term[1] for term in terms], [t[2] for t in terms[self.n_f:]]))
-        # the stack of vectors: the n_width width vectors, then the height
-        # vectors, each as the rows it multiplies, padded with the row of
-        # ones, and the constant it takes: its factor's, or the last
-        # constant, 1, for a height vector whose factor has a width vector;
-        # the last of each kind is all ones (None)
-        stack = [(dim, i) for dim in (1, 2) for i in [
-            i for i, key in enumerate(self.factors) if key[dim]] + [None]]
-        self.n_width = sum(dim == 1 for dim, _ in stack)
-        width = max(len(key[dim]) for key in self.factors for dim in (1, 2))
-        self.ab_terms = tuple(np.array([[
-            (terms + [None]).index(t) for t in (
-                (self.factors[i][dim] if i is not None else ())
-                + (None,) * width)[:width or 1]]
-            for dim, i in stack], dtype=int).T)
+        # the stack of vectors: width vectors by ascending count of terms,
+        # then height vectors by descending count (the rows of ones, None,
+        # have none), so those with more than c terms are one slice; each
+        # as its term rows (the heights' in the reversed copy) and its
+        # constant: its factor's, or the last, 1, for a height vector whose
+        # factor has a width vector
+        keys = {None: (_UNIT, (), ()), **dict(enumerate(self.factors))}
+        stack = [(dim, i) for dim in (1, 2) for i in sorted(
+            [i for i, key in enumerate(self.factors) if key[dim]] + [None],
+            key=lambda i: (3 - 2 * dim) * len(keys[i][dim]))]
+        vec = [[terms.index(t) + (len(terms) + 1) * (dim == 2)
+                for t in keys[i][dim]] or [len(terms)] for dim, i in stack]
+        self.ab_terms = np.array([r[0] for r in vec])
+        self.ab_more = tuple((more[0], more[-1] + 1, np.array(
+            [vec[k][c] for k in more])) for c in range(1, max(map(len, vec)))
+            for more in [[k for k, r in enumerate(vec) if len(r) > c]])
         self.ab_const = np.array([
             [-1 if i is None or dim == 2 and self.factors[i][1] else i]
             for dim, i in stack])
@@ -516,8 +514,8 @@ class _Plan:
         # the hit fold: per j = 1 .. max_dphi the edges that cross L out of
         # level L - j (dphi >= j), as (j - 1, source row, factor, target
         # row, dphi - j, width row, height row), the bare ones (a constant
-        # factor) first; fold_kept: per j, the positions of those with
-        # residual terms, and their source, width and height rows
+        # factor) first; of those with residual terms, their width and
+        # height rows, j - 1, and per phase L % window their ring rows
         ones = (at(1, None), at(2, None))
         crossing = sorted((
             (j, s, fi, t, dphi - j - 1, at(1, fi), at(2, fi))
@@ -527,9 +525,12 @@ class _Plan:
         fold = np.array(crossing, dtype=int).reshape(-1, 7).T
         self.fold_j, self.fold_src, self.fold_fi = fold[:3, :self.bare]
         self.fold_unkappa, self.fold_k = len(self.factors) + fold[3], fold[4]
-        self.fold_kept = [(pos, *fold[[1, 5, 6]][:, pos]) for pos in (
-            self.bare + np.flatnonzero(fold[0, self.bare:] == j)
-            for j in range(self.max_dphi))]
+        self.fold_sums = sorted(set(self.fold_j.tolist()))
+        self.fold_exact = tuple(np.flatnonzero(self.fold_k == 0).tolist())
+        self.window = window = self.max_dphi + 1
+        self.fold_a, self.fold_b, self.fold_h = fold[[5, 6, 0], self.bare:]
+        self.fold_rows = tuple((phase - 1 - self.fold_h) % window * len(
+            self.rows) + fold[1, self.bare:] for phase in range(window))
         edges = self.edges
         plain = [key == (_UNIT, (), ()) for key in self.factors]
         canonical = sorted(range(len(edges)), key=lambda i: (
@@ -552,7 +553,6 @@ class _Plan:
             return tuple(out)
 
         self.stages = tuple(stage(most) for most in range(self.max_dphi + 1))
-        self.window = window = self.max_dphi + 1
         raw = [self._program(self.max_dphi, phase) for phase in range(window)]
         raw += [self._program(most, (most + 2) % window)
                 for most in range(self.max_dphi)]
@@ -625,47 +625,51 @@ class _Plan:
                     out.append((mul, row, (name, self.layout[fi][dim], 0), row))
         return out
 
-    def base_is_p(self, params: ModelParams) -> bool:
-        """Whether a call at params stores its levels over lam = p: where
-        some kappa_s or nu_s kappa_s at lam = 1 leaves 2^+-_GAUGE_BITS
-        (Frobose: p below about 7e-11), else lam = 1."""
-        return any(abs(sum(e * math.log(_base(base, params))
-                           for base, e in mono)) > _GAUGE_BITS * _LOG2
-                   for mono in self.bounds)
+    def base_is_p(self, bases: dict) -> bool:
+        """Whether a call at the base values bases stores its levels over
+        lam = p: where some kappa_s or nu_s kappa_s at lam = 1 leaves
+        2^+-_GAUGE_BITS (Frobose: p below about 7e-11), else lam = 1."""
+        logs = {base: math.log(value) for base, value in bases.items()}
+        return any(abs(sum(e * logs[base] for base, e in mono))
+                   > _GAUGE_BITS * _LOG2 for mono in self.bounds)
 
 
 _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
 _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
-def _factor_vectors(plan: _Plan, params: ModelParams, N: int, at_p: bool):
-    """(consts, vectors) of the plan at lam = p if at_p else at lam = 1.
+def _factor_vectors(plan: _Plan, params: ModelParams, bases: dict, N: int,
+                    at_p: bool):
+    """(consts, vectors) of the plan at the base values bases, at lam = p
+    if at_p else at lam = 1.
 
-    consts: plan.monomials[at_p], evaluated.
-    vectors: the stack of width vectors, then height vectors, each kind
-    ending in a row of ones, over n = -_PAD .. N - _PAD - 1, the height
+    consts: plan.monomials[at_p], each its powers' product from 1, in order.
+    vectors: the stack of width vectors, then height vectors, with a row
+    of ones of each kind, over n = -_PAD .. N - _PAD - 1, the height
     vectors reversed: with (a, b) = plan.layout[i], factor i at source
     (w, h) is vectors[a][w + _PAD] * vectors[b][N - 1 - (h + _PAD)], a
     None left out, or consts[i] where both are None.  Dummies (1) at
     non-positive arguments only ever meet zero source entries."""
-    q = params.q
-    bases = {base: _base(base, params) for base in plan.bases}
-    consts = np.array([_value(mono, bases) for mono in plan.monomials[at_p]])
-    # every term over n; f-terms are 1 - e^{-q(n + shift)}, 1 where
-    # n + shift <= 0
+    at, starts = plan.products[at_p]
+    consts = np.multiply.reduceat(np.array(
+        [bases[base] ** e for base, e in plan.powers[at_p]] + [1.0])[at],
+        starts)
+    # every term over n, then the row of ones, and all of it reversed;
+    # f-terms are 1 - e^{-q(n + shift)}, 1 where n + shift <= 0
     n = np.arange(-_PAD, N - _PAD, dtype=float)
-    terms = np.empty((len(plan.shift) + 1, N))
-    f, e = terms[:plan.n_f], terms[plan.n_f:-1]
-    np.add(n, plan.shift, out=terms[:-1])
+    terms = np.empty((2, len(plan.shift) + 1, N))
+    f, e = terms[0, :plan.n_f], terms[0, plan.n_f:-1]
+    np.add(n, plan.shift, out=terms[0, :-1])
     f[f <= 0.0] = np.inf        # 1 - e^{-q inf} = 1
-    np.negative(np.expm1(f * -q, out=f), out=f)
-    np.exp(np.maximum(e, 0.0) * (-q * plan.q_coeff), out=e)
-    terms[-1] = 1.0
-    vectors = terms[plan.ab_terms[0]]
-    for column in plan.ab_terms[1:]:
-        vectors *= terms[column]
+    np.negative(np.expm1(f * -params.q, out=f), out=f)
+    np.exp(np.maximum(e, 0.0) * (-params.q * plan.q_coeff), out=e)
+    terms[0, -1] = 1.0
+    terms[1] = terms[0, :, ::-1]
+    terms = terms.reshape(-1, N)
+    vectors = terms[plan.ab_terms]
+    for lo, hi, column in plan.ab_more:
+        vectors[lo:hi] *= terms[column]
     vectors *= consts[plan.ab_const]
-    vectors[plan.n_width:] = vectors[plan.n_width:, ::-1]
     return consts, vectors
 
 
@@ -685,24 +689,26 @@ class _Engine:
             raise ResourceCapError(
                 f"estimated {Decimal(est):.3g} bytes of level storage "
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
-        at_p = plan.base_is_p(params)
+        bases = {base: _base(base, params) for base in plan.bases}
+        at_p = plan.base_is_p(bases)
         self.lam = params.p if at_p else 1.0
-        self._consts, self._vectors = _factor_vectors(plan, params, self.N,
-                                                      at_p)
+        self._consts, self._vectors = _factor_vectors(plan, params, bases,
+                                                      self.N, at_p)
         self._levels = np.zeros((plan.window, len(plan.rows), self.N))
         # the seed: X = kappa F at (1, 1), and kappa is 1 at the seed row
         self._levels[2 % plan.window, plan.seed_row, 1 + _PAD] = 1.0
+        self._rows = self._levels.reshape(-1, self.N)
         # the arrays the programs' views slice (_Plan.block_spans and
-        # level_spans), and their operand table: the constants, then the
-        # views that last a block, then the height vectors, sliced per level
-        self._bases = [*self._levels.reshape(-1, self.N), *self._vectors,
-                       np.empty(self.N)]
-        consts = self._consts.tolist()
-        self._ops = [consts[key[1]] for key in plan.operands[:plan.fixed_at]]
+        # level_spans), and their operand table: the constants, as 0-d
+        # arrays (a ufunc takes them faster than floats), then the views
+        # that last a block, then the height vectors, sliced per level
+        self._bases = [*self._rows, *self._vectors, np.empty(self.N)]
+        self._ops = [self._consts[key[1], ...]
+                     for key in plan.operands[:plan.fixed_at]]
         self._ops += [None] * (len(plan.operands) - plan.fixed_at)
         self._los, self._his = [1] * plan.window, [1] * plan.window
         self.scale = 0.0    # log of the scale every level in the ring shares
-        self.cells = 0
+        self.cells = self.dropped = 0
 
     # -- main loop ------------------------------------------------------------
     def sweep(self):
@@ -776,6 +782,7 @@ class _Engine:
                 b -= 1
             if a or b < hi - lo:
                 live[:, :a] = live[:, b:] = 0.0
+                self.dropped += hi - lo - b + a
             los[slot], his[slot] = lo + a, lo + b
 
     def hits(self):
@@ -785,41 +792,48 @@ class _Engine:
         exactly once, along an edge that raises phi into a level T in
         L .. L+max_dphi-1, an exact hit when T = L.  The flow along an
         edge is the flow the sweep adds into X_t, read off the same
-        factor (_Plan.layout): its constant times the sum of the source
-        row over the live widths, or, where residual terms are left, the
-        sum of the row times its width and height vectors; times
-        1 / kappa_t it is the mass F that enters row t.  Per source level
-        L - j the rows are summed at once over the live block, and the
-        edges with residual terms (_Plan.fold_kept) take one einsum over
-        their gathered rows and vectors; no dot product, so BLAS starts
-        no threads here.  The levels share one scale, so the flows are
-        summed once, each into a level T past L times lam^(T - L), and
-        (L - 2) log lam is added to the log; math.fsum rounds the sum
-        once, whatever the order of its terms."""
+        factor (_Plan.layout), times 1 / kappa_t: its constant times the
+        sum of the source row over its level's range, or, where residual
+        terms are left, the sum of the row times its width and height
+        vectors, for all such edges one einsum over the union of the last
+        levels' ranges: a slot is zero outside its range and the einsum
+        sums from left to right in runs of numpy's 8192-column buffer, so
+        while the union spans at most 8192 the extra columns add exact
+        zeros (TestHitFold); past that a flow may round otherwise.  The
+        levels share one scale, so the flows, each into T times
+        lam^(T - L), are summed once by math.fsum, and (L - 2) log lam is
+        added to the log; no BLAS."""
         L, N, plan = self.L, self.N, self.plan
         if L == 2:
             return 0.0, 0.0
+        window, los, his, lam = plan.window, self._los, self._his, self.lam
+        slots = [(L - j) % window for j in range(1, min(window, L - 1))]
         sums = np.zeros((plan.max_dphi, len(plan.rows)))
-        flows = np.zeros(len(plan.fold_k))
-        for j in range(1, min(plan.max_dphi, L - 2) + 1):
-            slot = (L - j) % plan.window
-            lo, hi = self._los[slot], self._his[slot]
-            la, lb, cnt = lo + _PAD, N - 1 - _PAD - L + j + lo, hi - lo
-            block = self._levels[slot][:, la:la + cnt]
-            block.sum(axis=1, out=sums[j - 1])
-            at, s, a, b = plan.fold_kept[j - 1]
-            if len(at):
-                flows[at] = np.einsum("ij,ij,ij->i", block[s],
-                                      self._vectors[a, la:la + cnt],
-                                      self._vectors[b, lb:lb + cnt])
+        for j in plan.fold_sums:
+            if j < len(slots):
+                lo, hi = los[slots[j]] + _PAD, his[slots[j]] + _PAD
+                self._levels[slots[j]][:, lo:hi].sum(axis=1, out=sums[j])
+        flows = np.empty(len(plan.fold_k))
         np.multiply(sums[plan.fold_j, plan.fold_src],
                     self._consts[plan.fold_fi], out=flows[:plan.bare])
+        if plan.bare < len(flows):
+            lo, vectors = min(los[s] for s in slots), self._vectors
+            la, cnt = lo + _PAD, max(his[s] for s in slots) - lo
+            # heights[b, j - 1]: vectors[b] at level L - j's height at lo on
+            heights = np.ndarray((len(vectors), plan.max_dphi, cnt), float,
+                                 vectors, (la + 4) * 8, (N * 8, 8, 8))
+            np.einsum("ij,ij,ij->i",
+                      self._rows[plan.fold_rows[L % window], la:la + cnt],
+                      vectors[plan.fold_a, la:la + cnt],
+                      heights[plan.fold_b, plan.fold_h],
+                      out=flows[plan.bare:])
         flows *= self._consts[plan.fold_unkappa]
-        flows *= np.array([self.lam ** k for k in range(plan.max_dphi)])[
-            plan.fold_k]
-        scale = self.scale + (L - 2) * math.log(self.lam)
-        return (_log_scaled(math.fsum(flows[plan.fold_k == 0]), scale),
-                _log_scaled(math.fsum(flows), scale))
+        if lam != 1.0:
+            flows *= np.array([lam ** k for k in range(window)])[plan.fold_k]
+        flows = flows.tolist()
+        exact = math.fsum(map(flows.__getitem__, plan.fold_exact))
+        scale = self.scale + (L - 2) * math.log(lam)
+        return _log_scaled(exact, scale), _log_scaled(math.fsum(flows), scale)
 
 
 def _log_scaled(total: float, scale: float) -> float:
@@ -856,6 +870,7 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
         cells_swept=eng.cells, prepare_seconds=t1 - t0,
         sweep_seconds=t2 - t1, hits_seconds=t3 - t2,
         levels=params.threshold - 2, level_bytes=eng._levels.nbytes,
+        cells_dropped=eng.dropped,
     )
 
 

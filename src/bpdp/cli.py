@@ -14,9 +14,10 @@ underflowed to 0) is an error instead, and `scan` counts such a row as
 failed and does not write it.
 
 `scan --output` is the one writer of growth-scale tables, and they have
-one layout: a provenance line `# bpdp <version> convention=<c>` (readers
-skip it as a comment), the header `log2_inv_p,log_pi`, then one row per
-exponent k.  `scan` opens the file once; with --resume it first checks
+one layout: a provenance line `# bpdp <version> convention=<c>`, a line
+`# host <JSON>` with the same host facts as a record's `host` (readers
+skip both as comments), the header `log2_inv_p,log_pi`, then one row
+per exponent k.  `scan` opens the file once; with --resume it first checks
 the whole table, and another --convention, another header or a malformed
 row is an error that leaves the file as it was, and so is a path that
 cannot be opened (a missing directory, or a directory).  Then a cut-off
@@ -78,6 +79,13 @@ def _blas() -> str:
     return f"{blas['name']} {blas['version']}"
 
 
+def _host() -> dict:
+    """The facts about the host that every record and table carries."""
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas": _blas(),
+            "machine": platform.machine()}
+
+
 def _emit_record(command: str, parameters: dict, outputs: dict,
                  wall_time_seconds: float, seed: Optional[int] = None):
     record = {
@@ -86,10 +94,7 @@ def _emit_record(command: str, parameters: dict, outputs: dict,
         "outputs": outputs,
         "wall_time_seconds": wall_time_seconds,
         "tool_version": __version__,
-        "host": {"cpu_count": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "numpy": np.__version__, "blas": _blas(),
-                 "machine": platform.machine()},
+        "host": _host(),
     }
     if seed is not None:
         record["seed"] = seed
@@ -185,7 +190,8 @@ def _open_table(path: str, convention: str, resume: bool):
     `convention` rows, else a one-line error (exit status 1) leaves it as
     it was.  Only then is a cut-off last line truncated away, and a file
     without a header gets the provenance line `# bpdp <version>
-    convention=<c>` and the header.  A path that cannot be opened (a
+    convention=<c>`, the line `# host <JSON>` with a record's host facts,
+    and the header.  A path that cannot be opened (a
     missing directory, a directory) is a one-line error too.
     """
     try:
@@ -206,7 +212,9 @@ def _open_table(path: str, convention: str, resume: bool):
             sink = io.TextIOWrapper(raw, encoding="utf-8")
             if not header:
                 sink.write(f"{_PROVENANCE_PREFIX}{__version__} "
-                           f"convention={convention}\n{_HEADER}\n")
+                           f"convention={convention}\n# host "
+                           f"{json.dumps(_host(), sort_keys=True)}\n"
+                           f"{_HEADER}\n")
             stack.pop_all()
     except OSError as exc:
         raise click.FileError(path, hint=exc.strerror) from None

@@ -510,13 +510,14 @@ class TestEnginePlan:
         L = 40
         mp = ModelParams(p)
         N = L + 2 * engine._PAD + 4
-        at_p = plan.base_is_p(mp)
+        bases = {base: engine._base(base, mp) for base in plan.bases}
+        at_p = plan.base_is_p(bases)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
-        consts, vectors = engine._factor_vectors(plan, mp, N, at_p)
+        consts, vectors = engine._factor_vectors(plan, mp, bases, N, at_p)
         unkappa = consts[len(plan.factors):-1]
         lam = p if at_p else 1.0
-        bases = {base: engine._base(base, mp) for base in plan.bases}
-        kappa = [engine._value(k, dict(bases, lam=lam)) for k in plan.kappa]
+        kappa = [math.prod(dict(bases, lam=lam)[base] ** e for base, e in k)
+                 for k in plan.kappa]
         W, H = np.meshgrid(np.arange(1, L), np.arange(1, L), indexing="ij")
 
         def at(fi):
@@ -606,9 +607,10 @@ def reference_sweep(eng):
     its source row times its width vector, height vector or constant,
     looked up through the plan's layout, written into the row or added to
     it, then the conversions; the ring's rescales and window as in
-    _Engine.sweep."""
+    _Engine.sweep.  Returns the count of cells the window dropped."""
     plan, L, N, window, pad = (eng.plan, eng.L, eng.N, eng.plan.window,
                                engine._PAD)
+    dropped = 0
     levels, los, his = eng._levels, eng._los, eng._his
     vectors, consts = eng._vectors, eng._consts.tolist()
     rows = [list(level) for level in levels]
@@ -683,6 +685,8 @@ def reference_sweep(eng):
             b -= 1
         live[:, :a] = live[:, b:] = 0.0
         los[slot], his[slot] = lo + a, lo + b
+        dropped += cnt - (b - a)
+    return dropped
 
 
 def reference_fold(eng):
@@ -719,6 +723,65 @@ def reference_fold(eng):
     scale = eng.scale + (L - 2) * math.log(eng.lam)
     return tuple(math.log(math.fsum(flows)) + scale
                  for flows in (on_L, on_L + past_L))
+
+
+@pytest.mark.parametrize("L, some", [(12, False), (2000, True)])
+@pytest.mark.parametrize("fn, plan", [
+    (compute_pi, engine._FROBOSE_PLAN),
+    (compute_two_neighbour_lower_bound, engine._TWO_NEIGHBOUR_PLAN)],
+    ids=["frobose", "two_neighbour"])
+def test_cells_dropped(fn, plan, L, some):
+    # The cells the live window drops, in the unit of cells_swept: none up
+    # to L = 12 (test_cells_swept), some at p = 0.5, L = 2000.
+    cp = ChainParams.from_p(0.5, threshold=L)
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        want = reference_sweep(engine._Engine(
+            plan, cp.model, L, engine.DEFAULT_MEMORY_CAP_BYTES))
+    r = fn(cp)
+    assert r.cells_dropped == want
+    assert (want > 0) == some and want < r.cells_swept
+
+
+def per_level_fold(eng):
+    """((log P(exact hit), log P(at-least hit)), flows) folded with one
+    einsum per source level: per level L - j below L, its rows summed
+    over its live range, each crossing edge with no residual terms that
+    row's sum times the factor's constant, and those with residual terms
+    one "ij,ij,ij->i" einsum over their rows and width and height vectors
+    (a row of ones where the factor has none) over the same range; each
+    flow times 1 / kappa_t and lam^(T - L), summed by math.fsum."""
+    L, N, pad, plan = eng.L, eng.N, engine._PAD, eng.plan
+    consts = eng._consts.tolist()
+    on_L, past_L = [], []
+    for j in range(1, min(plan.max_dphi, L - 2) + 1):
+        slot = (L - j) % plan.window
+        lo, hi = eng._los[slot], eng._his[slot]
+        la, lb, cnt = lo + pad, N - 1 - pad - L + j + lo, hi - lo
+        block = eng._levels[slot][:, la:la + cnt]
+        sums, ones = block.sum(axis=1).tolist(), np.ones(cnt)
+        crossing = [e for e in plan.edges if e[0] >= j]
+        kept = [e for e in crossing if plan.layout[e[5]] != (None, None)]
+        flows = [sums[e[1]] * consts[e[5]] for e in crossing
+                 if plan.layout[e[5]] == (None, None)]
+        if kept:
+            flows += np.einsum("ij,ij,ij->i", block[[e[1] for e in kept]],
+                               np.array([ones if a is None else
+                                         eng._vectors[a][la:la + cnt]
+                                         for a, _ in (plan.layout[e[5]]
+                                                      for e in kept)]),
+                               np.array([ones if b is None else
+                                         eng._vectors[b][lb:lb + cnt]
+                                         for _, b in (plan.layout[e[5]]
+                                                      for e in kept)])
+                               ).tolist()
+        targets = [e for e in crossing if plan.layout[e[5]] == (None, None)]
+        for flow, (dphi, _, _, _, t, _, _) in zip(flows, targets + kept):
+            flow = (flow * consts[len(plan.factors) + t]
+                    * eng.lam ** (dphi - j))
+            (on_L if dphi == j else past_L).append(flow)
+    scale = eng.scale + (L - 2) * math.log(eng.lam)
+    return tuple(engine._log_scaled(math.fsum(flows), scale)
+                 for flows in (on_L, on_L + past_L)), on_L + past_L
 
 
 class TestSweep:
@@ -772,6 +835,43 @@ class TestHitFold:
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p, L", [
+        (p, L) for p in (0.1, 0.5, 0.9, 1e-60)
+        for L in (3, 4, 5, 6, 7, 12, 40)] + [(0.5, 2000)])
+    @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
+                                      engine._TWO_NEIGHBOUR_PLAN],
+                             ids=["frobose", "two_neighbour"])
+    def test_equals_one_einsum_per_source_level(self, plan, p, L):
+        # hits() takes the flows with residual terms in one einsum over
+        # the union of the last levels' ranges; the columns outside a
+        # level's own range hold zeros, which a left-to-right sum adds
+        # exactly, so every flow (the terms of hits()'s last math.fsum)
+        # and both conventions are the same bits as a fold with one
+        # einsum per source level over its own range.  A numpy whose
+        # einsum sums in another order fails here.
+        eng = swept_engine(plan, p, L)
+        calls, fsum = [], math.fsum
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(math, "fsum", lambda xs: fsum(calls.append(list(xs))
+                                                     or calls[-1]))
+            got = eng.hits()
+        want, flows = per_level_fold(eng)
+        assert got == want
+        # hits() also folds zero flows out of the slots below level 2
+        assert sorted(filter(None, calls[-1])) == sorted(filter(None, flows))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 40, 1000, 8000])
+    def test_einsum_sums_rows_left_to_right(self, n):
+        # What the hit fold rests on: within a row of up to 8192 columns
+        # (numpy's buffer; past it the sum runs chunk by chunk), einsum
+        # adds the products in column order, so zero columns before or
+        # after a row change no bit.
+        rows = np.random.default_rng(n).random((3, 20, n)) ** 8
+        want = np.cumsum(rows[0] * rows[1] * rows[2], axis=1)[:, -1]
+        padded = np.pad(rows, ((0, 0), (0, 0), (5, 7)))
+        for ops in (rows, padded):
+            assert np.einsum("ij,ij,ij->i", *ops).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("plan, p, L", [
         (engine._FROBOSE_PLAN, 0.5, 2000),

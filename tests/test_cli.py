@@ -33,6 +33,15 @@ def provenance(convention):
     return f"# bpdp {__version__} convention={convention}"
 
 
+def host_facts():
+    """The host facts a record's `host` and a table's host line carry."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "machine": platform.machine()}
+
+
 def run_cli(*args, env=None):
     """Run `bpdp.cli.main()` in this process on args, with env added to the
     environment; returns the exit status and the captured output as
@@ -75,23 +84,19 @@ class TestPi:
         rec = json.loads(run_cli("pi", "--log2-inv-p", "3").stdout)
         assert set(rec) == {"command", "parameters", "outputs",
                             "wall_time_seconds", "tool_version", "host"}
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert rec["host"] == {"cpu_count": os.cpu_count(),
-                               "python": platform.python_version(),
-                               "numpy": np.__version__,
-                               "blas": f"{blas['name']} {blas['version']}",
-                               "machine": platform.machine()}
+        assert rec["host"] == host_facts()
         assert set(rec["parameters"]) == {"p", "log2_inv_p", "threshold",
                                           "convention"}
         assert set(rec["outputs"]) == {
             "p", "q", "L", "convention", "log_hit_prob", "log_pi", "levels",
             "cells_swept", "level_bytes", "prepare_seconds",
-            "sweep_seconds", "hits_seconds"}
+            "sweep_seconds", "hits_seconds", "cells_dropped"}
         out = rec["outputs"]
         assert out["levels"] == out["L"] - 2 == 32
         # 5 slots of 5 Frobose rows of L + 2 * 36 + 4 doubles
         assert out["level_bytes"] == 5 * 5 * (34 + 76) * 8
         assert 0 < out["cells_swept"] <= (out["L"] - 1) * (out["L"] - 2) // 2
+        assert 0 <= out["cells_dropped"] < out["cells_swept"]
         phases = [out[key] for key in PHASE_KEYS]
         assert min(phases) >= 0.0
         assert sum(phases) <= rec["wall_time_seconds"]
@@ -304,7 +309,7 @@ class TestScan:
         assert r.returncode == 0
         after = out.read_text()
         assert after.startswith(before)
-        assert len(after.strip().splitlines()) == 5
+        assert len(after.strip().splitlines()) == 6  # 2 comments, header, rows
 
     def test_output_starts_with_provenance_line(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -312,8 +317,25 @@ class TestScan:
                     "at-least", "--output", str(out))
         assert r.returncode == 0
         lines = out.read_text().splitlines()
-        assert lines[:2] == [provenance("at-least"), "log2_inv_p,log_pi"]
-        assert len(lines) == 4
+        assert lines[0] == provenance("at-least")
+        assert lines[1].startswith("# host ")
+        assert json.loads(lines[1][len("# host "):]) == host_facts()
+        assert lines[2] == "log2_inv_p,log_pi"
+        assert len(lines) == 5
+
+    def test_resume_table_without_host_line_appends(self, tmp_path):
+        # a table written before the host line existed is resumed as it
+        # is: rows are appended, and no host line is put in
+        out = tmp_path / "scan.csv"
+        run_cli("scan", "--log2-inv-p-range", "2..2", "--output", str(out))
+        old = "".join(line for line in out.read_text().splitlines(True)
+                      if not line.startswith("# host "))
+        out.write_text(old)
+        r = run_cli("scan", "--log2-inv-p-range", "2..3", "--output", str(out),
+                    "--resume")
+        assert r.returncode == 0
+        fresh = run_cli("scan", "--log2-inv-p-range", "3..3").stdout
+        assert out.read_text() == old + fresh.splitlines(True)[1]
 
     def test_resume_refuses_other_convention(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -374,6 +396,7 @@ class TestScan:
     def test_fit_roundtrip_matches_in_process(self, tmp_path):
         out = tmp_path / "scan.csv"
         run_cli("scan", "--log2-inv-p-range", "2..6", "--output", str(out))
+        assert out.read_text().splitlines()[1].startswith("# host ")
         rec = json.loads(run_cli("fit", "--input", str(out)).stdout)
         import csv
         from bpdp.fitting import PiDataset, fit_first_order
