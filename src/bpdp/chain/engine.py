@@ -103,6 +103,19 @@ sweep fills 80% of the (w, h) cells at p = 2^-8 and 70% at p = 2^-9
 (PiResult.cells_swept counts [lo, hi), not the block); a skipped cell
 would only sum zeros.
 
+The ring's rows and the programs' tmp are the rows of one zeroed buffer,
+taken from its first 64-byte cache line on.  A row holds columns
+-_PAD .. L + _BLOCK - 1, rounded up to a whole line (_width_axis), and
+_BLOCK and _PAD = 40 are whole lines (the two-neighbour steps need 33
+columns of pad), so every row, every view a program reads at dw = 0 and
+every out it writes starts on a line: numpy's AVX-512 loops then load
+and store whole lines, where a misaligned 64-byte access spans two.
+Only addresses depend on the placement, not the programs or any result.
+With the same code and the buffer's start moved 8, 16 or 32 bytes off a
+line, the p = 2^-9 sweep took 8-35% longer than on a line (medians of 12
+calls per offset, alternating in one process, two series on a 2-CPU
+AVX-512 Xeon VM).  The factor stack stays where the allocator puts it.
+
 No entry is flushed: inside the range an entry below the smallest normal
 double stays, as a subnormal or zero, and later levels read it.  Only
 the dropped columns (PiResult.cells_dropped) lose mass, each entry at
@@ -130,6 +143,7 @@ by row sums and one einsum (_Engine.hits).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from collections import Counter
@@ -150,9 +164,13 @@ __all__ = ["ChainParams", "PiResult", "ResourceCapError", "default_threshold",
 # _BLOCK, so the operand views of its program last as long as that block;
 # _PAD covers the over-reach, up to _BLOCK - 1 columns past phi read
 # through a height vector at dh <= _PAD - _BLOCK + 2 (_Plan refuses larger
-# steps)
+# steps).  Column w of a row sits at w + _PAD, and _BLOCK, _PAD and the
+# row length (_width_axis) are whole cache lines of _LINE doubles, so in a
+# ring that starts on a line a block's unshifted views do too (module
+# docstring)
+_LINE = 8
 _BLOCK = 32
-_PAD = _BLOCK + 4
+_PAD = _BLOCK + _LINE
 _TINY = np.finfo(float).tiny
 # A level is rescaled when its largest entry leaves [_BAND_LOW, 1]
 _BAND_LOW = math.exp(-16.0)
@@ -393,10 +411,11 @@ class _Plan:
     phi = m + 2 < window + 1.  A call is (ufunc, operand, operand, out),
     each operand an index into the operand table, whose keys, operands,
     are those the programs read: the constants ("c"), from fixed_at the
-    views that last a block ("row", "tmp", "a"), from heights_at the
-    height vectors ("b"), sliced per level.  block_spans, level_spans: per
-    operand from fixed_at and from heights_at, the index of the array it
-    slices among the engine's _bases, and the shift it reads at.
+    views that last a block (the ring's "row" and "tmp", from widths_at
+    the width vectors "a"), from heights_at the height vectors ("b"),
+    sliced per level.  row_spans, width_spans, height_spans: per operand
+    of those three runs, the row it slices (of the engine's _rows, or of
+    its stack) and the shift it reads at.
     """
 
     def __init__(self, table: Sequence[TransitionRule], states: Sequence[str]):
@@ -556,26 +575,25 @@ class _Plan:
         raw = [self._program(self.max_dphi, phase) for phase in range(window)]
         raw += [self._program(most, (most + 2) % window)
                 for most in range(self.max_dphi)]
-        kind = {"c": 0, "row": 1, "tmp": 1, "a": 1, "b": 2}
+        kind = {"c": 0, "row": 1, "tmp": 1, "a": 2, "b": 3}
         self.operands = tuple(sorted(dict.fromkeys(
             key for prog in raw for call in prog for key in call[1:]),
             key=lambda key: kind[key[0]]))
-        self.fixed_at, self.heights_at = (
-            sum(kind[key[0]] < k for key in self.operands) for k in (1, 2))
+        self.fixed_at, self.widths_at, self.heights_at = (
+            sum(kind[key[0]] < k for key in self.operands) for k in (1, 2, 3))
         at = {key: i for i, key in enumerate(self.operands)}
         raw = [tuple((f, *map(at.get, keys)) for f, *keys in prog)
                for prog in raw]
         self.programs, self.openings = tuple(raw[:window]), tuple(raw[window:])
-        # per operand past the constants, the engine's array it slices (the
-        # ring's rows, slot by slot, then the stack's vectors, then tmp)
-        # and the shift it reads at
-        ring = window * len(self.rows)
+        # per operand past the constants, the row it slices (of the ring's
+        # rows, slot by slot, then tmp; or of the stack) and its shift
         spans = tuple(
             (key[1] * len(self.rows) + key[2], key[3]) if key[0] == "row" else
-            (ring + len(self.ab_const), 0) if key[0] == "tmp" else
-            (ring + key[1], key[2]) for key in self.operands[self.fixed_at:])
-        self.block_spans = spans[:self.heights_at - self.fixed_at]
-        self.level_spans = spans[self.heights_at - self.fixed_at:]
+            (window * len(self.rows), 0) if key[0] == "tmp" else key[1:]
+            for key in self.operands)
+        self.row_spans = spans[self.fixed_at:self.widths_at]
+        self.width_spans = spans[self.widths_at:self.heights_at]
+        self.height_spans = spans[self.heights_at:]
 
     def _program(self, most: int, phase: int) -> list:
         """The calls (ufunc, operand, operand, out) that fill a level at
@@ -638,6 +656,12 @@ _FROBOSE_PLAN = _Plan(FROBOSE_TABLE, FROBOSE_STATES)
 _TWO_NEIGHBOUR_PLAN = _Plan(TWO_NEIGHBOUR_TABLE, TWO_NEIGHBOUR_STATES)
 
 
+def _width_axis(threshold: int) -> int:
+    """N, the length of a level row and of a factor vector at threshold L:
+    columns -_PAD .. L + _BLOCK - 1, rounded up to a whole cache line."""
+    return -(-(threshold + _PAD + _BLOCK) // _LINE) * _LINE
+
+
 def _factor_vectors(plan: _Plan, params: ModelParams, bases: dict, N: int,
                     at_p: bool):
     """(consts, vectors) of the plan at the base values bases, at lam = p
@@ -673,6 +697,14 @@ def _factor_vectors(plan: _Plan, params: ModelParams, bases: dict, N: int,
     return consts, vectors
 
 
+def _windows(rows: np.ndarray, cnt: int) -> np.ndarray:
+    """Every cnt-column view of the C-contiguous rows: [r, k] is
+    rows[r, k:k + cnt], as fast to take as a slice of a row view, with no
+    view per row made first."""
+    R, N = rows.shape
+    return np.ndarray((R, N - cnt + 1, cnt), float, rows, 0, (N * 8, 8, 8))
+
+
 class _Engine:
     """Single-use DP state for one plan at one parameter."""
 
@@ -680,8 +712,9 @@ class _Engine:
                  memory_cap_bytes: int):
         self.plan = plan
         self.L = threshold
-        self.N = self.L + 2 * _PAD + 4       # width-axis length, index = w + _PAD
-        est = plan.window * len(plan.rows) * self.N * 8
+        self.N = N = _width_axis(threshold)     # index = w + _PAD
+        ring = plan.window * len(plan.rows)
+        est = ring * N * 8
         if est > memory_cap_bytes:
             # Decimal, as an explicit threshold can put est past the
             # double range; imported here to keep it off the import path
@@ -693,16 +726,19 @@ class _Engine:
         at_p = plan.base_is_p(bases)
         self.lam = params.p if at_p else 1.0
         self._consts, self._vectors = _factor_vectors(plan, params, bases,
-                                                      self.N, at_p)
-        self._levels = np.zeros((plan.window, len(plan.rows), self.N))
+                                                      N, at_p)
+        # the ring's rows, slot by slot, then tmp: one zeroed buffer, from
+        # its first cache line on
+        buf = np.zeros((ring + 1) * N + _LINE)
+        address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+        at = -address % (8 * _LINE) // 8
+        self._rows = buf[at:at + (ring + 1) * N].reshape(ring + 1, N)
+        self._levels = self._rows[:ring].reshape(plan.window, -1, N)
         # the seed: X = kappa F at (1, 1), and kappa is 1 at the seed row
         self._levels[2 % plan.window, plan.seed_row, 1 + _PAD] = 1.0
-        self._rows = self._levels.reshape(-1, self.N)
-        # the arrays the programs' views slice (_Plan.block_spans and
-        # level_spans), and their operand table: the constants, as 0-d
-        # arrays (a ufunc takes them faster than floats), then the views
-        # that last a block, then the height vectors, sliced per level
-        self._bases = [*self._rows, *self._vectors, np.empty(self.N)]
+        # the programs' operand table: the constants, as 0-d arrays (a
+        # ufunc takes them faster than floats), then the views that last a
+        # block, then the height vectors, sliced per level (sweep)
         self._ops = [self._consts[key[1], ...]
                      for key in plan.operands[:plan.fixed_at]]
         self._ops += [None] * (len(plan.operands) - plan.fixed_at)
@@ -724,8 +760,8 @@ class _Engine:
         L, N, plan = self.L, self.N, self.plan
         window = plan.window
         levels, los, his = self._levels, self._los, self._his
-        ops, bases = self._ops, self._bases
-        at, end = plan.fixed_at, plan.heights_at
+        ops, rows, vectors = self._ops, self._rows, self._vectors
+        at, mid, end = plan.fixed_at, plan.widths_at, plan.heights_at
         max_dw, openings = plan.max_dw, len(plan.openings)
         peak = np.maximum.reduce
         block = None
@@ -742,8 +778,9 @@ class _Engine:
             blo, bhi = lo - lo % _BLOCK, hi + -hi % _BLOCK
             if block != (blo, bhi):
                 block, la, cnt = (blo, bhi), blo + _PAD, bhi - blo
-                ops[at:end] = [bases[i][la - d:la - d + cnt]
-                               for i, d in plan.block_spans]
+                ring, stack = _windows(rows, cnt), _windows(vectors, cnt)
+                ops[at:mid] = [ring[i, la - d] for i, d in plan.row_spans]
+                ops[mid:end] = [stack[i, la - d] for i, d in plan.width_spans]
             if old_lo < blo:
                 cur[:, old_lo + _PAD:blo + _PAD] = 0.0
             if bhi < old_hi:
@@ -751,8 +788,7 @@ class _Engine:
             # a height vector reads source height phi - dphi - w + dw
             # reversed, from lb + dh
             lb = N - 1 - _PAD - phi + blo
-            ops[end:] = [bases[i][lb + d:lb + d + cnt]
-                         for i, d in plan.level_spans]
+            ops[end:] = [stack[i, lb + d] for i, d in plan.height_spans]
             for f, x, y, out in (plan.openings[phi - 2] if phi - 2 < openings
                                  else plan.programs[slot]):
                 f(ops[x], ops[y], ops[out])
@@ -819,9 +855,11 @@ class _Engine:
         if plan.bare < len(flows):
             lo, vectors = min(los[s] for s in slots), self._vectors
             la, cnt = lo + _PAD, max(his[s] for s in slots) - lo
-            # heights[b, j - 1]: vectors[b] at level L - j's height at lo on
+            # heights[b, j - 1]: vectors[b] at level L - j's height at lo
+            # on, from N - 1 - (L - j - lo + _PAD)
             heights = np.ndarray((len(vectors), plan.max_dphi, cnt), float,
-                                 vectors, (la + 4) * 8, (N * 8, 8, 8))
+                                 vectors, (la + N - L - 2 * _PAD) * 8,
+                                 (N * 8, 8, 8))
             np.einsum("ij,ij,ij->i",
                       self._rows[plan.fold_rows[L % window], la:la + cnt],
                       vectors[plan.fold_a, la:la + cnt],

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -509,7 +510,7 @@ class TestEnginePlan:
         # stored over lam = p.
         L = 40
         mp = ModelParams(p)
-        N = L + 2 * engine._PAD + 4
+        N = engine._width_axis(L)
         bases = {base: engine._base(base, mp) for base in plan.bases}
         at_p = plan.base_is_p(bases)
         assert at_p == (p == 1e-60 and plan is engine._FROBOSE_PLAN)
@@ -807,6 +808,45 @@ class TestSweep:
         assert (got._los, got._his) == (want._los, want._his)
         assert got.scale == want.scale and got.cells == want.cells
 
+    @pytest.mark.parametrize("L", [3, 12, 40, 533])
+    @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
+                                      engine._TWO_NEIGHBOUR_PLAN],
+                             ids=["frobose", "two_neighbour"])
+    def test_written_operands_start_on_a_cache_line(self, plan, L):
+        # Every ring row and tmp, every view of one that a program reads
+        # unshifted (dw = 0), at every block the sweep moves to, and every
+        # out starts on a 64-byte line; a _PAD, _BLOCK or width axis that
+        # breaks the layout fails here.  At p = 0.9 the live range leaves
+        # w = 1 behind, so at L = 533 the block's start moves too.
+        seen = []
+
+        def watched(prog):
+            def check(f, keys):
+                def call(*arrays):
+                    seen.append([(key, arr.ctypes.data % 64)
+                                 for key, arr in zip(keys, arrays)])
+                    return f(*arrays)
+                return call
+            return tuple((check(f, [plan.operands[i] for i in ops]), *ops)
+                         for f, *ops in prog)
+
+        watching = copy.copy(plan)
+        watching.programs = tuple(map(watched, plan.programs))
+        watching.openings = tuple(map(watched, plan.openings))
+        eng = swept_engine(watching, 0.9, L)
+        assert min(eng._los) > 4 * engine._BLOCK or L < 533
+        assert all(row.ctypes.data % 64 == 0 for row in eng._rows)
+        assert len(seen) == sum(
+            len(plan.openings[phi - 2] if phi - 2 < len(plan.openings)
+                else plan.programs[phi % plan.window])
+            for phi in range(2, L))
+        for call in seen:
+            *_, (out, out_at) = call
+            assert out[0] in ("row", "tmp") and out_at == 0, call
+            for key, at in call:
+                if key == ("tmp",) or key[0] == "row" and key[3] == 0:
+                    assert at == 0, call
+
     def test_full_stage_program_lengths(self):
         # A Frobose level past the openings takes 23 ufunc calls (18 for
         # the edges, 5 conversions), a two-neighbour level 82 (77 and 1);
@@ -860,6 +900,20 @@ class TestHitFold:
         assert got == want
         # hits() also folds zero flows out of the slots below level 2
         assert sorted(filter(None, calls[-1])) == sorted(filter(None, flows))
+
+    @pytest.mark.parametrize("L", range(40, 48))
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_height_offset_at_every_residue(self, p, L):
+        # hits() reads the height vectors from an offset that depends on
+        # N - L, which takes each of its 8 values over 8 consecutive L.
+        # Both conventions are the same bits as the fold with one einsum
+        # per source level, which slices each height vector on its own,
+        # and agree with the fold one edge at a time (whose math.fsum may
+        # round the residual flows otherwise) to 1e-15.
+        eng = swept_engine(engine._TWO_NEIGHBOUR_PLAN, p, L)
+        got = eng.hits()
+        assert got == per_level_fold(eng)[0]
+        assert got == pytest.approx(reference_fold(eng), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 40, 1000, 8000])
     def test_einsum_sums_rows_left_to_right(self, n):

@@ -93,8 +93,9 @@ class TestPi:
             "sweep_seconds", "hits_seconds", "cells_dropped"}
         out = rec["outputs"]
         assert out["levels"] == out["L"] - 2 == 32
-        # 5 slots of 5 Frobose rows of L + 2 * 36 + 4 doubles
-        assert out["level_bytes"] == 5 * 5 * (34 + 76) * 8
+        # 5 slots of 5 Frobose rows of L + 40 + 32 doubles, rounded up to
+        # a multiple of 8
+        assert out["level_bytes"] == 5 * 5 * 112 * 8
         assert 0 < out["cells_swept"] <= (out["L"] - 1) * (out["L"] - 2) // 2
         assert 0 <= out["cells_dropped"] < out["cells_swept"]
         phases = [out[key] for key in PHASE_KEYS]
