@@ -27,13 +27,17 @@ the full table.
 Everything about a table that does not depend on p is derived once, at
 import, into a _Plan.  A row that no moving rule leaves (Frobose 4;
 two-neighbour 1'', 2'' and 4) is never read, so it is not stored, filled
-or searched for the column maxima; the level storage and the
-ResourceCapError estimate count only the stored rows.  A rule that
-raised phi into such a row would carry mass past L that the hit fold
-never reads, so _Plan refuses such a table; a rank-up into it (Frobose 3
-to 4) only absorbs.  Frobose stores 5 rows with 17 edges into them (13
-raise phi), against 7, 26 and 20 unlumped; the two-neighbour plan stores
-6 rows with 41 edges.
+or searched for the column maxima.  A rule that raised phi into such a
+row would carry mass past L that the hit fold never reads, so _Plan
+refuses such a table; a rank-up into it (Frobose 3 to 4) only absorbs.
+Frobose stores 5 rows with 17 edges into them (13 raise phi), against 7,
+26 and 20 unlumped; the two-neighbour plan stores 6 rows with 41 edges.
+A call's working memory is rows of N doubles (_width_axis): a stored
+row per ring slot, tmp, the factor stack, and the fold's three gathered
+operands per residual flow.  Frobose holds 36 such rows (a ring of 25),
+two-neighbour 404 (a ring of 36, and 339 the fold gathers).  A call
+whose estimate passes its cap raises ResourceCapError before it
+allocates.
 
 A rule's probability at source (w, h) is a constant (a monomial in p,
 4 - 3p, e^{-q} and small integers) times a few terms in one integer
@@ -138,7 +142,7 @@ position (every ~32 levels at p = 2^-9, once per call where L <= 32),
 and the height vectors, which move with phi and are sliced per level.
 There is no branch per edge and no other kernel.  The hit probabilities
 are folded out of the last max-jump levels through the same factors,
-by row sums and one einsum (_Engine.hits).
+by row sums and one einsum over the sweep's windows (_Engine.hits).
 """
 
 from __future__ import annotations
@@ -178,12 +182,13 @@ _BAND_LOW = math.exp(-16.0)
 # within 2^+-_GAUGE_BITS, else p (_Plan.base_is_p)
 _GAUGE_BITS = 100
 _LOG2 = math.log(2.0)
-# The level storage a call may allocate unless told otherwise, 8 GiB
+# The most working memory a call may take unless told otherwise, 8 GiB
 DEFAULT_MEMORY_CAP_BYTES = 8 << 30
 
 
 class ResourceCapError(RuntimeError):
-    """Estimated working memory exceeds the configured cap."""
+    """A call's estimated working memory (module docstring) exceeds the
+    configured cap."""
 
 
 def default_threshold(p: float) -> int:
@@ -531,15 +536,15 @@ class _Plan:
                                   for dim in (1, 2))
                             for i in range(len(self.factors)))
         # the hit fold: per j = 1 .. max_dphi the edges that cross L out of
-        # level L - j (dphi >= j), as (j - 1, source row, factor, target
-        # row, dphi - j, width row, height row), the bare ones (a constant
+        # level L - j (dphi >= j), as (j, source row, factor, target row,
+        # dphi - j, width row, height row), the bare ones (a constant
         # factor) first; of those with residual terms, their width and
-        # height rows, j - 1, and per phase L % window their ring rows
+        # height rows, j, and per phase L % window their ring rows
         ones = (at(1, None), at(2, None))
         crossing = sorted((
-            (j, s, fi, t, dphi - j - 1, at(1, fi), at(2, fi))
-            for j in range(self.max_dphi) for dphi, s, _, _, t, fi, _
-            in self.edges if dphi > j), key=lambda c: c[5:] != ones)
+            (j, s, fi, t, dphi - j, at(1, fi), at(2, fi))
+            for j in range(1, self.max_dphi + 1) for dphi, s, _, _, t, fi, _
+            in self.edges if dphi >= j), key=lambda c: c[5:] != ones)
         self.bare = sum(c[5:] == ones for c in crossing)
         fold = np.array(crossing, dtype=int).reshape(-1, 7).T
         self.fold_j, self.fold_src, self.fold_fi = fold[:3, :self.bare]
@@ -548,7 +553,7 @@ class _Plan:
         self.fold_exact = tuple(np.flatnonzero(self.fold_k == 0).tolist())
         self.window = window = self.max_dphi + 1
         self.fold_a, self.fold_b, self.fold_h = fold[[5, 6, 0], self.bare:]
-        self.fold_rows = tuple((phase - 1 - self.fold_h) % window * len(
+        self.fold_rows = tuple((phase - self.fold_h) % window * len(
             self.rows) + fold[1, self.bare:] for phase in range(window))
         edges = self.edges
         plain = [key == (_UNIT, (), ()) for key in self.factors]
@@ -714,13 +719,14 @@ class _Engine:
         self.L = threshold
         self.N = N = _width_axis(threshold)     # index = w + _PAD
         ring = plan.window * len(plan.rows)
-        est = ring * N * 8
+        est = (ring + 1 + len(plan.ab_terms)
+               + 3 * (len(plan.fold_k) - plan.bare)) * N * 8
         if est > memory_cap_bytes:
             # Decimal, as an explicit threshold can put est past the
             # double range; imported here to keep it off the import path
             from decimal import Decimal
             raise ResourceCapError(
-                f"estimated {Decimal(est):.3g} bytes of level storage "
+                f"estimated {Decimal(est):.3g} bytes of working memory "
                 f"exceeds cap {Decimal(memory_cap_bytes):.3g}")
         bases = {base: _base(base, params) for base in plan.bases}
         at_p = plan.base_is_p(bases)
@@ -832,38 +838,36 @@ class _Engine:
         sum of the source row over its level's range, or, where residual
         terms are left, the sum of the row times its width and height
         vectors, for all such edges one einsum over the union of the last
-        levels' ranges: a slot is zero outside its range and the einsum
-        sums from left to right in runs of numpy's 8192-column buffer, so
-        while the union spans at most 8192 the extra columns add exact
-        zeros (TestHitFold); past that a flow may round otherwise.  The
-        levels share one scale, so the flows, each into T times
-        lam^(T - L), are summed once by math.fsum, and (L - 2) log lam is
-        added to the log; no BLAS."""
+        levels' ranges, [lo, hi), whose operands are [row, column] of the
+        sweep's windows (_windows): rows and width vectors at lo, level
+        L - j's height vectors at lb + j, with sweep()'s lb at phi = L.  A
+        slot is zero outside its range and the einsum sums from left to
+        right in runs of numpy's 8192-column buffer, so while the union
+        spans at most 8192 the extra columns add exact zeros (TestHitFold);
+        past that a flow may round otherwise.  The levels share one scale,
+        so the flows, each into T times lam^(T - L), are summed once by
+        math.fsum, and (L - 2) log lam is added to the log; no BLAS."""
         L, N, plan = self.L, self.N, self.plan
         if L == 2:
             return 0.0, 0.0
         window, los, his, lam = plan.window, self._los, self._his, self.lam
-        slots = [(L - j) % window for j in range(1, min(window, L - 1))]
-        sums = np.zeros((plan.max_dphi, len(plan.rows)))
+        slots = {j: (L - j) % window for j in range(1, min(window, L - 1))}
+        sums = np.zeros((window, len(plan.rows)))
         for j in plan.fold_sums:
-            if j < len(slots):
+            if j in slots:
                 lo, hi = los[slots[j]] + _PAD, his[slots[j]] + _PAD
                 self._levels[slots[j]][:, lo:hi].sum(axis=1, out=sums[j])
         flows = np.empty(len(plan.fold_k))
         np.multiply(sums[plan.fold_j, plan.fold_src],
                     self._consts[plan.fold_fi], out=flows[:plan.bare])
         if plan.bare < len(flows):
-            lo, vectors = min(los[s] for s in slots), self._vectors
-            la, cnt = lo + _PAD, max(his[s] for s in slots) - lo
-            # heights[b, j - 1]: vectors[b] at level L - j's height at lo
-            # on, from N - 1 - (L - j - lo + _PAD)
-            heights = np.ndarray((len(vectors), plan.max_dphi, cnt), float,
-                                 vectors, (la + N - L - 2 * _PAD) * 8,
-                                 (N * 8, 8, 8))
-            np.einsum("ij,ij,ij->i",
-                      self._rows[plan.fold_rows[L % window], la:la + cnt],
-                      vectors[plan.fold_a, la:la + cnt],
-                      heights[plan.fold_b, plan.fold_h],
+            lo = min(los[s] for s in slots.values())
+            la, lb = lo + _PAD, N - 1 - _PAD - L + lo
+            cnt = max(his[s] for s in slots.values()) - lo
+            rows = _windows(self._rows, cnt)[plan.fold_rows[L % window], la]
+            stack = _windows(self._vectors, cnt)
+            np.einsum("ij,ij,ij->i", rows, stack[plan.fold_a, la],
+                      stack[plan.fold_b, lb + plan.fold_h],
                       out=flows[plan.bare:])
         flows *= self._consts[plan.fold_unkappa]
         if lam != 1.0:

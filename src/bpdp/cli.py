@@ -138,8 +138,8 @@ def _resolve_p(p: Optional[float], log2_inv_p: Optional[int]) -> float:
               default="exact", show_default=True)
 @click.option("--memory-cap-bytes", type=click.IntRange(min=1),
               default=DEFAULT_MEMORY_CAP_BYTES, show_default=True,
-              help="Abort before starting if the level "
-              "storage estimate exceeds this.")
+              help="Abort before starting if the estimated "
+              "working memory of the DP exceeds this.")
 def cmd_pi(p, log2_inv_p, threshold, convention, memory_cap_bytes):
     """Compute log Pi(p) exactly via the level-order dynamic program."""
     pv = _resolve_p(p, log2_inv_p)

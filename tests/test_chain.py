@@ -164,6 +164,22 @@ class TestComputePi:
         with pytest.raises(ResourceCapError):
             compute_pi(ChainParams.from_p(0.01), memory_cap_bytes=1000)
 
+    @pytest.mark.parametrize("plan, cap, held", [
+        (engine._FROBOSE_PLAN, 20000, 25344),
+        (engine._TWO_NEIGHBOUR_PLAN, 100000, 284416)],
+        ids=["frobose", "two_neighbour"])
+    def test_memory_cap_counts_the_working_memory(self, plan, cap, held):
+        # At p = 0.3, L = 12 the ring alone is 17600 B (Frobose) and
+        # 25344 B (two-neighbour), under cap; with tmp, the factor stack
+        # and the fold's gathered operands the calls hold 25344 B and
+        # 284416 B, which is what the cap counts
+        model = ModelParams(0.3)
+        with pytest.raises(ResourceCapError, match="working memory"):
+            engine._Engine(plan, model, 12, cap)
+        with pytest.raises(ResourceCapError):
+            engine._Engine(plan, model, 12, held - 1)
+        assert engine._Engine(plan, model, 12, held)._levels.nbytes < cap
+
     @pytest.mark.parametrize("p, L", [(5e-324, 3), (1e-315, 6), (1e-310, 4)])
     def test_overflowing_levels_raise(self, p, L):
         # every rule has a positive probability, so the hit probability is

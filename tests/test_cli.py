@@ -226,7 +226,7 @@ class TestNonFiniteResults:
         assert err[-1] == "# 2 of 4 rows failed"
 
     def test_scan_exit_status_from_shell(self):
-        # a row that fails for real: at k = 60 the level storage estimate
+        # a row that fails for real: at k = 60 the working-memory estimate
         # exceeds the memory cap (k = 0, p = 1, is a usage error instead)
         r = run_shell("scan", "--log2-inv-p-range", "60..60")
         assert r.returncode == 4

@@ -6,10 +6,12 @@ OLD and NEW are checkouts of the repository.  Each one's ``src/bpdp`` is
 imported under a package name of its own, so both live in one process.
 Per k, compute_pi at p = 2^-k and the default threshold runs reps times
 on each side, the two sides in turn, with the side that goes first
-alternating from one round to the next.  One JSON line per k gives, per
-side, the median and quartiles of PiResult.sweep_seconds; the rounds in
-which NEW's sweep was the faster; and whether log_hit_prob.hex() was the
-same on both sides in every round.
+alternating from one round to the next.  The first JSON line,
+{"host": ...}, holds the host facts of NEW's bpdp.cli._host(), which
+every CLI record carries.  Then one JSON line per k gives, per side, the
+median and quartiles of PiResult.sweep_seconds; the rounds in which
+NEW's sweep was the faster; and whether log_hit_prob.hex() was the same
+on both sides in every round.
 
 The host's speed can drift by 15-30% within a minute, so runs in
 separate processes cannot resolve a change of a few percent in the
@@ -63,6 +65,8 @@ def main():
         parser.error("--reps must be at least 1")
     sides = {"old": load(args.old, "bpdp_old"),
              "new": load(args.new, "bpdp_new")}
+    print(json.dumps({"host": importlib.import_module("bpdp_new.cli")._host()}),
+          flush=True)
     for k in (int(x) for x in args.k.split(",")):
         p = 2.0 ** -k
         sweeps = {side: [] for side in sides}
