@@ -138,11 +138,32 @@ from run to run.  A level runs one flat program, a tuple of (ufunc,
 operand, operand, out) calls in that order, compiled at import per stage
 and ring phase (_Plan._program) over an operand table: the views of the
 ring rows and width vectors that a block reads, built once per block
-position (every ~32 levels at p = 2^-9, once per call where L <= 32),
+position (every ~32 levels at p = 2^-9, once per call where L <= 33),
 and the height vectors, which move with phi and are sliced per level.
 There is no branch per edge and no other kernel.  The hit probabilities
 are folded out of the last max-jump levels through the same factors,
 by row sums and one einsum over the sweep's windows (_Engine.hits).
+
+A call whose every level lies in the first block [0, _BLOCK), one with
+L <= _BLOCK + 1 (width axis N = 80 .. 112), reuses a workspace: the
+aligned buffer of the ring's rows and tmp, and the operand table holding
+that block's ring views (61 for Frobose, 109 for two-neighbour), which
+depend on neither p nor the call.  It takes one from a free list per
+(plan, N), or builds one when the list is empty (its first level builds
+the views, as the sweep builds a block's views wherever the table does
+not hold them), zeroes the buffer, writes the seed and its own
+constants, and _run puts the workspace back once the result is made (a
+call that raises drops it).  The width and
+height views, the constants and the factor stack stay per call, and a
+larger call builds everything afresh.  A reused ring holds the zeros and
+the seed a fresh one would, on a 64-byte line as a fresh one is, and the
+programs, the operand table and the order of the calls are the same, so
+every result is the same bits (tools/bit_grid.py).  Take and return are
+list.pop() and list.append(), so no two calls share a workspace, and one
+is built only when every other one is in use: the kept memory is at most
+one workspace per call running at once per (plan, N), (25 + 1) x 104
+doubles (22 KB) for Frobose and (36 + 1) x 104 (31 KB) for two-neighbour
+at N = 104.
 """
 
 from __future__ import annotations
@@ -238,7 +259,7 @@ class PiResult:
     sweep_seconds: float = 0.0     # the level sweep
     hits_seconds: float = 0.0      # the hit fold out of the last levels
     levels: int = 0                # levels swept, L - 2
-    level_bytes: int = 0           # bytes of the allocated level ring
+    level_bytes: int = 0           # bytes of the level ring it used
     cells_dropped: int = 0  # of those, the cells the live window dropped
 
 
@@ -710,8 +731,15 @@ def _windows(rows: np.ndarray, cnt: int) -> np.ndarray:
     return np.ndarray((R, N - cnt + 1, cnt), float, rows, 0, (N * 8, 8, 8))
 
 
+# Per (plan, width axis), the (rows, operand table, block of its ring views)
+# that calls whose every level lies in block [0, _BLOCK) left behind
+# (_Engine.__init__)
+_WORKSPACES: dict = {}
+
+
 class _Engine:
-    """Single-use DP state for one plan at one parameter."""
+    """Single-use DP state for one plan at one parameter; a small call's
+    workspace outlives it (module docstring)."""
 
     def __init__(self, plan: _Plan, params: ModelParams, threshold: int,
                  memory_cap_bytes: int):
@@ -734,20 +762,30 @@ class _Engine:
         self._consts, self._vectors = _factor_vectors(plan, params, bases,
                                                       N, at_p)
         # the ring's rows, slot by slot, then tmp: one zeroed buffer, from
-        # its first cache line on
-        buf = np.zeros((ring + 1) * N + _LINE)
-        address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
-        at = -address % (8 * _LINE) // 8
-        self._rows = buf[at:at + (ring + 1) * N].reshape(ring + 1, N)
+        # its first cache line on; the programs' operand table; and the
+        # block whose ring views the table holds.  A call whose every level
+        # lies in block [0, _BLOCK) takes the three from the free list of
+        # its plan and width axis, and _run puts them back (module
+        # docstring)
+        self._free = (_WORKSPACES.setdefault((plan, N), [])
+                      if threshold <= _BLOCK + 1 else None)
+        try:    # IndexError: none is free, or the call is larger
+            self._rows, self._ops, self._held = (self._free or []).pop()
+            self._rows.fill(0.0)
+        except IndexError:
+            buf = np.zeros((ring + 1) * N + _LINE)
+            address = ctypes.addressof(ctypes.c_char.from_buffer(buf))
+            at = -address % (8 * _LINE) // 8
+            self._rows = buf[at:at + (ring + 1) * N].reshape(ring + 1, N)
+            self._ops, self._held = [None] * len(plan.operands), None
         self._levels = self._rows[:ring].reshape(plan.window, -1, N)
         # the seed: X = kappa F at (1, 1), and kappa is 1 at the seed row
         self._levels[2 % plan.window, plan.seed_row, 1 + _PAD] = 1.0
-        # the programs' operand table: the constants, as 0-d arrays (a
-        # ufunc takes them faster than floats), then the views that last a
-        # block, then the height vectors, sliced per level (sweep)
-        self._ops = [self._consts[key[1], ...]
-                     for key in plan.operands[:plan.fixed_at]]
-        self._ops += [None] * (len(plan.operands) - plan.fixed_at)
+        # the operand table: the constants, as 0-d arrays (a ufunc takes
+        # them faster than floats), then the views that last a block, then
+        # the height vectors, sliced per level (sweep)
+        self._ops[:plan.fixed_at] = [self._consts[key[1], ...]
+                                     for key in plan.operands[:plan.fixed_at]]
         self._los, self._his = [1] * plan.window, [1] * plan.window
         self.scale = 0.0    # log of the scale every level in the ring shares
         self.cells = self.dropped = 0
@@ -784,8 +822,11 @@ class _Engine:
             blo, bhi = lo - lo % _BLOCK, hi + -hi % _BLOCK
             if block != (blo, bhi):
                 block, la, cnt = (blo, bhi), blo + _PAD, bhi - blo
-                ring, stack = _windows(rows, cnt), _windows(vectors, cnt)
-                ops[at:mid] = [ring[i, la - d] for i, d in plan.row_spans]
+                if block != self._held:
+                    ring = _windows(rows, cnt)
+                    ops[at:mid] = [ring[i, la - d] for i, d in plan.row_spans]
+                    self._held = block
+                stack = _windows(vectors, cnt)
                 ops[mid:end] = [stack[i, la - d] for i, d in plan.width_spans]
             if old_lo < blo:
                 cur[:, old_lo + _PAD:blo + _PAD] = 0.0
@@ -904,7 +945,7 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
             f"L={params.threshold} ({exc.args[-1]})") from None
     t3 = time.perf_counter()
     hit = hit_exact if params.convention == "exact" else hit_atl
-    return PiResult(
+    result = PiResult(
         p=params.model.p, q=params.model.q, threshold=params.threshold,
         convention=params.convention, log_hit_prob=hit,
         log_pi=0.0 if hit == 0.0 else -hit / 2.0,
@@ -914,6 +955,11 @@ def _run(plan: _Plan, params: ChainParams, model_name: str,
         levels=params.threshold - 2, level_bytes=eng._levels.nbytes,
         cells_dropped=eng.dropped,
     )
+    if eng._free is not None:
+        # without this call's views of its factor stack
+        eng._ops[plan.widths_at:] = [None] * (len(eng._ops) - plan.widths_at)
+        eng._free.append((eng._rows, eng._ops, eng._held))
+    return result
 
 
 def compute_pi(params: ChainParams, threads: int = 1,

@@ -1,5 +1,9 @@
 import copy
+import importlib.util
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -804,7 +808,7 @@ def per_level_fold(eng):
 class TestSweep:
     @pytest.mark.parametrize("p, L", [
         (p, L) for p in (0.1, 0.5, 0.9, 1e-60) for L in (3, 7, 12, 40, 200)]
-        + [(0.5, 2000)])
+        + [(0.5, 2000), (1.1581e-7, 5610)])
     @pytest.mark.parametrize("plan", [engine._FROBOSE_PLAN,
                                       engine._TWO_NEIGHBOUR_PLAN],
                              ids=["frobose", "two_neighbour"])
@@ -813,7 +817,10 @@ class TestSweep:
         # rounded out past [lo, hi), whose extra columns compute zeros; the
         # ring (every slot, at every width), its ranges, its scale and the
         # cells swept are the same bits.  The points take in the openings
-        # (L = 3, 7), lam = p (1e-60), rescales and block moves.
+        # (L = 3, 7), lam = p (1e-60), rescales and block moves.  At
+        # p = 1.1581e-7 the Frobose level at phi = 5609 ends at width 3936,
+        # a block edge, where its slot's previous level ended at 3937, so
+        # the sweep clears what that level left right of the block.
         got = swept_engine(plan, p, L)
         cp = ChainParams.from_p(p, threshold=L)
         with np.errstate(over="raise", invalid="raise", under="ignore"):
@@ -957,3 +964,121 @@ class TestHitFold:
             outside = np.ones(eng.N, dtype=bool)
             outside[lo + engine._PAD:hi + engine._PAD] = False
             assert not level[:, outside].any(), (lo, hi)
+
+
+def bit_grid_points():
+    """tools/bit_grid.py's points, as (p, L)."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "bit_grid.py"
+    spec = importlib.util.spec_from_file_location("bit_grid", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(p, ChainParams.from_p(p, L).threshold)
+            for p, L in module.points()]
+
+
+def outcome(key):
+    """(log_hit_prob.hex(), cells_swept, cells_dropped) of one call, or
+    "ArithmeticError" where it raises one."""
+    fn, p, L, convention = key
+    try:
+        r = fn(ChainParams.from_p(p, threshold=L, convention=convention))
+    except ArithmeticError:
+        return "ArithmeticError"
+    return r.log_hit_prob.hex(), r.cells_swept, r.cells_dropped
+
+
+class TestWorkspaceReuse:
+    # A call whose every level lies in block [0, _BLOCK), L <= _BLOCK + 1,
+    # takes its ring and operand table from a free list per (plan, width
+    # axis) and puts them back; a larger call and a call that raises do
+    # not.  The calls: tools/bit_grid.py's points up to L = 200 (past it
+    # they add only sweep time) and L = 20, 28, 33 and 34 at four p, so
+    # every width axis of a small call (N = 80 .. 112) and both sides of
+    # L = _BLOCK + 1 occur; both plans and conventions; and the
+    # two-neighbour call at p = 1e-200, L = 6, which raises.
+    FNS = (compute_pi, compute_two_neighbour_lower_bound)
+
+    @classmethod
+    def keys(cls, seed):
+        points = [(p, L) for p, L in bit_grid_points() if L <= 200]
+        points += [(p, L) for p in (0.1, 0.5, 0.9, 1e-60)
+                   for L in (20, 28, 33, 34)]
+        keys = [(fn, p, L, convention) for fn in cls.FNS for p, L in points
+                for convention in ("exact", "at-least")]
+        keys.append((compute_two_neighbour_lower_bound, 1e-200, 6, "exact"))
+        return [keys[i] for i in np.random.default_rng(seed).permutation(
+            len(keys))]
+
+    @staticmethod
+    def first_calls(keys, monkeypatch):
+        # each call run with nothing left behind by an earlier one, as the
+        # first call of a process runs
+        want = {}
+        for key in keys:
+            monkeypatch.setattr(engine, "_WORKSPACES", {})
+            want[key] = outcome(key)
+        return want
+
+    def test_calls_equal_first_calls(self, monkeypatch):
+        keys = self.keys(31)
+        want = self.first_calls(keys, monkeypatch)
+        assert want[(compute_two_neighbour_lower_bound, 1e-200, 6,
+                     "exact")] == "ArithmeticError"
+        monkeypatch.setattr(engine, "_WORKSPACES", {})
+        got = {key: outcome(key) for key in keys}
+        assert got == want
+        # one call at a time: one workspace per (plan, width axis) of a
+        # small call, and none for a larger one
+        free = engine._WORKSPACES
+        assert sorted(N for _, N in free) == [80, 80, 88, 88, 96, 96,
+                                              104, 104, 112, 112]
+        assert all(len(held) == 1 for held in free.values())
+
+    def test_the_reference_sweep_agrees(self, monkeypatch):
+        # a reused workspace, swept, holds the ring that a sweep one edge
+        # at a time leaves in a fresh one, at each small width axis
+        monkeypatch.setattr(engine, "_WORKSPACES", {})
+        plans = (engine._FROBOSE_PLAN, engine._TWO_NEIGHBOUR_PLAN)
+        for plan, fn in zip(plans, self.FNS):
+            for p, L in ((0.5, 5), (0.3, 12), (0.9, 20), (0.1, 28),
+                         (1e-60, 33)):
+                cp = ChainParams.from_p(p, threshold=L)
+                fn(cp)
+                got = swept_engine(plan, p, L)      # takes what fn left
+                assert engine._WORKSPACES[(plan, got.N)] == []
+                with np.errstate(over="raise", invalid="raise",
+                                 under="ignore"):
+                    want = engine._Engine(plan, cp.model, L,
+                                          engine.DEFAULT_MEMORY_CAP_BYTES)
+                    dropped = reference_sweep(want)
+                assert got._levels.tobytes() == want._levels.tobytes()
+                assert got.cells == want.cells and dropped == got.dropped
+                assert got.hits() == want.hits()
+
+    def test_threads(self, monkeypatch):
+        # three threads calling at once, switching often, get the first
+        # calls' results and leave at most three workspaces per key
+        keys = [key for key in self.keys(32) if key[2] <= 40]
+        want = self.first_calls(keys, monkeypatch)
+        monkeypatch.setattr(engine, "_WORKSPACES", {})
+        got, start = [], threading.Barrier(3, timeout=60)
+
+        def run(order):
+            start.wait()
+            got.append({key: outcome(key) for key in order})
+
+        threads = [threading.Thread(target=run, args=(order,)) for order in (
+            keys, keys[::-1], keys[1::2] + keys[::2])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 3
+        assert all(1 <= len(held) <= 3
+                   for held in engine._WORKSPACES.values())

@@ -1,4 +1,5 @@
-"""Print the DP's result, to the bit, at a fixed grid of 260 points.
+"""Print the DP's result, to the bit, at a fixed grid of 260 calls, and again
+at the 148 of them with L <= 33.
 
 One line per point: plan, repr(p), L, convention, log_hit_prob.hex() and
 cells_swept, or ArithmeticError where the call raises one.  The points:
@@ -11,7 +12,11 @@ cells_swept, or ArithmeticError where the call raises one.  The points:
 - (p, L) = (0.5, 2000) and (0.9, 800);
 
 each for both plans (compute_pi and compute_two_neighbour_lower_bound) and
-both hit conventions.  Diffing the output of two checkouts shows whether a
+both hit conventions.  Then the 148 lines with L <= 33, whose levels all
+lie in the sweep's first block, come a second time in reverse order: a
+call at such L takes the ring and operand table that an earlier call at
+the same plan and width axis left behind, so these lines show that reuse
+moves no bit either.  Diffing the output of two checkouts shows whether a
 change to the engine moved any result by a single bit:
 
     PYTHONPATH=src python tools/bit_grid.py > grid.txt
@@ -32,17 +37,23 @@ def points():
     yield from ((0.5, 2000), (0.9, 800))
 
 
+def line(name, fn, params):
+    try:
+        r = fn(params)
+        out = f"{r.log_hit_prob.hex()} {r.cells_swept}"
+    except ArithmeticError:
+        out = "ArithmeticError"
+    return " ".join((name, repr(params.model.p), str(params.threshold),
+                     params.convention, out))
+
+
 def main():
-    for name, fn in PLANS:
-        for p, threshold in points():
-            for convention in ("exact", "at-least"):
-                params = ChainParams.from_p(p, threshold, convention)
-                try:
-                    r = fn(params)
-                    out = f"{r.log_hit_prob.hex()} {r.cells_swept}"
-                except ArithmeticError:
-                    out = "ArithmeticError"
-                print(name, repr(p), params.threshold, convention, out)
+    calls = [(name, fn, ChainParams.from_p(p, threshold, convention))
+             for name, fn in PLANS for p, threshold in points()
+             for convention in ("exact", "at-least")]
+    for call in calls + [call for call in reversed(calls)
+                         if call[2].threshold <= 33]:
+        print(line(*call))
 
 
 if __name__ == "__main__":
